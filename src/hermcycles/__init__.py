@@ -29,10 +29,8 @@ from .errors import (
 )
 from .global_cycles import (
     GlobalReport,
-    QuadFieldElement,
     diff0,
     embed_matrix,
-    field_det,
     global_report,
     is_positive_definite,
     local_context,
@@ -45,7 +43,6 @@ from .lattice import (
     JordanReport,
     det_class,
     diagonal_gram,
-    dual_basis,
     hnf_canonicalize,
     hyperbolic_gram,
     is_split_sum,
@@ -71,7 +68,7 @@ from .padic import (
     unit_part,
     val_p,
 )
-from .ramified import OHElement, RamifiedContext, is_norm, pi_power
+from .ramified import OHElement, QuadContext, RamifiedContext, is_norm, pi_power
 from .vertices import (
     EnumerationBounds,
     VerificationReport,

@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .cycles import cycle_invariants, cycle_report
 from .errors import DomainError, ResourceError, SchemaError
-from .global_cycles import QuadFieldElement, global_report
+from .global_cycles import global_report
 from .lattice import HermGram, HermLattice, jordan_split
 from .padic import REAL_PLACE, hilbert_symbol, parse_rational
-from .ramified import OHElement, RamifiedContext
+from .ramified import OHElement, QuadContext, RamifiedContext
 from .vertices import (
     EnumerationBounds,
     enumerate_vertices,
@@ -43,7 +43,7 @@ def _load_document(args) -> dict:
         text = sys.stdin.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("request document must be a JSON object")
@@ -59,20 +59,21 @@ def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset(
         raise SchemaError(f"unknown fields: {sorted(unknown)}")
 
 
-def _parse_oh_entry(obj, ctx: RamifiedContext, where: str) -> OHElement:
+def _parse_entry(obj, ctx: QuadContext, where: str, keys=("a", "b"), noun="ring"):
+    """One element: a number, or an object with the coordinate ``keys``."""
     if isinstance(obj, dict):
-        unknown = obj.keys() - {"a", "b"}
+        unknown = obj.keys() - keys
         if unknown:
             raise SchemaError(f"unknown fields {sorted(unknown)}", location=where)
-        a = parse_rational(obj.get("a", 0))
-        b = parse_rational(obj.get("b", 0))
+        a = parse_rational(obj.get(keys[0], 0))
+        b = parse_rational(obj.get(keys[1], 0))
         return OHElement(a, b, ctx)
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         return OHElement(parse_rational(obj), Fraction(0), ctx)
-    raise SchemaError(f"not a ring element: {obj!r}", location=where)
+    raise SchemaError(f"not a {noun} element: {obj!r}", location=where)
 
 
-def _parse_oh_matrix(obj, ctx: RamifiedContext, where: str):
+def _parse_matrix(obj, ctx: QuadContext, where: str, keys=("a", "b"), noun="ring"):
     if not isinstance(obj, list) or not obj:
         raise SchemaError("matrix must be a nonempty array of rows", location=where)
     rows = []
@@ -80,33 +81,7 @@ def _parse_oh_matrix(obj, ctx: RamifiedContext, where: str):
         if not isinstance(row, list) or len(row) != len(obj):
             raise SchemaError("matrix must be square", location=f"{where}[{i}]")
         rows.append(
-            [_parse_oh_entry(e, ctx, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
-        )
-    return rows
-
-
-def _parse_qfe_entry(obj, delta: int, where: str) -> QuadFieldElement:
-    if isinstance(obj, dict):
-        unknown = obj.keys() - {"x", "y"}
-        if unknown:
-            raise SchemaError(f"unknown fields {sorted(unknown)}", location=where)
-        return QuadFieldElement(
-            parse_rational(obj.get("x", 0)), parse_rational(obj.get("y", 0)), delta
-        )
-    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return QuadFieldElement(parse_rational(obj), Fraction(0), delta)
-    raise SchemaError(f"not a field element: {obj!r}", location=where)
-
-
-def _parse_qfe_matrix(obj, delta: int, where: str):
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("matrix must be a nonempty array of rows", location=where)
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != len(obj):
-            raise SchemaError("matrix must be square", location=f"{where}[{i}]")
-        rows.append(
-            [_parse_qfe_entry(e, delta, f"{where}[{i}][{j}]") for j, e in enumerate(row)]
+            [_parse_entry(e, ctx, f"{where}[{i}][{j}]", keys, noun) for j, e in enumerate(row)]
         )
     return rows
 
@@ -130,7 +105,7 @@ def _cmd_jordan(args):
     ctx = _context(args)
     doc = _load_document(args)
     _require_keys(doc, {"gram"})
-    G = HermGram(_parse_oh_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
+    G = HermGram(_parse_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
     return {"blocks": jordan_split(G).to_json()}
 
 
@@ -138,7 +113,7 @@ def _cmd_cycle(args):
     ctx = _context(args)
     doc = _load_document(args)
     _require_keys(doc, {"matrix"})
-    T = HermGram(_parse_oh_matrix(doc["matrix"], ctx, "matrix"), ctx).check_nonsingular()
+    T = HermGram(_parse_matrix(doc["matrix"], ctx, "matrix"), ctx).check_nonsingular()
     if args.raw:
         return cycle_invariants(T).to_json()
     return cycle_report(T, ctx).to_json()
@@ -148,7 +123,7 @@ def _cmd_vertices(args):
     ctx = _context(args)
     doc = _load_document(args)
     _require_keys(doc, {"gram"})
-    G = HermGram(_parse_oh_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
+    G = HermGram(_parse_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
     vs = enumerate_vertices(HermLattice.from_gram(G), _bounds(args))
     if args.dot:
         return poset_dot(vs)
@@ -159,7 +134,7 @@ def _cmd_verify(args):
     ctx = _context(args)
     doc = _load_document(args)
     _require_keys(doc, {"gram"})
-    G = HermGram(_parse_oh_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
+    G = HermGram(_parse_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
     return verify_structure_theorems(HermLattice.from_gram(G), _bounds(args)).to_json()
 
 
@@ -169,7 +144,7 @@ def _cmd_global(args):
     delta = doc["delta"]
     if not isinstance(delta, int) or isinstance(delta, bool):
         raise SchemaError("delta must be an integer")
-    T = _parse_qfe_matrix(doc["matrix"], delta, "matrix")
+    T = _parse_matrix(doc["matrix"], QuadContext(delta), "matrix", ("x", "y"), "field")
     return global_report(T, delta, bound=args.factor_bound).to_json()
 
 

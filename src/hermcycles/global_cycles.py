@@ -3,7 +3,9 @@
 Computes positivity, the set of obstructing inert primes, existence of a
 self-dual lattice in the ambient Hermitian space, and for every odd ramified
 prime the local cycle invariants of the matrix embedded through
-sqrt(delta) -> pi (an exact ring map because pi**2 = delta there).
+sqrt(delta) -> pi (an exact ring map because pi**2 = delta there).  Matrix
+entries are OHElement values over QuadContext(delta), so x + y*sqrt(delta) is
+stored as a = x, b = y, and the embedding only swaps the context.
 """
 
 from __future__ import annotations
@@ -12,13 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import CycleInvariants, cycle_report
-from .errors import (
-    HermitianViolationError,
-    IntegralityError,
-    PreconditionError,
-    SingularMatrixError,
-)
-from .lattice import HermGram
+from .errors import IntegralityError, PreconditionError, SingularMatrixError
+from .lattice import HermGram, mat_det
 from .padic import (
     DEFAULT_FACTOR_BOUND,
     INERT,
@@ -29,136 +26,36 @@ from .padic import (
     rational_factorization,
     splitting_type,
 )
-from .ramified import OHElement, RamifiedContext
+from .ramified import OHElement, QuadContext, RamifiedContext
 
 STATUS_EMPTY = "empty"
 STATUS_INERT = "inert-case"
 STATUS_RAMIFIED = "ramified-supported"
 
-_ZERO = Fraction(0)
+
+def _is_algebraic_integer(x: OHElement) -> bool:
+    """Membership in the maximal order: 2a, 2b and the norm are integers."""
+    return (
+        (2 * x.a).denominator == 1
+        and (2 * x.b).denominator == 1
+        and x.norm().denominator == 1
+    )
 
 
-@dataclass(frozen=True)
-class QuadFieldElement:
-    """x + y*sqrt(delta) with exact rational coordinates."""
-
-    x: Fraction
-    y: Fraction
-    delta: int
-
-    @classmethod
-    def of(cls, delta: int, x, y=0) -> "QuadFieldElement":
-        return cls(Fraction(x), Fraction(y), delta)
-
-    def _check(self, other: "QuadFieldElement"):
-        if self.delta != other.delta:
-            raise PreconditionError("elements of different quadratic fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuadFieldElement(self.x + other.x, self.y + other.y, self.delta)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuadFieldElement(self.x - other.x, self.y - other.y, self.delta)
-
-    def __neg__(self):
-        return QuadFieldElement(-self.x, -self.y, self.delta)
-
-    def __mul__(self, other):
-        self._check(other)
-        return QuadFieldElement(
-            self.x * other.x + self.y * other.y * self.delta,
-            self.x * other.y + self.y * other.x,
-            self.delta,
-        )
-
-    def conjugate(self) -> "QuadFieldElement":
-        return QuadFieldElement(self.x, -self.y, self.delta)
-
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.y * self.y * self.delta
-
-    def inverse(self) -> "QuadFieldElement":
-        n = self.norm()
-        if n == 0:
-            raise PreconditionError("division by zero in the quadratic field")
-        return QuadFieldElement(self.x / n, -self.y / n, self.delta)
-
-    def is_zero(self) -> bool:
-        return not self.x and not self.y
-
-    def is_rational(self) -> bool:
-        return not self.y
-
-    def is_integral(self) -> bool:
-        """Membership in the maximal order: 2x, 2y and the norm are integers."""
-        return (
-            (2 * self.x).denominator == 1
-            and (2 * self.y).denominator == 1
-            and self.norm().denominator == 1
-        )
-
-    def embed(self, ctx: RamifiedContext) -> OHElement:
-        """Image under sqrt(delta) -> pi; requires pi**2 = delta in ctx."""
-        if ctx.pi0 != self.delta:
-            raise PreconditionError("context uniformizer does not square to delta")
-        return OHElement(self.x, self.y, ctx)
-
-    def to_json(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y)}
-
-
-def _validate_matrix(T, delta: int):
-    rows = [list(row) for row in T]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise PreconditionError("matrix must be square and nonempty")
-    for i in range(n):
-        for j in range(n):
-            e = rows[i][j]
-            if not isinstance(e, QuadFieldElement) or e.delta != delta:
-                raise PreconditionError(f"entry ({i},{j}) is not in the given field")
-    for i in range(n):
-        for j in range(i, n):
-            if rows[j][i] != rows[i][j].conjugate():
-                raise HermitianViolationError(
-                    f"entry ({j},{i}) must be the conjugate of entry ({i},{j})",
-                    location=f"matrix[{j}][{i}]",
-                )
-    return rows
-
-
-def field_det(T, delta: int) -> Fraction:
-    """Determinant of a Hermitian matrix over the field (a rational number)."""
-    rows = _validate_matrix(T, delta)
-    n = len(rows)
-    det = QuadFieldElement.of(delta, 1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not rows[r][c].is_zero()), None)
-        if piv is None:
-            return _ZERO
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for r in range(c + 1, n):
-            if rows[r][c].is_zero():
-                continue
-            f = rows[r][c] * inv
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    if not det.is_rational():
-        raise AssertionError("Hermitian determinant must be rational")
-    return det.x
+def _hermitian(T, delta: int) -> HermGram:
+    """T as a validated Hermitian matrix over QuadContext(delta)."""
+    field = QuadContext(delta)
+    if isinstance(T, HermGram) and T.ctx == field:
+        return T
+    return HermGram(T, field, name="matrix")
 
 
 def is_positive_definite(T, delta: int) -> bool:
     """All leading principal minors positive (they are exact rationals)."""
-    rows = _validate_matrix(T, delta)
-    for k in range(1, len(rows) + 1):
-        minor = field_det([row[:k] for row in rows[:k]], delta)
-        if minor <= 0:
+    G = _hermitian(T, delta)
+    for k in range(1, G.n + 1):
+        minor = mat_det([list(row[:k]) for row in G.entries[:k]], G.ctx)
+        if minor.a <= 0:
             return False
     return True
 
@@ -169,7 +66,7 @@ def diff0(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, ...]:
     More than one of these forces the global cycle to be empty.
     """
     check_quadratic_field(delta, bound)
-    det = field_det(T, delta)
+    det = _hermitian(T, delta).det_rational()
     if det == 0:
         raise SingularMatrixError("matrix is singular")
     out = []
@@ -187,9 +84,10 @@ def self_dual_exists(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
     can obstruct.
     """
     check_quadratic_field(delta, bound)
-    if not is_positive_definite(T, delta):
+    G = _hermitian(T, delta)
+    if not is_positive_definite(G, delta):
         raise PreconditionError("matrix must be positive definite")
-    det = field_det(T, delta)
+    det = G.det_rational()
     primes = {2}
     primes.update(rational_factorization(det, bound))
     primes.update(rational_factorization(delta, bound))
@@ -231,8 +129,11 @@ def local_context(delta: int, p: int) -> RamifiedContext:
 
 
 def embed_matrix(T, delta: int, ctx: RamifiedContext) -> HermGram:
-    rows = _validate_matrix(T, delta)
-    return HermGram([[e.embed(ctx) for e in row] for row in rows], ctx)
+    """Image of T under sqrt(delta) -> pi; requires pi**2 = delta in ctx."""
+    G = _hermitian(T, delta)
+    if ctx.pi0 != delta:
+        raise PreconditionError("context uniformizer does not square to delta")
+    return HermGram([[OHElement._raw(x.a, x.b, ctx) for x in row] for row in G.entries], ctx)
 
 
 def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalReport:
@@ -244,24 +145,24 @@ def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalRep
     one receives its local invariants (p = 2 is reported as unsupported).
     """
     check_quadratic_field(delta, bound)
-    rows = _validate_matrix(T, delta)
-    for i, row in enumerate(rows):
+    G = _hermitian(T, delta)
+    for i, row in enumerate(G.entries):
         for j, e in enumerate(row):
-            if not e.is_integral():
+            if not _is_algebraic_integer(e):
                 raise IntegralityError(
                     f"entry ({i},{j}) is not an algebraic integer",
                     location=f"matrix[{i}][{j}]",
                 )
-    det = field_det(rows, delta)
+    det = G.det_rational()
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    positive = is_positive_definite(rows, delta)
-    obstructions = diff0(rows, delta, bound)
+    positive = is_positive_definite(G, delta)
+    obstructions = diff0(G, delta, bound)
     ramified_odd = tuple(
         p for p in sorted(rational_factorization(delta, bound)) if p != 2
     )
     unsupported = (2,) if splitting_type(delta, 2, bound) == RAMIFIED else ()
-    sd = self_dual_exists(rows, delta, bound) if positive else None
+    sd = self_dual_exists(G, delta, bound) if positive else None
     per_prime: dict[int, CycleInvariants] = {}
     if not positive or len(obstructions) > 1:
         status = STATUS_EMPTY
@@ -271,7 +172,7 @@ def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalRep
         status = STATUS_RAMIFIED
         for p in ramified_odd:
             ctx = local_context(delta, p)
-            per_prime[p] = cycle_report(embed_matrix(rows, delta, ctx), ctx)
+            per_prime[p] = cycle_report(embed_matrix(G, delta, ctx), ctx)
     return GlobalReport(
         positive_definite=positive,
         det=det,

@@ -19,7 +19,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .padic import INFINITY, _val, is_square_unit
-from .ramified import OHElement, RamifiedContext, pi_power
+from .ramified import OHElement, QuadContext, RamifiedContext, pi_power
 
 _ZERO = Fraction(0)
 
@@ -60,7 +60,7 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_det(A, ctx: RamifiedContext) -> OHElement:
+def mat_det(A, ctx: QuadContext) -> OHElement:
     n = len(A)
     M = [row[:] for row in A]
     det = ctx.one()
@@ -107,10 +107,6 @@ def mat_solve(A, B, ctx: RamifiedContext):
 
 def mat_is_integral(A) -> bool:
     return all(x.is_integral() for row in A for x in row)
-
-
-def mat_min_ord(A):
-    return min((x.ord() for row in A for x in row), default=INFINITY)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +160,14 @@ def residues_mod_pi_power(ctx: RamifiedContext, e: int) -> list[OHElement]:
 
 
 class HermGram:
-    """A nonsingular conjugate-symmetric matrix over H."""
+    """A nonsingular conjugate-symmetric matrix over H, or over Q(sqrt(delta)).
+
+    ``name`` is the request field that error locations point into.
+    """
 
     __slots__ = ("entries", "n", "ctx", "_det")
 
-    def __init__(self, entries, ctx: RamifiedContext | None = None):
+    def __init__(self, entries, ctx: QuadContext | None = None, name: str = "gram"):
         rows = [tuple(row) for row in entries]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -185,7 +184,7 @@ class HermGram:
                 if rows[j][i] != rows[i][j].conjugate():
                     raise HermitianViolationError(
                         f"entry ({j},{i}) must be the conjugate of entry ({i},{j})",
-                        location=f"gram[{j}][{i}]",
+                        location=f"{name}[{j}][{i}]",
                     )
         self.entries = tuple(rows)
         self.n = n
@@ -210,9 +209,6 @@ class HermGram:
 
     def is_integral(self) -> bool:
         return mat_is_integral(self.entries)
-
-    def min_ord(self):
-        return mat_min_ord(self.entries)
 
     def scaled(self, u) -> "HermGram":
         """Gram of the same basis with the form scaled by a rational unit."""
@@ -337,10 +333,6 @@ class HermLattice:
 
     def to_json(self):
         return {"basis": [[x.to_json() for x in row] for row in self.basis]}
-
-
-def dual_basis(L: HermLattice) -> HermLattice:
-    return L.dual()
 
 
 def hnf_canonicalize(L: HermLattice) -> HermLattice:
@@ -557,9 +549,7 @@ def jordan_split(G: HermGram) -> JordanReport:
 
 def det_class(G: HermGram) -> tuple[int, bool]:
     """(pi-order of det, whether the pi0-normalized unit part is a square)."""
-    d = G.check_nonsingular().det()
-    if d.b:
-        raise PreconditionError("Hermitian determinant must be rational")
-    v = d.ord()
-    unit = d.a / G.ctx.pi0 ** (v // 2)
+    d = G.check_nonsingular().det_rational()
+    v = 2 * _val(d, G.ctx.p)
+    unit = d / G.ctx.pi0 ** (v // 2)
     return v, is_square_unit(unit, G.ctx.p)

@@ -53,8 +53,11 @@ def format_rational(q) -> str:
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic below _MR_LIMIT; refuses larger n rather than guess."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise PreconditionError(f"primality of {n} is not certified at or above {_MR_LIMIT}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

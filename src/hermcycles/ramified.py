@@ -1,9 +1,11 @@
-"""Exact arithmetic in the ramified quadratic extension H = Q_p(pi), pi**2 = eps*p.
+"""Exact arithmetic in a quadratic algebra a + b*g with g**2 = pi0.
 
-Elements are pairs a + b*pi of exact rationals.  Conjugation sends pi to -pi,
-the norm of a + b*pi is a**2 - b**2*pi0 with pi0 = eps*p, and the pi-adic
-order of a + b*pi is min(2*val_p(a), 2*val_p(b) + 1).  All values are
-immutable and safe to share between threads.
+Locally g is the uniformizer pi of the ramified extension H = Q_p(pi) with
+pi**2 = pi0 = eps*p; globally it is sqrt(delta) in Q(sqrt(delta)) with
+pi0 = delta.  Elements are pairs of exact rationals.  Conjugation sends g to
+-g, the norm of a + b*g is a**2 - b**2*pi0, and over H the pi-adic order of
+a + b*pi is min(2*val_p(a), 2*val_p(b) + 1).  All values are immutable and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,33 @@ _ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
-class RamifiedContext:
+class QuadContext:
+    """The algebra a + b*g with g**2 = pi0, for a nonzero rational pi0.
+
+    Enough for ring arithmetic, conjugation, norms and determinants; the
+    p-adic operations (``ord``, ``is_integral``) need a RamifiedContext.
+    """
+
+    pi0: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "pi0", Fraction(self.pi0))
+
+    def element(self, a, b=0) -> "OHElement":
+        return OHElement(a, b, self)
+
+    def zero(self) -> "OHElement":
+        return OHElement._raw(_ZERO, _ZERO, self)
+
+    def one(self) -> "OHElement":
+        return OHElement._raw(_ONE, _ZERO, self)
+
+    def pi(self) -> "OHElement":
+        return OHElement._raw(_ZERO, _ONE, self)
+
+
+@dataclass(frozen=True)
+class RamifiedContext(QuadContext):
     """Fixes the prime p, the unit eps with pi**2 = pi0 = eps*p, and delta_sq.
 
     ``delta_sq`` is a non-square unit class; only its square class ever enters
@@ -28,10 +56,10 @@ class RamifiedContext:
     non-residue mod p.
     """
 
+    pi0: Fraction = field(init=False, compare=False, repr=False)
     p: int
     eps: Fraction = _ONE
     delta_sq: Fraction = None  # type: ignore[assignment]
-    pi0: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p == 2:
@@ -51,35 +79,23 @@ class RamifiedContext:
                 )
         object.__setattr__(self, "pi0", self.eps * self.p)
 
-    def element(self, a, b=0) -> "OHElement":
-        return OHElement(a, b, self)
-
-    def zero(self) -> "OHElement":
-        return OHElement._raw(_ZERO, _ZERO, self)
-
-    def one(self) -> "OHElement":
-        return OHElement._raw(_ONE, _ZERO, self)
-
-    def pi(self) -> "OHElement":
-        return OHElement._raw(_ZERO, _ONE, self)
-
     def unit_scale(self) -> Fraction:
         """The unit -eps**-1 * delta_sq that scales an input Hermitian matrix."""
         return -self.delta_sq / self.eps
 
 
 class OHElement:
-    """a + b*pi with exact rational coefficients; pi**2 rewrites to pi0."""
+    """a + b*pi with exact rational coefficients; pi**2 rewrites to ctx.pi0."""
 
     __slots__ = ("a", "b", "ctx")
 
-    def __init__(self, a, b, ctx: RamifiedContext):
+    def __init__(self, a, b, ctx: QuadContext):
         self.a = a if type(a) is Fraction else Fraction(a)
         self.b = b if type(b) is Fraction else Fraction(b)
         self.ctx = ctx
 
     @classmethod
-    def _raw(cls, a: Fraction, b: Fraction, ctx: RamifiedContext) -> "OHElement":
+    def _raw(cls, a: Fraction, b: Fraction, ctx: QuadContext) -> "OHElement":
         self = object.__new__(cls)
         self.a = a
         self.b = b
@@ -155,9 +171,6 @@ class OHElement:
         """x * conj(x) = a**2 - b**2 * pi0, fixed by conjugation."""
         return self.a * self.a - self.b * self.b * self.ctx.pi0
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def ord(self):
         """pi-adic order: min(2*val_p(a), 2*val_p(b) + 1); +inf for 0."""
         p = self.ctx.p
@@ -176,9 +189,6 @@ class OHElement:
     def is_integral(self) -> bool:
         p = self.ctx.p
         return self.a.denominator % p != 0 and self.b.denominator % p != 0
-
-    def is_rational(self) -> bool:
-        return not self.b
 
     def __eq__(self, other):
         if isinstance(other, OHElement):
@@ -201,13 +211,13 @@ class OHElement:
 
 
 @lru_cache(maxsize=None)
-def _pi_power(ctx: RamifiedContext, e: int) -> OHElement:
+def _pi_power(ctx: QuadContext, e: int) -> OHElement:
     if e % 2 == 0:
         return OHElement._raw(ctx.pi0 ** (e // 2), _ZERO, ctx)
     return OHElement._raw(_ZERO, ctx.pi0 ** ((e - 1) // 2), ctx)
 
 
-def pi_power(ctx: RamifiedContext, e: int) -> OHElement:
+def pi_power(ctx: QuadContext, e: int) -> OHElement:
     """pi**e as an exact element, for any integer e."""
     return _pi_power(ctx, e)
 

@@ -23,6 +23,7 @@ from support import (
 from hermcycles import (
     EnumerationBounds,
     HermLattice,
+    QuadContext,
     RamifiedContext,
     cycle_invariants,
     det_class,
@@ -34,7 +35,6 @@ from hermcycles import (
     smallest_nonresidue,
     verify_structure_theorems,
 )
-from hermcycles.global_cycles import QuadFieldElement
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BOUNDS = EnumerationBounds(max_rank=4, max_scale=4, max_candidates=10**7)
@@ -202,7 +202,7 @@ def test_criterion_8_norm_group_index_two():
 
 def test_criterion_9_global_fixtures():
     def qfe(x):
-        return QuadFieldElement(F(x), F(0), -3)
+        return QuadContext(-3).element(x)
 
     def diag(vals):
         n = len(vals)

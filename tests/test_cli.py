@@ -1,10 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+import hermcycles
 from hermcycles.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -179,11 +183,75 @@ def test_round_trip_scaled_gram():
 
 
 def test_console_script_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(hermcycles.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "hermcycles.cli", "hilbert"],
         input='{"a": "2", "b": "7", "place": 7}',
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"symbol": 1}
+
+
+def test_integer_past_the_digit_limit_is_a_schema_violation():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    doc = '{"a": %s, "b": "3", "place": 5}' % ("1" * (limit + 1))
+    code, out = invoke(["hilbert"], stdin_text=doc)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "schema-violation"
+    assert error["message"].startswith("invalid JSON: ")
+
+
+def test_primality_past_the_miller_rabin_limit_is_refused():
+    # the smallest strong pseudoprime to all twelve Miller-Rabin bases
+    pseudoprime = "3317044064679887385961981"
+    for argv, doc in (
+        (["hilbert"], '{"a": "2", "b": "3", "place": %s}' % pseudoprime),
+        (["jordan", "--p", pseudoprime], '{"gram": [[1]]}'),
+    ):
+        code, out = invoke(argv, stdin_text=doc)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "precondition-violation"
+
+
+def test_global_error_documents():
+    cases = (
+        (
+            '[[1, {"x": "0", "y": "1"}], [{"x": "0", "y": "1"}, 1]]',
+            2,
+            {
+                "code": "hermitian-violation",
+                "location": "matrix[1][0]",
+                "message": "entry (1,0) must be the conjugate of entry (0,1)",
+            },
+        ),
+        (
+            "[[1, true], [0, 1]]",
+            1,
+            {
+                "code": "schema-violation",
+                "location": "matrix[0][1]",
+                "message": "not a field element: True",
+            },
+        ),
+        (
+            '[[1, {"a": "1"}], [0, 1]]',
+            1,
+            {
+                "code": "schema-violation",
+                "location": "matrix[0][1]",
+                "message": "unknown fields ['a']",
+            },
+        ),
+    )
+    for matrix, exit_code, error in cases:
+        code, out = invoke(["global"], stdin_text='{"delta": -3, "matrix": %s}' % matrix)
+        assert code == exit_code
+        assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"

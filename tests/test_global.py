@@ -7,27 +7,28 @@ import pytest
 from support import conic_has_primitive_zero
 
 from hermcycles import (
+    HermGram,
     HermitianViolationError,
     IntegralityError,
     InvalidFieldError,
-    QuadFieldElement,
+    QuadContext,
     RamifiedContext,
     SingularMatrixError,
     diff0,
     embed_matrix,
-    field_det,
     global_report,
     is_positive_definite,
     local_context,
     self_dual_exists,
 )
+from hermcycles.global_cycles import _is_algebraic_integer
 from hermcycles.lattice import mat_det
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def qfe(delta, x, y=0):
-    return QuadFieldElement(F(x), F(y), delta)
+    return QuadContext(delta).element(x, y)
 
 
 def diag(delta, vals):
@@ -48,11 +49,11 @@ def test_field_element_arithmetic():
 
 def test_integrality_membership():
     # half-integer coordinates belong exactly when delta = 1 mod 4
-    assert qfe(-3, F(1, 2), F(1, 2)).is_integral()
-    assert not qfe(-3, F(1, 2), 0).is_integral()
-    assert not qfe(-3, F(1, 3), 0).is_integral()
-    assert qfe(-5, 2, 7).is_integral()
-    assert not qfe(-5, F(1, 2), F(1, 2)).is_integral()
+    assert _is_algebraic_integer(qfe(-3, F(1, 2), F(1, 2)))
+    assert not _is_algebraic_integer(qfe(-3, F(1, 2), 0))
+    assert not _is_algebraic_integer(qfe(-3, F(1, 3), 0))
+    assert _is_algebraic_integer(qfe(-5, 2, 7))
+    assert not _is_algebraic_integer(qfe(-5, F(1, 2), F(1, 2)))
 
 
 def test_positive_definite():
@@ -62,7 +63,7 @@ def test_positive_definite():
         [qfe(-3, 2), qfe(-3, 0, 1)],
         [qfe(-3, 0, -1), qfe(-3, 2)],
     ]
-    assert field_det(T, -3) == 1  # 4 + delta
+    assert HermGram(T).det_rational() == 1  # 4 + delta
     assert is_positive_definite(T, -3)
 
 
@@ -175,11 +176,11 @@ def test_embedding_is_ring_map_on_determinants():
                     for j in range(i + 1, n):
                         rows[i][j] = qfe(delta, rng.randint(-3, 3), rng.randint(-3, 3))
                         rows[j][i] = rows[i][j].conjugate()
-                if field_det(rows, delta) == 0:
+                if HermGram(rows).det_rational() == 0:
                     continue
                 G = embed_matrix(rows, delta, ctx)
                 det_local = mat_det([list(r) for r in G.entries], ctx)
-                det_global = field_det(rows, delta)
+                det_global = HermGram(rows).det_rational()
                 assert det_local == ctx.element(det_global)
 
 

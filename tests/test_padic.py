@@ -20,6 +20,7 @@ from hermcycles import (
     val_p,
 )
 from hermcycles.errors import InvalidFieldError, SchemaError
+from hermcycles.padic import _MR_LIMIT, is_prime
 
 
 def test_val_examples():
@@ -147,6 +148,22 @@ def test_factorize():
 def test_factorize_refuses_huge_remainder():
     with pytest.raises(FactorizationLimitError):
         factorize(2**89 - 1, bound=10**4)  # prime, but beyond certification
+
+
+def test_is_prime_agrees_with_sympy_below_the_limit_and_refuses_from_it():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(21)
+    below = list(range(_MR_LIMIT - 3000, _MR_LIMIT))
+    below += [rng.randrange(10**20, _MR_LIMIT) for _ in range(500)]
+    below += [1287836182261, 2575672364521]  # the two prime factors of _MR_LIMIT
+    for n in below:
+        assert is_prime(n) == sympy.isprime(n), n
+    # _MR_LIMIT is composite, yet passes Miller-Rabin to all twelve bases
+    assert not sympy.isprime(_MR_LIMIT)
+    assert _MR_LIMIT == 1287836182261 * 2575672364521
+    for n in (_MR_LIMIT, _MR_LIMIT + 1, _MR_LIMIT + 2, 2**89 - 1):
+        with pytest.raises(PreconditionError):
+            is_prime(n)
 
 
 def test_splitting_examples():
