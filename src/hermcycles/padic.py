@@ -29,8 +29,9 @@ REAL_PLACE = "real"
 
 DEFAULT_FACTOR_BOUND = 10**6
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Deterministic Miller-Rabin with these bases is valid for n < 3.3 * 10**24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Deterministic Miller-Rabin with these thirteen bases is valid below _MR_LIMIT,
+# the smallest strong pseudoprime to all of them (OEIS A014233).
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
@@ -53,14 +54,14 @@ def format_rational(q) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below _MR_LIMIT; refuses larger n rather than guess."""
+    """Exact below _MR_LIMIT; from there on, refuses n with no factor among the bases."""
     if n < 2:
         return False
-    if n >= _MR_LIMIT:
-        raise PreconditionError(f"primality of {n} is not certified at or above {_MR_LIMIT}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= _MR_LIMIT:
+        raise PreconditionError(f"primality of {n} is not certified at or above {_MR_LIMIT}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -210,15 +210,22 @@ def test_integer_past_the_digit_limit_is_a_schema_violation():
 
 
 def test_primality_past_the_miller_rabin_limit_is_refused():
-    # the smallest strong pseudoprime to all twelve Miller-Rabin bases
-    pseudoprime = "3317044064679887385961981"
-    for argv, doc in (
-        (["hilbert"], '{"a": "2", "b": "3", "place": %s}' % pseudoprime),
-        (["jordan", "--p", pseudoprime], '{"gram": [[1]]}'),
+    # the smallest strong pseudoprimes to the first twelve and thirteen prime bases
+    twelve, thirteen = "318665857834031151167461", "3317044064679887385961981"
+    for place, message in (
+        (twelve, f"{twelve} is not prime"),
+        (thirteen, f"primality of {thirteen} is not certified at or above {thirteen}"),
+        # past the limit, a factor among the bases is still found exactly
+        (str(3 * 10**25), f"{3 * 10**25} is not prime"),
     ):
-        code, out = invoke(argv, stdin_text=doc)
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "precondition-violation"
+        for argv, doc in (
+            (["hilbert"], '{"a": "2", "b": "3", "place": %s}' % place),
+            (["jordan", "--p", place], '{"gram": [[1]]}'),
+        ):
+            code, out = invoke(argv, stdin_text=doc)
+            assert code == 2
+            error = {"code": "precondition-violation", "message": message}
+            assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
 
 
 def test_global_error_documents():

@@ -153,17 +153,23 @@ def test_factorize_refuses_huge_remainder():
 def test_is_prime_agrees_with_sympy_below_the_limit_and_refuses_from_it():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(21)
+    twelve = 318665857834031151167461  # strong pseudoprime to the bases 2..37, not 41
     below = list(range(_MR_LIMIT - 3000, _MR_LIMIT))
+    below += list(range(twelve - 1000, twelve + 1000))
     below += [rng.randrange(10**20, _MR_LIMIT) for _ in range(500)]
+    below += [399165290221, 798330580441]  # the two prime factors of twelve
     below += [1287836182261, 2575672364521]  # the two prime factors of _MR_LIMIT
     for n in below:
         assert is_prime(n) == sympy.isprime(n), n
-    # _MR_LIMIT is composite, yet passes Miller-Rabin to all twelve bases
+    assert twelve == 399165290221 * 798330580441
+    # _MR_LIMIT is composite, yet passes Miller-Rabin to all thirteen bases
     assert not sympy.isprime(_MR_LIMIT)
     assert _MR_LIMIT == 1287836182261 * 2575672364521
-    for n in (_MR_LIMIT, _MR_LIMIT + 1, _MR_LIMIT + 2, 2**89 - 1):
+    for n in (_MR_LIMIT, _MR_LIMIT + 6, 2**89 - 1):
         with pytest.raises(PreconditionError):
             is_prime(n)
+    # from the limit on, a factor among the bases is still found exactly
+    assert not is_prime(_MR_LIMIT + 1) and not is_prime(3 * 10**25)
 
 
 def test_splitting_examples():
