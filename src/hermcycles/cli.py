@@ -222,6 +222,8 @@ def _emit_error(exc) -> None:
     record = {"error": {"code": exc.code, "message": str(exc)}}
     if getattr(exc, "location", None):
         record["error"]["location"] = exc.location
+    if getattr(exc, "count", None) is not None:
+        record["error"]["count"] = exc.count
     sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 

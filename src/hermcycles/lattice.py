@@ -144,17 +144,6 @@ def reduce_mod_pi_power(x: OHElement, e: int) -> OHElement:
     )
 
 
-def residues_mod_pi_power(ctx: RamifiedContext, e: int) -> list[OHElement]:
-    """All p**e canonical representatives of O_H modulo pi**e."""
-    ma, mb = (e + 1) // 2, e // 2
-    out = []
-    for a in range(ctx.p**ma):
-        fa = Fraction(a)
-        for b in range(ctx.p**mb):
-            out.append(OHElement._raw(fa, Fraction(b), ctx))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gram matrices and lattices
 

@@ -7,24 +7,23 @@ exponents bounded by the elementary divisors of L inside its dual), filters by
 the exact vertex conditions, and reports types, counts and the full inclusion
 poset.  It exists to double-check the closed-form invariants on small
 instances, so correctness beats speed throughout.
+
+All of that work lives in the finite module L^#/L, so between the dual basis
+and the canonical bases of the vertices found it runs on pairs of Python ints
+modulo a power of p, where the arithmetic is exact (see _Quotient);
+tests/support.py keeps the exact-rational enumerator it replaced as an
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .cycles import CycleInvariants, cycle_invariants
 from .errors import EnumerationLimitError, NonIntegralLatticeError
-from .lattice import (
-    HermLattice,
-    mat_conj,
-    mat_det,
-    mat_inverse,
-    mat_is_integral,
-    mat_mul,
-    mat_transpose,
-    residues_mod_pi_power,
-)
+from .lattice import HermLattice, mat_conj, mat_mul, mat_transpose
+from .lattice import mat_inverse  # noqa: F401  kept: bench/test_bench.py checks the tracer wraps it here
 from .ramified import RamifiedContext, pi_power
 
 
@@ -115,25 +114,84 @@ def _snf_dual_basis(L: HermLattice):
     return dcols, fs
 
 
-def _iter_candidates(fs, ctx: RamifiedContext, max_candidates: int):
+def _residue(q: Fraction, m: int) -> int:
+    """The residue modulo m of a rational whose denominator is prime to m."""
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
+class _Quotient:
+    """O_H / p^K on pairs of ints (a, b) = a + b*pi reduced modulo p^K.
+
+    Reduction modulo p^K O_H = pi^(2K) O_H is a ring map, so sums and products
+    of integral elements stay exact; every rational that enters (entries,
+    pi0 = eps*p, eps**-1) is reduced through the inverse of its denominator.
+    Division by pi^e of an element of order >= e costs precision: a pair
+    known modulo pi^P gives the quotient modulo pi^(P - e), and its order is
+    decided correctly up to P.  Callers bound the total division by 2K.
+    """
+
+    __slots__ = ("p", "m", "pi0", "eps", "inv_eps")
+
+    def __init__(self, ctx: RamifiedContext, k: int):
+        self.p = ctx.p
+        self.m = ctx.p**k
+        self.pi0 = _residue(ctx.pi0, self.m)
+        self.eps = _residue(ctx.eps, self.m)
+        self.inv_eps = pow(self.eps, -1, self.m)
+
+    def reduce(self, x) -> tuple[int, int]:
+        return _residue(x.a, self.m), _residue(x.b, self.m)
+
+    def pi_power(self, e: int) -> tuple[int, int]:
+        s = pow(self.pi0, e // 2, self.m)
+        return (0, s) if e % 2 else (s, 0)
+
+    def has_order(self, x, e: int) -> bool:
+        """ord(a + b*pi) >= e: p^ceil(e/2) divides a and p^floor(e/2) divides b."""
+        return x[0] % self.p ** ((e + 1) // 2) == 0 and x[1] % self.p ** (e // 2) == 0
+
+    def div_pi_power(self, x, e: int) -> tuple[int, int]:
+        """x / pi^e for x of order >= e, from pi^-2 = eps^-1 / p and pi^-1 = pi / pi0."""
+        a, b = x
+        m = self.m
+        if e >= 2:
+            q = self.p ** (e // 2)
+            u = pow(self.inv_eps, e // 2, m)
+            a, b = a // q * u % m, b // q * u % m
+        if e % 2:
+            a, b = b, a // self.p * self.inv_eps % m
+        return a, b
+
+
+def _iter_candidates(fs, q: _Quotient, max_candidates: int):
     """All canonical triangular bases Z with L <= span(dual*Z) <= dual that
-    can still be vertex lattices.
+    can still be vertex lattices, as (pivot exponents, Z over O_H / p^K).
 
     Z is upper triangular with pivot pi**e_i at (i, i), 0 <= e_i <= f_i, and
-    entries right of each pivot ranging over the residues modulo the pivot.
-    Rows are filled bottom-up and entries left to right; the back-substituted
-    solution of Z*X = diag(pi^f) only depends on entries already placed, so a
-    partial basis is discarded at the first non-integral solution entry.
+    entries right of each pivot ranging over the residues a + b*pi modulo the
+    pivot (0 <= a < p^ceil(e_i/2), 0 <= b < p^floor(e_i/2)).  Rows are filled
+    bottom-up and entries left to right.  The back-substituted solution X of
+    Z*X = diag(pi^f) only depends on entries already placed: slot (i, j) adds
+    Z[i][j] * pi^g, g = f_j - e_j, to a sum s fixed by the entries left of
+    it, and X[i][j] = -(s + Z[i][j] * pi^g) / pi^e_i must be integral.  So the
+    residues that pass are solved for rather than searched: none, or all
+    those congruent to -s / pi^g modulo pi^(e_i - g).  Every residue of every
+    slot reached still counts against ``max_candidates``.
 
     A vertex has type between 0 and the rank, which pins the pivot-exponent
     sum to the window [(d - n)/2, d/2] with d the order of det L; pivot
     choices outside the window are skipped up front.
+
+    Precision: X[j][j] = pi^(f_j - e_j) is exact and X[i][j] divides by
+    pi^e_i, so s at slot (i, j) is known modulo pi^(2K - e_(i+1) - ... -
+    e_(j-1)).  Deciding whether it has order e_i then needs
+    2K >= e_i + ... + e_(j-1), which 2K >= d = f_1 + ... + f_n guarantees.
     """
     n = len(fs)
-    reps = {e: residues_mod_pi_power(ctx, e) for e in range(max(fs) + 1)}
-    zero = ctx.zero()
-    Z = [[zero] * n for _ in range(n)]
-    X = [[zero] * n for _ in range(n)]
+    p, m, pi0 = q.p, q.m, q.pi0
+    Z = [[(0, 0)] * n for _ in range(n)]
+    X = [[(0, 0)] * n for _ in range(n)]
+    es = [0] * n
     d = sum(fs)
     lo, hi = max(0, (d - n + 1) // 2), d // 2
     budget = [sum(fs[:i]) for i in range(n)]  # max addable by the rows above i
@@ -141,102 +199,169 @@ def _iter_candidates(fs, ctx: RamifiedContext, max_candidates: int):
 
     def rec_row(i, pivot_sum):
         if i < 0:
-            yield [row[:] for row in Z]
+            yield tuple(es), [row[:] for row in Z]
             return
-        row = Z[i]
         for e in range(fs[i] + 1):
             total = pivot_sum + e
             if total > hi:
                 break
             if total + budget[i] < lo:
                 continue
-            row[i] = pi_power(ctx, e)
-            X[i][i] = pi_power(ctx, fs[i] - e)
-            yield from rec_slot(i, i + 1, e, pi_power(ctx, -e), total)
-        for j in range(i, n):
-            row[j] = zero
+            es[i] = e
+            Z[i][i] = q.pi_power(e)
+            X[i][i] = q.pi_power(fs[i] - e)
+            yield from rec_slot(i, i + 1, total)
 
-    def rec_slot(i, j, e, piv_inv, pivot_sum):
+    def rec_slot(i, j, pivot_sum):
         nonlocal count
         if j == n:
             yield from rec_row(i - 1, pivot_sum)
             return
+        e = es[i]
+        count += p**e
+        if count > max_candidates:
+            # the (max_candidates + 1)-th residue falls in this slot
+            raise EnumerationLimitError(
+                f"candidate count exceeded {max_candidates}", count=max_candidates + 1
+            )
         row = Z[i]
-        for z in reps[e]:
-            count += 1
-            if count > max_candidates:
-                raise EnumerationLimitError(
-                    f"candidate count exceeded {max_candidates}", count=count
-                )
-            row[j] = z
-            acc = None
-            for k in range(i + 1, j + 1):
-                zk = row[k]
-                xk = X[k][j]
-                if zk.is_zero() or xk.is_zero():
-                    continue
-                acc = zk * xk if acc is None else acc + zk * xk
-            if acc is None:
-                X[i][j] = zero
-            elif acc.ord() >= e:
-                X[i][j] = -(acc * piv_inv)
-            else:
-                continue
-            yield from rec_slot(i, j + 1, e, piv_inv, pivot_sum)
+        sa = sb = 0
+        for k in range(i + 1, j):
+            za, zb = row[k]
+            xa, xb = X[k][j]
+            sa += za * xa + zb * xb * pi0
+            sb += za * xb + zb * xa
+        neg_s = (-sa % m, -sb % m)
+        g = fs[j] - es[j]
+        h = max(0, e - g)  # Z[i][j] is pinned modulo pi^h
+        if not q.has_order(neg_s, e - h):
+            return
+        a0, b0 = q.div_pi_power(neg_s, e - h)
+        step_a, step_b = p ** ((h + 1) // 2), p ** (h // 2)
+        ga, gb = q.pi_power(g)
+        for a in range(a0 % step_a, p ** ((e + 1) // 2), step_a):
+            for b in range(b0 % step_b, p ** (e // 2), step_b):
+                row[j] = (a, b)
+                acc = ((neg_s[0] - a * ga - b * gb * pi0) % m, (neg_s[1] - a * gb - b * ga) % m)
+                X[i][j] = q.div_pi_power(acc, e)
+                yield from rec_slot(i, j + 1, pivot_sum)
 
     yield from rec_row(n - 1, 0)
 
 
-def _integral_product(A, B) -> bool:
-    """Whether A @ B is integral, failing fast on the first bad entry."""
-    n = len(B)
-    m = len(B[0])
-    for i in range(n):
-        row = A[i]
-        for j in range(m):
-            acc = None
-            for t in range(n):
-                x = row[t]
-                y = B[t][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = x * y if acc is None else acc + x * y
-            if acc is not None and not acc.is_integral():
-                return False
-    return True
+def _eliminate_units(NX, NY, rows, cols, p: int) -> int:
+    """Eliminate the unit pivots of N = NX + NY*pi over F_p[pi]/(pi^2), in place.
+
+    Each pivot's row and column leave ``rows`` and ``cols``; the Schur
+    complement stays behind, with NX = 0 on it once no unit is left.
+    Returns the number of pivots.
+    """
+    found = 0
+    while True:
+        piv = next(((i, j) for i in rows for j in cols if NX[i][j]), None)
+        if piv is None:
+            return found
+        i, j = piv
+        rows.remove(i)
+        cols.remove(j)
+        ux = pow(NX[i][j], -1, p)
+        uy = -NY[i][j] * ux * ux  # the pivot's inverse is ux + uy*pi
+        for k in rows:
+            ax, ay = NX[k][j], NY[k][j]
+            fx, fy = ax * ux % p, (ax * uy + ay * ux) % p
+            if fx or fy:
+                for c in cols:
+                    bx = NX[i][c]
+                    NX[k][c] = (NX[k][c] - fx * bx) % p
+                    NY[k][c] = (NY[k][c] - fx * NY[i][c] - fy * bx) % p
+        found += 1
 
 
-def _vertex_type(Z, gram_dual, ctx: RamifiedContext):
+def _vertex_type(Z, H, c: int, q: _Quotient):
     """Type of the candidate, or None when it is not a vertex lattice.
 
-    The candidate Gram is Z^T * gram_dual * conj(Z); a vertex needs every
-    entry of order >= -1 (pi*V pairs integrally with V) and an integral
-    inverse (the dual sits inside V).  The type is the length of V over its
-    dual: minus the pi-order of the Gram determinant.
+    The candidate Gram is M = Z^T * G# * conj(Z), with G# the Gram of the
+    dual basis.  H = p^c * G# is integral and reduced modulo p^K, K >= c + 1,
+    so S = p^c * M = Z^T * H * conj(Z) is exact modulo pi^(2c + 2).  A vertex
+    needs every entry of M of order >= -1 (pi*V pairs integrally with V),
+    that is S = 0 modulo pi^(2c - 1).  Then N = pi*M is integral and known
+    modulo pi^2, which is all that matters: M^-1 = pi * N^-1 is integral (the
+    dual sits inside V) exactly when every elementary divisor of N is 1 or
+    pi.  Over F_p[pi]/(pi^2): once the r unit pivots of N are eliminated,
+    the rest must be pi times a matrix invertible over F_p.  The type, minus
+    the pi-order of det M = pi^-n * det N, is then n - (n - r) = r.
     """
     n = len(Z)
-    P = mat_mul(gram_dual, mat_conj(Z))
-    gram = [[None] * n for _ in range(n)]
+    p, m, pi0 = q.p, q.m, q.pi0
+    pc, pc1 = p**c, p ** (c - 1)
+    eps = q.eps % p
+    P = [[None] * n for _ in range(n)]  # H * conj(Z), row a filled at step a
+    NX = [[0] * n for _ in range(n)]
+    NY = [[0] * n for _ in range(n)]
     for a in range(n):
-        for b in range(n):
-            acc = None
-            for k in range(a + 1):  # Z[k][a] = 0 below the diagonal
-                x = Z[k][a]
-                y = P[k][b]
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = x * y if acc is None else acc + x * y
-            if acc is None:
-                acc = ctx.zero()
-            elif acc.ord() < -1:
+        Ha, Pa = H[a], P[a]
+        for b in range(a, n):  # column b of Z vanishes below row b
+            sa = sb = 0
+            for k in range(b + 1):
+                ha, hb = Ha[k]
+                za, zb = Z[k][b]
+                sa += ha * za - hb * zb * pi0
+                sb += hb * za - ha * zb
+            Pa[b] = (sa % m, sb % m)
+        for b in range(a, n):  # S is Hermitian, so its upper half decides
+            sa = sb = 0
+            for k in range(a + 1):
+                za, zb = Z[k][a]
+                xa, xb = P[k][b]
+                sa += za * xa + zb * xb * pi0
+                sb += za * xb + zb * xa
+            if sa % pc or sb % pc1:
                 return None
-            gram[a][b] = acc
-    if not mat_is_integral(mat_inverse(gram, ctx)):
+            # N = pi*S / p^c = eps * sb/p^(c-1) + (sa/p^c)*pi, and N^T = -conj(N)
+            x, y = sb // pc1 * eps % p, sa // pc % p
+            NX[a][b], NY[a][b] = x, y
+            NX[b][a], NY[b][a] = -x % p, y
+    rows, cols = list(range(n)), list(range(n))
+    t = _eliminate_units(NX, NY, rows, cols, p)
+    for i in rows:
+        for j in cols:
+            NX[i][j], NY[i][j] = NY[i][j], 0  # the rest of N, divided by pi
+    _eliminate_units(NX, NY, rows, cols, p)
+    if rows:
         return None
-    t = -mat_det(gram, ctx).ord()
-    if t < 0 or t % 2:
+    if t % 2:
         raise AssertionError(f"vertex type {t} must be a nonnegative even integer")
     return t
+
+
+def _contains(Zb, eb, Za, ea, q: _Quotient) -> bool:
+    """Whether span(Za) <= span(Zb), for canonical triangular bases over O_H / p^K
+    whose pivot exponents satisfy ea >= eb entrywise.
+
+    Back-substitutes Zb * Y = Za column by column, stopping at the first
+    non-integral entry: Y[j][j] = pi^(ea_j - eb_j), and Y[i][j] is
+    (Za[i][j] - Zb[i][i+1] * Y[i+1][j] - ... - Zb[i][j] * Y[j][j]) / pi^eb_i.
+    The divisions lose eb_1 + ... + eb_n <= d <= 2K digits of pi in all,
+    as in _iter_candidates.
+    """
+    n = len(Za)
+    m, pi0 = q.m, q.pi0
+    for j in range(1, n):
+        col = [None] * n
+        col[j] = q.pi_power(ea[j] - eb[j])
+        for i in range(j - 1, -1, -1):
+            sa, sb = Za[i][j]
+            row = Zb[i]
+            for k in range(i + 1, j + 1):
+                za, zb = row[k]
+                ya, yb = col[k]
+                sa -= za * ya + zb * yb * pi0
+                sb -= za * yb + zb * ya
+            s = (sa % m, sb % m)
+            if not q.has_order(s, eb[i]):
+                return False
+            col[i] = q.div_pi_power(s, eb[i])
+    return True
 
 
 def enumerate_vertices(
@@ -247,6 +372,14 @@ def enumerate_vertices(
     Requires L integral for the form.  Results are deterministic: vertices are
     sorted by type and canonical basis, and do not depend on the basis in
     which L was presented.
+
+    Between the dual basis and the canonical bases of the vertices found,
+    the work runs on pairs of ints modulo p^K (see _Quotient).  With
+    F = max f, pi^F kills L^#/L, so pi^F * L^# lies in L and pairs integrally
+    with L^#: pi^F * G# is integral, and so is p^c * G# for
+    c = max(1, ceil(F/2)).  K = max(c + 1, ceil(d/2)) serves the vertex test
+    (K >= c + 1) and the back-substitutions of the candidates and the poset
+    (2K >= d = f_1 + ... + f_n).
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -265,33 +398,47 @@ def enumerate_vertices(
     dual_mat = [[dcols[j][i] for j in range(n)] for i in range(n)]
     amb = [list(row) for row in L.ambient.entries]
     gram_dual = mat_mul(mat_mul(mat_transpose(dual_mat), amb), mat_conj(dual_mat))
-    found = []
-    for Z in _iter_candidates(fs, ctx, bounds.max_candidates):
-        t = _vertex_type(Z, gram_dual, ctx)
-        if t is not None:
-            found.append((Z, t))
+    c = max(1, (max(fs) + 1) // 2)
+    q = _Quotient(ctx, max(c + 1, (sum(fs) + 1) // 2))
+    H = [[q.reduce(x * ctx.p**c) for x in row] for row in gram_dual]
+    zero = ctx.zero()
     decorated = []
-    for Z, t in found:
-        basis = mat_mul(dual_mat, Z)
-        lat = HermLattice(L.ambient, basis).canonical()
+    for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
+        t = _vertex_type(Z, H, c, q)
+        if t is None:
+            continue
+        # entries right of the pivots are exact residues; pivots are not
+        Z_oh = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            Z_oh[i][i] = pi_power(ctx, es[i])
+            for j in range(i + 1, n):
+                Z_oh[i][j] = ctx.element(*Z[i][j])
+        lat = HermLattice(L.ambient, mat_mul(dual_mat, Z_oh)).canonical()
         key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
-        decorated.append(((t, key), Vertex(lat, t), Z))
+        decorated.append(((t, key), Vertex(lat, t), es, Z))
     decorated.sort(key=lambda item: item[0])
     vertices = tuple(item[1] for item in decorated)
-    mats = [item[2] for item in decorated]
-    edges = []
-    inverses = [mat_inverse(Z, ctx) for Z in mats]
+    exps = [item[2] for item in decorated]
+    mats = [item[3] for item in decorated]
     # Containment a < b multiplies the index in the dual by the covolume
-    # ratio, and each index step drops the type by exactly 2; pairs violating
-    # type(b) - type(a) = 2*(idx(a) - idx(b)) > 0 need no arithmetic at all.
-    idx = [sum(Z[i][i].ord() for i in range(n)) for Z in mats]
-    types = [v.type for v in vertices]
-    for a in range(len(mats)):
-        for b in range(len(mats)):
-            if a == b or types[b] - types[a] != 2 * (idx[a] - idx[b]) or idx[a] <= idx[b]:
+    # ratio, and each index step drops the type by exactly 2; it also needs
+    # the pivot exponents of a to dominate those of b.  Vertices are grouped
+    # by (exponents, type), and only pairs of groups that pass both tests
+    # meet the back-substitution.
+    groups: dict[tuple, list[int]] = {}
+    for a, (es, v) in enumerate(zip(exps, vertices)):
+        groups.setdefault((es, v.type), []).append(a)
+    edges = []
+    for (ea, ta), members_a in groups.items():
+        for (eb, tb), members_b in groups.items():
+            step = sum(ea) - sum(eb)
+            if step <= 0 or tb - ta != 2 * step or any(x < y for x, y in zip(ea, eb)):
                 continue
-            if _integral_product(inverses[b], mats[a]):
-                edges.append((a, b))
+            for a in members_a:
+                for b in members_b:
+                    if _contains(mats[b], eb, mats[a], ea, q):
+                        edges.append((a, b))
+    edges.sort()
     if vertices:
         max_type = max(v.type for v in vertices)
         max_count = sum(1 for v in vertices if v.type == max_type)
@@ -387,10 +534,13 @@ def verify_structure_theorems(
     if not all_types_even:
         counterexamples.append("odd vertex type found")
 
+    above: dict[int, list[int]] = {}
+    for a, b in vs.poset_edges:
+        above.setdefault(a, []).append(b)
     poset_transitive = True
-    for (a, b) in edge_set:
-        for (c, d) in edge_set:
-            if b == c and a != d and (a, d) not in edge_set:
+    for a, b in vs.poset_edges:
+        for d in above.get(b, ()):
+            if a != d and (a, d) not in edge_set:
                 poset_transitive = False
                 counterexamples.append(f"missing transitive edge ({a},{d})")
 

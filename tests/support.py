@@ -22,9 +22,18 @@ from hermcycles import (
     orthogonal_sum,
     smallest_nonresidue,
 )
-from hermcycles.lattice import mat_conj, mat_mul, mat_transpose
+from hermcycles.errors import EnumerationLimitError, NonIntegralLatticeError
+from hermcycles.lattice import (
+    mat_conj,
+    mat_det,
+    mat_inverse,
+    mat_is_integral,
+    mat_mul,
+    mat_transpose,
+)
 from hermcycles.padic import _val
 from hermcycles.ramified import pi_power
+from hermcycles.vertices import EnumerationBounds, Vertex, VertexSet, _snf_dual_basis
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +263,124 @@ def scaled_lattice(L: HermLattice, e: int) -> HermLattice:
     """The lattice pi^e * L."""
     s = pi_power(L.ctx, e)
     return HermLattice(L.ambient, [[x * s for x in row] for row in L.basis])
+
+
+# ---------------------------------------------------------------------------
+# Fraction vertex enumerator (differential oracle for hermcycles.vertices)
+
+
+def _oracle_candidates(fs, ctx: RamifiedContext, max_candidates: int, tally: list):
+    """Canonical triangular bases Z between L and its dual, as OHElements.
+
+    Walks every residue of every slot in turn and checks each back-substituted
+    entry of Z^-1 * diag(pi^f) for integrality, counting residues in
+    ``tally[0]``.
+    """
+    n = len(fs)
+    reps = {}
+    for e in range(max(fs) + 1):
+        reps[e] = [
+            OHElement(a, b, ctx)
+            for a in range(ctx.p ** ((e + 1) // 2))
+            for b in range(ctx.p ** (e // 2))
+        ]
+    zero = ctx.zero()
+    Z = [[zero] * n for _ in range(n)]
+    X = [[zero] * n for _ in range(n)]
+    d = sum(fs)
+    lo, hi = max(0, (d - n + 1) // 2), d // 2
+    budget = [sum(fs[:i]) for i in range(n)]
+
+    def rec_row(i, pivot_sum):
+        if i < 0:
+            yield [row[:] for row in Z]
+            return
+        row = Z[i]
+        for e in range(fs[i] + 1):
+            total = pivot_sum + e
+            if total > hi:
+                break
+            if total + budget[i] < lo:
+                continue
+            row[i] = pi_power(ctx, e)
+            X[i][i] = pi_power(ctx, fs[i] - e)
+            yield from rec_slot(i, i + 1, e, pi_power(ctx, -e), total)
+        for j in range(i, n):
+            row[j] = zero
+
+    def rec_slot(i, j, e, piv_inv, pivot_sum):
+        if j == n:
+            yield from rec_row(i - 1, pivot_sum)
+            return
+        row = Z[i]
+        for z in reps[e]:
+            tally[0] += 1
+            if tally[0] > max_candidates:
+                raise EnumerationLimitError(
+                    f"candidate count exceeded {max_candidates}", count=tally[0]
+                )
+            row[j] = z
+            acc = ctx.zero()
+            for k in range(i + 1, j + 1):
+                acc = acc + row[k] * X[k][j]
+            if acc.ord() < e:
+                continue
+            X[i][j] = -(acc * piv_inv)
+            yield from rec_slot(i, j + 1, e, piv_inv, pivot_sum)
+
+    yield from rec_row(n - 1, 0)
+
+
+def _oracle_vertex_type(Z, gram_dual, ctx: RamifiedContext):
+    """-ord det of the candidate Gram when it is a vertex lattice, else None."""
+    gram = mat_mul(mat_mul(mat_transpose(Z), gram_dual), mat_conj(Z))
+    if any(x.ord() < -1 for row in gram for x in row):
+        return None
+    if not mat_is_integral(mat_inverse(gram, ctx)):
+        return None
+    return -mat_det(gram, ctx).ord()
+
+
+def oracle_vertex_census(L: HermLattice, bounds: EnumerationBounds):
+    """``enumerate_vertices(L, bounds).to_json()`` computed on exact rationals,
+    and the number of candidate residues visited.
+
+    Shares only the dual basis (``_snf_dual_basis``) with the enumerator:
+    candidates, the vertex test (Fraction inverse and determinant) and the
+    containment test (integrality of Z_b^-1 * Z_a) are its own.
+    """
+    if not L.gram().is_integral():
+        raise NonIntegralLatticeError("lattice does not pair integrally with itself")
+    if L.n > bounds.max_rank:
+        raise EnumerationLimitError(f"rank {L.n} exceeds enumeration bound {bounds.max_rank}")
+    ctx, n = L.ctx, L.n
+    dcols, fs = _snf_dual_basis(L)
+    if max(fs) > bounds.max_scale:
+        raise EnumerationLimitError(f"Jordan scale {max(fs)} exceeds enumeration bound")
+    dual_mat = [[dcols[j][i] for j in range(n)] for i in range(n)]
+    amb = [list(row) for row in L.ambient.entries]
+    gram_dual = mat_mul(mat_mul(mat_transpose(dual_mat), amb), mat_conj(dual_mat))
+    tally = [0]
+    decorated = []
+    for Z in _oracle_candidates(fs, ctx, bounds.max_candidates, tally):
+        t = _oracle_vertex_type(Z, gram_dual, ctx)
+        if t is None:
+            continue
+        lat = HermLattice(L.ambient, mat_mul(dual_mat, Z)).canonical()
+        key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
+        decorated.append(((t, key), Vertex(lat, t), Z))
+    decorated.sort(key=lambda item: item[0])
+    vertices = [item[1] for item in decorated]
+    mats = [item[2] for item in decorated]
+    inverses = [mat_inverse(Z, ctx) for Z in mats]
+    edges = [  # V_a < V_b puts V_b^# < V_a^#, so the type grows strictly
+        (a, b)
+        for a in range(len(mats))
+        for b in range(len(mats))
+        if vertices[a].type < vertices[b].type
+        and mat_is_integral(mat_mul(inverses[b], mats[a]))
+    ]
+    max_type = max((v.type for v in vertices), default=-1)
+    max_count = sum(1 for v in vertices if v.type == max_type)
+    census = VertexSet(tuple(vertices), tuple(edges), max_type, max_count)
+    return census.to_json(), tally[0]

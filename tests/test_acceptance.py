@@ -52,7 +52,7 @@ def _verdict(criterion: str, passed: bool, detail: str = ""):
 def family_reports():
     started = time.monotonic()
     reports = []
-    for label, ctx, gram in acceptance_family(include_h13_primes=(3,)):
+    for label, ctx, gram in acceptance_family(include_h13_primes=(3, 5)):
         lattice = HermLattice.from_gram(gram)
         reports.append((label, verify_structure_theorems(lattice, BOUNDS)))
     return reports, time.monotonic() - started

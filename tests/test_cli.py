@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -90,6 +91,34 @@ def test_resource_errors_exit_3():
     )
     assert code == 3
     assert json.loads(out)["error"]["code"] == "enumeration-limit"
+    assert out == (
+        "{\n"
+        '  "error": {\n'
+        '    "code": "enumeration-limit",\n'
+        '    "count": 3,\n'
+        '    "message": "candidate count exceeded 2"\n'
+        "  }\n"
+        "}\n"
+    )
+
+
+def test_candidate_bound_fires_before_the_work():
+    # H(3) at p=101 has 101^3 residues in its deepest slot; the bound must
+    # fire after ten candidates, without building anything of that size.
+    h3 = json.dumps(
+        {"gram": [[0, {"a": "0", "b": "101"}], [{"a": "0", "b": "-101"}, 0]]}
+    )
+    tracemalloc.start()
+    try:
+        code, out = invoke(
+            ["vertices", "--p", "101", "--max-candidates", "10"], stdin_text=h3
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert json.loads(out)["error"]["count"] == 11
+    assert peak < 5 * 2**20
 
 
 def test_jordan_command():

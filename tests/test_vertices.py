@@ -1,11 +1,13 @@
 import json
-import os
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from support import (
+    acceptance_family,
     elementary_divisor_exponents,
+    oracle_vertex_census,
     random_basis_change,
     random_hermitian_gram,
 )
@@ -127,6 +129,38 @@ def test_bounds_and_preconditions():
         enumerate_vertices(bad)
 
 
+def _oracle_cases():
+    """Every family lattice of rank <= 3, and three lattices per rational eps."""
+    yield from acceptance_family(include_h13_primes=())
+    for p, eps in ((3, F(1, 2)), (3, F(-5, 7)), (5, F(1, 2)), (5, F(-3, 7))):
+        ctx = RamifiedContext(p, eps)
+        yield f"p{p},eps{eps}:H(1)", ctx, hyperbolic_gram(ctx, 1)
+        yield f"p{p},eps{eps}:H(3)", ctx, hyperbolic_gram(ctx, 3)
+        yield f"p{p},eps{eps}:diag(pi0^2, 2*pi0^2)", ctx, diagonal_gram(
+            ctx, [ctx.pi0**2, 2 * ctx.pi0**2]
+        )
+
+
+def test_integer_kernel_agrees_with_the_fraction_oracle():
+    # The oracle counts the candidate residues it visits; the enumerator must
+    # raise at one below that count, with the count at which the oracle
+    # itself would raise (one past its limit), and finish at the count.
+    rng = random.Random(21)
+    bounds = EnumerationBounds(max_scale=4)
+    checked = 0
+    for label, ctx, G in _oracle_cases():
+        U = random_basis_change(rng, ctx, G.n)
+        L = HermLattice(G, mat_mul(HermLattice.from_gram(G).basis_rows(), U))
+        expected, visited = oracle_vertex_census(L, bounds)
+        at_limit = replace(bounds, max_candidates=visited)
+        assert enumerate_vertices(L, at_limit).to_json() == expected, label
+        with pytest.raises(EnumerationLimitError) as err:
+            enumerate_vertices(L, replace(bounds, max_candidates=visited - 1))
+        assert err.value.count == visited, label
+        checked += 1
+    assert checked == 164 + 12
+
+
 def test_verify_hyperbolic_plane():
     ctx = RamifiedContext(3, 1)
     rep = verify_structure_theorems(HermLattice.from_gram(hyperbolic_gram(ctx, 1)))
@@ -146,10 +180,6 @@ def test_verify_non_unique_case():
     assert rep.max_type == 4
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HERMCYCLES_SLOW"),
-    reason="slow rank-4 enumeration at p=5; set HERMCYCLES_SLOW=1 to run",
-)
 def test_verify_non_unique_case_p5():
     ctx = RamifiedContext(5, 1)
     bounds = EnumerationBounds(max_rank=4, max_scale=4, max_candidates=10**7)
