@@ -160,6 +160,7 @@ def _cmd_hilbert(args):
 
 
 def build_parser() -> _Parser:
+    """The argparse tree of every command; ``run`` builds it once per process."""
     parser = _Parser(prog="hermcycles", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -227,10 +228,21 @@ def _emit_error(exc) -> None:
     sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+_PARSER: _Parser | None = None
+
+
+def _parser() -> _Parser:
+    # parse_args keeps no state between calls: every call fills a fresh
+    # namespace from the defaults, so one tree serves every request.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         payload = args.func(args)
     except SchemaError as exc:
         _emit_error(exc)

@@ -271,7 +271,14 @@ class HermLattice:
 
     @classmethod
     def from_gram(cls, gram: HermGram) -> "HermLattice":
-        return cls(gram, mat_identity(gram.n, gram.ctx))
+        """The lattice whose basis is the identity in the ambient ``gram``.
+
+        Its Gram B^T * G * conj(B) is G itself, so ``gram`` seeds the cache
+        (with its determinant, when already computed).
+        """
+        lat = cls(gram, mat_identity(gram.n, gram.ctx))
+        lat._gram = gram
+        return lat
 
     @property
     def n(self) -> int:

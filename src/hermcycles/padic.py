@@ -9,6 +9,7 @@ anywhere.  Rationals are parsed and printed as decimal strings "n" or "n/d".
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -36,12 +37,23 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "n" or "n/d" (also accepts int/Fraction) into an exact Fraction."""
+    """Parse "n" or "n/d" (also accepts int/Fraction) into an exact Fraction.
+
+    Decimal strings such as "2.5e2" parse too, but an exponent beyond the
+    interpreter's integer digit limit is refused before it is expanded: the
+    power of ten it asks for would have that many digits.
+    """
     if isinstance(value, bool):
         raise SchemaError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        e = max(value.rfind("e"), value.rfind("E"))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if e >= 0 and limit:
+            digits = value[e + 1 :].strip().lstrip("+-").replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or (digits.isdecimal() and int(digits) > limit):
+                raise SchemaError(f"not a rational: {value!r} (exponent beyond {limit})")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

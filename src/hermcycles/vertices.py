@@ -8,9 +8,9 @@ the exact vertex conditions, and reports types, counts and the full inclusion
 poset.  It exists to double-check the closed-form invariants on small
 instances, so correctness beats speed throughout.
 
-All of that work lives in the finite module L^#/L, so between the dual basis
-and the canonical bases of the vertices found it runs on pairs of Python ints
-modulo a power of p, where the arithmetic is exact (see _Quotient);
+All of that work lives in the finite module L^#/L, so from the dual basis
+through the canonical bases of the vertices found it runs on pairs of Python
+ints modulo a power of p, where the arithmetic is exact (see _Quotient);
 tests/support.py keeps the exact-rational enumerator it replaced as an
 oracle.
 """
@@ -24,7 +24,8 @@ from .cycles import CycleInvariants, cycle_invariants
 from .errors import EnumerationLimitError, NonIntegralLatticeError
 from .lattice import HermLattice, mat_conj, mat_mul, mat_transpose
 from .lattice import mat_inverse  # noqa: F401  kept: bench/test_bench.py checks the tracer wraps it here
-from .ramified import RamifiedContext, pi_power
+from .padic import _val
+from .ramified import OHElement, RamifiedContext, pi_power
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,15 @@ def _residue(q: Fraction, m: int) -> int:
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
+def _int_val(c: int, p: int, cap: int) -> int:
+    """val_p(c), capped at cap (so 0 reads as cap)."""
+    v = 0
+    while v < cap and c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
 class _Quotient:
     """O_H / p^K on pairs of ints (a, b) = a + b*pi reduced modulo p^K.
 
@@ -130,10 +140,11 @@ class _Quotient:
     decided correctly up to P.  Callers bound the total division by 2K.
     """
 
-    __slots__ = ("p", "m", "pi0", "eps", "inv_eps")
+    __slots__ = ("p", "k", "m", "pi0", "eps", "inv_eps")
 
     def __init__(self, ctx: RamifiedContext, k: int):
         self.p = ctx.p
+        self.k = k
         self.m = ctx.p**k
         self.pi0 = _residue(ctx.pi0, self.m)
         self.eps = _residue(ctx.eps, self.m)
@@ -145,6 +156,15 @@ class _Quotient:
     def pi_power(self, e: int) -> tuple[int, int]:
         s = pow(self.pi0, e // 2, self.m)
         return (0, s) if e % 2 else (s, 0)
+
+    def mul(self, x, y) -> tuple[int, int]:
+        (xa, xb), (ya, yb), m = x, y, self.m
+        return (xa * ya + xb * yb * self.pi0) % m, (xa * yb + xb * ya) % m
+
+    def ord(self, x) -> int:
+        """pi-order of a + b*pi, read as at least 2K when both vanish modulo p^K."""
+        va, vb = (_int_val(c, self.p, self.k) for c in x)
+        return min(2 * va, 2 * vb + 1)
 
     def has_order(self, x, e: int) -> bool:
         """ord(a + b*pi) >= e: p^ceil(e/2) divides a and p^floor(e/2) divides b."""
@@ -364,6 +384,82 @@ def _contains(Zb, eb, Za, ea, q: _Quotient) -> bool:
     return True
 
 
+def _canonical_basis(D, Z, es, a: int, q: _Quotient, ctx: RamifiedContext):
+    """hnf_canonicalize of span(dual * Z), computed from M = D * Z over O_H / p^K,
+    where D = p^a * dual is integral.
+
+    M spans p^a * V, and its canonical basis is p^a times that of V: the
+    pivot of V's column i is pi^e, so the pivot of M's is p^a * pi^e, of
+    order e' = e + 2a; an entry right of it, reduced modulo pi^e in V, is
+    reduced modulo pi^e' in M, and since reduce_mod_p_power(p^a * x, p, k +
+    a) = p^a * reduce_mod_p_power(x, p, k), both coordinates of the
+    integral entry of M are the box representatives in [0, p^ceil(e'/2)) x
+    [0, p^floor(e'/2)).  The pivot must be p^a * pi^e = eps^-a * pi^e', not
+    pi^e': the two differ by a unit, and for eps != 1 the other choice is
+    another triangular basis.  Rows are processed bottom-up, each taking a
+    column of least order as pivot as in hnf_canonicalize; the canonical
+    basis is unique, so ties may break differently.  The result divides M
+    by p^a, with the pivots the exact pi^e.  Z's entries right of its
+    pivots are exact residues; its pivots are reduced again modulo p^K.
+
+    Precision: M is exact modulo pi^(2K).  Normalising the pivot of row i
+    and clearing or reducing its row divide by pi^(e'_i), so the rows above
+    lose e'_i digits: row i is known modulo pi^(2K - e'_(i+1) - ... -
+    e'_n).  Finding its least order e'_i and reducing modulo pi^(e'_i)
+    need that precision to exceed e'_i, which holds when 2K >= ord det M + 1
+    = e'_1 + ... + e'_n + 1.
+    """
+    n = len(Z)
+    p, m, pi0 = q.p, q.m, q.pi0
+    cols = []
+    for j in range(n):
+        zj = [Z[k][j] for k in range(j)] + [q.pi_power(es[j])]
+        col = []
+        for row in D:
+            sa = sb = 0
+            for (da, db), (za, zb) in zip(row, zj):
+                sa += da * za + db * zb * pi0
+                sb += da * zb + db * za
+            col.append((sa % m, sb % m))
+        cols.append(col)
+    eps_a = (pow(q.eps, a, m), 0)  # pi^(2a) / p^a
+    inv_eps_a = pow(q.inv_eps, a, m)
+    den = p**a
+    zero = ctx.zero()
+    basis = [[zero] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        orders = [q.ord(cols[j][i]) for j in range(i + 1)]
+        e = min(orders)
+        best = orders.index(e)
+        if e >= 2 * q.k:
+            raise AssertionError("vertex basis is singular modulo p^K")
+        cols[best], cols[i] = cols[i], cols[best]
+        piv = cols[i]
+        ua, ub = q.div_pi_power(piv[i], e)
+        s = pow(ua * ua - ub * ub * pi0, -1, m) * inv_eps_a
+        unit = (ua * s % m, -ub * s % m)  # p^a * pi^e / piv[i]
+        for r in range(i):
+            piv[r] = q.mul(unit, piv[r])
+        mod_a, mod_b = p ** ((e + 1) // 2), p ** (e // 2)
+        for j in range(n):
+            if j == i:
+                continue
+            x = cols[j][i]
+            if j > i:
+                ra, rb = x[0] % mod_a, x[1] % mod_b
+                basis[i][j] = OHElement(Fraction(ra, den), Fraction(rb, den), ctx)
+                x = (x[0] - ra, x[1] - rb)
+            if x == (0, 0):
+                continue
+            f = q.mul(q.div_pi_power(x, e), eps_a)  # x / (p^a * pi^e)
+            col = cols[j]
+            for r in range(i):
+                fa, fb = q.mul(f, piv[r])
+                col[r] = ((col[r][0] - fa) % m, (col[r][1] - fb) % m)
+        basis[i][i] = pi_power(ctx, e - 2 * a)
+    return basis
+
+
 def enumerate_vertices(
     L: HermLattice, bounds: EnumerationBounds = EnumerationBounds()
 ) -> VertexSet:
@@ -373,13 +469,24 @@ def enumerate_vertices(
     sorted by type and canonical basis, and do not depend on the basis in
     which L was presented.
 
-    Between the dual basis and the canonical bases of the vertices found,
+    From the dual basis through the canonical bases of the vertices found,
     the work runs on pairs of ints modulo p^K (see _Quotient).  With
     F = max f, pi^F kills L^#/L, so pi^F * L^# lies in L and pairs integrally
     with L^#: pi^F * G# is integral, and so is p^c * G# for
     c = max(1, ceil(F/2)).  K = max(c + 1, ceil(d/2)) serves the vertex test
     (K >= c + 1) and the back-substitutions of the candidates and the poset
     (2K >= d = f_1 + ... + f_n).
+
+    The canonical bases use their own modulus p^K2.  With a the least
+    exponent making D = p^a * dual integral in ambient coordinates (for a
+    request from the command line, where L is O_H^n, a = ceil(F/2), which
+    is c unless L is unimodular), a vertex's
+    M = D * Z has ord det M = ord det D + e_1 + ... + e_n, at most
+    ord det D + floor(d/2) by the candidates' pivot window; ord det D =
+    2an + ord det dual, and ord det dual = -(d + ord det G)/2 for the
+    ambient Gram G, because the Gram of L^# has determinant order -d.  So
+    2K2 >= ord det D + floor(d/2) + 1 gives _canonical_basis the precision
+    it needs.
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -401,19 +508,16 @@ def enumerate_vertices(
     c = max(1, (max(fs) + 1) // 2)
     q = _Quotient(ctx, max(c + 1, (sum(fs) + 1) // 2))
     H = [[q.reduce(x * ctx.p**c) for x in row] for row in gram_dual]
-    zero = ctx.zero()
+    a = max([0] + [-_val(y, ctx.p) for row in dual_mat for x in row for y in (x.a, x.b) if y])
+    ord_det_D = 2 * a * n - (sum(fs) + L.ambient.det().ord()) // 2
+    q2 = _Quotient(ctx, max(1, (ord_det_D + sum(fs) // 2 + 2) // 2))
+    D = [[q2.reduce(x * ctx.p**a) for x in row] for row in dual_mat]
     decorated = []
     for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
         t = _vertex_type(Z, H, c, q)
         if t is None:
             continue
-        # entries right of the pivots are exact residues; pivots are not
-        Z_oh = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            Z_oh[i][i] = pi_power(ctx, es[i])
-            for j in range(i + 1, n):
-                Z_oh[i][j] = ctx.element(*Z[i][j])
-        lat = HermLattice(L.ambient, mat_mul(dual_mat, Z_oh)).canonical()
+        lat = HermLattice(L.ambient, _canonical_basis(D, Z, es, a, q2, ctx))
         key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
         decorated.append(((t, key), Vertex(lat, t), es, Z))
     decorated.sort(key=lambda item: item[0])

@@ -5,12 +5,15 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hermcycles
+from hermcycles import cli
 from hermcycles.cli import run
+from hermcycles.padic import parse_rational
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -291,3 +294,52 @@ def test_global_error_documents():
         code, out = invoke(["global"], stdin_text='{"delta": -3, "matrix": %s}' % matrix)
         assert code == exit_code
         assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+
+
+def test_one_parser_serves_a_sequence_of_requests(monkeypatch):
+    plane = json.dumps({"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]})
+    # non-integral: empty without --raw, a precondition error with it
+    matrix = '{"matrix": [["1/3", 0], [0, 1]]}'
+    sequence = [
+        (["vertices", "--p", "3", "--dot"], plane),
+        (["vertices", "--p", "3"], plane),
+        (["cycle", "--p", "3", "--raw"], matrix),
+        (["cycle", "--p", "3"], matrix),
+        (["cycle", "--p", "3", "--no-such-flag"], matrix),
+        (["cycle", "--p", "3"], matrix),
+        (["vertices", "--p", "3", "--max-candidates", "2"], plane),
+        (["vertices", "--p", "3"], plane),
+    ]
+    fresh = []
+    for argv, text in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(invoke(argv, text))
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [invoke(argv, text) for argv, text in sequence] == fresh
+    assert len(builds) == 1
+    assert [code for code, _ in fresh] == [0, 0, 2, 0, 1, 0, 3, 0]
+    assert fresh[0][1] != fresh[1][1] and fresh[2][1] != fresh[3][1]
+
+
+def test_decimal_exponent_past_the_digit_limit_is_refused_before_the_work():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    assert parse_rational("47e-2") == Fraction(47, 100)
+    assert parse_rational("2.5e2") == Fraction(250)
+    assert parse_rational(f"1e{limit}") == 10**limit
+    for a in ("1e5000", f"1e{limit + 1}", f"0e-{limit + 1}", "1e" + "9" * 40):
+        tracemalloc.start()
+        try:
+            code, out = invoke(["hilbert"], stdin_text='{"a": "%s", "b": "3", "place": 5}' % a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        message = f"not a rational: {a!r} (exponent beyond {limit})"
+        error = {"code": "schema-violation", "message": message}
+        assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+        assert peak < 5 * 2**20

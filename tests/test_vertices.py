@@ -74,6 +74,12 @@ def test_split_pair_is_not_unique():
     assert vs.max_count >= 2
 
 
+def _quotient_exponents(V):
+    """Elementary divisors of V over its dual (V/V^# = sum of O/pi^e)."""
+    W = mat_inverse(mat_conj([list(row) for row in V.gram().entries]), V.ctx)
+    return elementary_divisor_exponents(W, V.ctx)
+
+
 def test_types_match_quotient_lengths():
     # independent check: type equals the length of V over its dual, computed
     # by a standalone elementary-divisor routine on the inclusion matrix
@@ -89,9 +95,7 @@ def test_types_match_quotient_lengths():
         except EnumerationLimitError:
             continue
         for v in vs.vertices:
-            gram = v.lattice.gram()
-            W = mat_inverse(mat_conj([list(r_) for r_ in gram.entries]), ctx)
-            exps = elementary_divisor_exponents(W, ctx)
+            exps = _quotient_exponents(v.lattice)
             assert all(0 <= e <= 1 for e in exps)
             assert sum(exps) == v.type
             checked += 1
@@ -159,6 +163,63 @@ def test_integer_kernel_agrees_with_the_fraction_oracle():
         assert err.value.count == visited, label
         checked += 1
     assert checked == 164 + 12
+
+
+def _off_identity_cases():
+    """Lattices that are not O_H^n in their ambient Gram, as (label, ambient,
+    basis): the canonical bases are then found with a, the least exponent
+    making p^a * L^# integral in the ambient, which differs from the
+    command-line value c = max(1, ceil(F/2)) in the last three."""
+    for p, eps in ((3, F(1)), (3, F(1, 2)), (3, F(-5, 7)), (5, F(1, 2))):
+        ctx = RamifiedContext(p, eps)
+        zero = ctx.zero()
+
+        def diag(e1, e2):
+            return [[pi_power(ctx, e1), zero], [zero, pi_power(ctx, e2)]]
+
+        h1, h3 = hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)
+        shallow, deep = diagonal_gram(ctx, [1, ctx.pi0]), diagonal_gram(ctx, [ctx.pi0**2, 1])
+        tag = f"p{p},eps{eps}"
+        yield f"{tag}:span(pi*e1, e2) in diag(1, pi0)", shallow, diag(1, 0)  # a = c = 1
+        yield f"{tag}:span(pi*e1, e2) in H(1)", h1, diag(1, 0)  # a = c = 1
+        yield f"{tag}:span(pi^-1*e1, e2) in diag(pi0^2, 1)", deep, diag(-1, 0)  # a = 2, c = 1
+        yield f"{tag}:span(pi^-1*e1, e2) in H(3)", h3, diag(-1, 0)  # a = 2, c = 1
+        yield f"{tag}:pi*O^2 in H(1)", h1, diag(1, 1)  # a = 1, c = 2
+
+
+def test_canonical_bases_off_the_identity_basis_agree_with_the_oracle():
+    rng = random.Random(22)
+    bounds = EnumerationBounds(max_scale=4)
+    for label, G, B in _off_identity_cases():
+        L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
+        expected, _ = oracle_vertex_census(L, bounds)
+        vs = enumerate_vertices(L, bounds)
+        assert vs.to_json() == expected, label
+        # each basis on its own: the census alone can hide wrong bases when
+        # a unit permutes the residues of a whole family of vertices
+        for v in vs.vertices:
+            V = v.lattice
+            assert V.dual().contains(L), label
+            exps = _quotient_exponents(V)
+            assert all(0 <= e <= 1 for e in exps) and sum(exps) == v.type, label
+
+
+def test_census_is_the_same_with_the_gram_from_gram_keeps():
+    bounds = EnumerationBounds(max_scale=4)
+    for label, ctx, G in acceptance_family(include_h13_primes=()):
+        if ctx.p != 3:
+            continue
+        seeded = HermLattice.from_gram(G)
+        rebuilt = HermLattice(G, seeded.basis_rows())
+        assert seeded.gram() is G and rebuilt.gram() is not G
+        assert (
+            enumerate_vertices(seeded, bounds).to_json()
+            == enumerate_vertices(rebuilt, bounds).to_json()
+        ), label
+        assert (
+            verify_structure_theorems(seeded, bounds).to_json()
+            == verify_structure_theorems(rebuilt, bounds).to_json()
+        ), label
 
 
 def test_verify_hyperbolic_plane():
