@@ -2,7 +2,8 @@
 
 Jordan splittings, vertex-lattice enumeration, and the support and dimension
 invariants of the special cycles attached to Hermitian matrices, computed
-entirely in exact rational arithmetic.
+exactly: in rational arithmetic, and in the vertex enumerator modulo a power
+of p in which every result it keeps is exact.
 """
 
 from .cycles import (

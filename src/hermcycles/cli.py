@@ -101,41 +101,40 @@ def _bounds(args) -> EnumerationBounds:
     )
 
 
-def _cmd_jordan(args):
+def _local_request(args, key: str) -> tuple[RamifiedContext, HermGram]:
+    """The context of a local command and the Hermitian matrix under ``key``."""
     ctx = _context(args)
     doc = _load_document(args)
-    _require_keys(doc, {"gram"})
-    G = HermGram(_parse_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
+    _require_keys(doc, {key})
+    return ctx, HermGram(_parse_matrix(doc[key], ctx, key), ctx)
+
+
+def _cmd_jordan(args):
+    _, G = _local_request(args, "gram")
     return {"blocks": jordan_split(G).to_json()}
 
 
 def _cmd_cycle(args):
-    ctx = _context(args)
-    doc = _load_document(args)
-    _require_keys(doc, {"matrix"})
-    T = HermGram(_parse_matrix(doc["matrix"], ctx, "matrix"), ctx).check_nonsingular()
+    ctx, T = _local_request(args, "matrix")
+    T.check_nonsingular()
     if args.raw:
         return cycle_invariants(T).to_json()
     return cycle_report(T, ctx).to_json()
 
 
 def _cmd_vertices(args):
-    ctx = _context(args)
-    doc = _load_document(args)
-    _require_keys(doc, {"gram"})
-    G = HermGram(_parse_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
-    vs = enumerate_vertices(HermLattice.from_gram(G), _bounds(args))
+    _, G = _local_request(args, "gram")
+    vs = enumerate_vertices(HermLattice.from_gram(G.check_nonsingular()), _bounds(args))
     if args.dot:
         return poset_dot(vs)
     return vs.to_json()
 
 
 def _cmd_verify(args):
-    ctx = _context(args)
-    doc = _load_document(args)
-    _require_keys(doc, {"gram"})
-    G = HermGram(_parse_matrix(doc["gram"], ctx, "gram"), ctx).check_nonsingular()
-    return verify_structure_theorems(HermLattice.from_gram(G), _bounds(args)).to_json()
+    _, G = _local_request(args, "gram")
+    return verify_structure_theorems(
+        HermLattice.from_gram(G.check_nonsingular()), _bounds(args)
+    ).to_json()
 
 
 def _cmd_global(args):

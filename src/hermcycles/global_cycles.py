@@ -22,7 +22,6 @@ from .padic import (
     RAMIFIED,
     check_quadratic_field,
     format_rational,
-    hilbert_symbol,
     rational_factorization,
     splitting_type,
 )
@@ -79,24 +78,19 @@ def diff0(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, ...]:
 def self_dual_exists(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
     """Whether the Hermitian space of T contains a self-dual lattice.
 
-    At split and ramified primes the condition is automatic; at an inert prime
-    it reads (det T, delta)_p = 1, and only primes dividing 2 * det * delta
-    can obstruct.
+    At split and ramified primes the condition is automatic; at an inert
+    prime p it reads (det T, delta)_p = 1, i.e. det T is a norm from the
+    unramified extension, i.e. v_p(det T) is even.  Directly: write
+    det T = p**k * u with u a unit; at odd p, delta is a unit non-residue,
+    so (det T, delta)_p = (delta/p)**k = (-1)**k; at p = 2, delta = 5 mod 8,
+    so (u, delta)_2 = 1 and (2, delta)_2 = -1, again (-1)**k.  Hence a
+    self-dual lattice exists exactly when diff0 is empty.
     """
     check_quadratic_field(delta, bound)
     G = _hermitian(T, delta)
     if not is_positive_definite(G, delta):
         raise PreconditionError("matrix must be positive definite")
-    det = G.det_rational()
-    primes = {2}
-    primes.update(rational_factorization(det, bound))
-    primes.update(rational_factorization(delta, bound))
-    for p in sorted(primes):
-        if splitting_type(delta, p, bound) != INERT:
-            continue
-        if hilbert_symbol(det, delta, p) != 1:
-            return False
-    return True
+    return not diff0(G, delta, bound)
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,6 @@ def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalRep
         p for p in sorted(rational_factorization(delta, bound)) if p != 2
     )
     unsupported = (2,) if splitting_type(delta, 2, bound) == RAMIFIED else ()
-    sd = self_dual_exists(G, delta, bound) if positive else None
     per_prime: dict[int, CycleInvariants] = {}
     if not positive or len(obstructions) > 1:
         status = STATUS_EMPTY
@@ -178,7 +171,7 @@ def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalRep
         det=det,
         diff0=obstructions,
         status=status,
-        self_dual_exists=sd,
+        self_dual_exists=not obstructions if positive else None,
         ramified_primes_odd=ramified_odd,
         unsupported_primes=unsupported,
         per_prime=per_prime,

@@ -469,14 +469,20 @@ def jordan_split(G: HermGram) -> JordanReport:
     keeps the minimal order); an off-diagonal minimum of odd order splits off
     a rank-2 hyperbolic block.  Scales, ranks and determinant classes do not
     depend on any of the choices made.
+
+    The elimination is its own singularity test: every nonzero Schur
+    complement has a pivot of finite order (a diagonal entry, the fold of an
+    even off-diagonal entry, or a rank-2 block whose determinant has order
+    exactly 2s), so a singular Gram always reaches an all-zero block.
     """
-    G.check_nonsingular()
     ctx = G.ctx
     M = [list(row) for row in G.entries]
     chunks: list[tuple[int, Fraction, int]] = []
     while M:
         n = len(M)
         s, diag, offdiag = _min_entry_ord(M)
+        if s is INFINITY:
+            raise SingularMatrixError("Gram matrix is singular")
         if diag is None and s % 2 == 0:
             # fold e_i <- e_i + e_j to surface a diagonal entry of order s
             i, j = offdiag

@@ -1,9 +1,10 @@
 """Exact arithmetic over Q viewed inside Q_p.
 
 Valuations, square classes, Legendre/Kronecker and Hilbert symbols, and prime
-splitting in an imaginary quadratic field.  Everything works on exact
-arbitrary-precision rationals; there is no truncated p-adic precision
-anywhere.  Rationals are parsed and printed as decimal strings "n" or "n/d".
+splitting in an imaginary quadratic field.  Everything here works on exact
+arbitrary-precision rationals, with no truncated p-adic precision; only the
+vertex enumerator computes modulo a power of p, where the quotient is exact.
+Rationals are parsed and printed as decimal strings "n" or "n/d".
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import PreconditionError, UnsupportedPrimeError
 from .padic import INFINITY, _val, is_prime, is_square_unit, smallest_nonresidue
@@ -210,16 +209,11 @@ class OHElement:
         return {"a": str(self.a), "b": str(self.b)}
 
 
-@lru_cache(maxsize=None)
-def _pi_power(ctx: QuadContext, e: int) -> OHElement:
+def pi_power(ctx: QuadContext, e: int) -> OHElement:
+    """pi**e as an exact element, for any integer e."""
     if e % 2 == 0:
         return OHElement._raw(ctx.pi0 ** (e // 2), _ZERO, ctx)
     return OHElement._raw(_ZERO, ctx.pi0 ** ((e - 1) // 2), ctx)
-
-
-def pi_power(ctx: QuadContext, e: int) -> OHElement:
-    """pi**e as an exact element, for any integer e."""
-    return _pi_power(ctx, e)
 
 
 def is_norm(q, ctx: RamifiedContext) -> bool:

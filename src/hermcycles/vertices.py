@@ -613,15 +613,14 @@ def verify_structure_theorems(
         )
 
     edge_set = set(vs.poset_edges)
+    above: dict[int, list[int]] = {}
+    for a, b in vs.poset_edges:
+        above.setdefault(a, []).append(b)
     saturation = True
     for i, v in enumerate(vs.vertices):
         if v.type == vs.max_type:
             continue
-        if not any(
-            (i, j) in edge_set
-            for j, w in enumerate(vs.vertices)
-            if w.type == vs.max_type
-        ):
+        if not any(vs.vertices[j].type == vs.max_type for j in above.get(i, ())):
             saturation = False
             counterexamples.append(
                 f"vertex {i} (type {v.type}) lies in no maximal-type vertex"
@@ -638,9 +637,6 @@ def verify_structure_theorems(
     if not all_types_even:
         counterexamples.append("odd vertex type found")
 
-    above: dict[int, list[int]] = {}
-    for a, b in vs.poset_edges:
-        above.setdefault(a, []).append(b)
     poset_transitive = True
     for a, b in vs.poset_edges:
         for d in above.get(b, ()):

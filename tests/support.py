@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the code paths they check: the Hilbert
 symbol is compared against a primitive-solution search for the conic
 a x^2 + b y^2 = z^2 over Z/p^4, norm membership against an enumeration of
-norm residues, and module lengths against a standalone elementary-divisor
-routine.
+norm residues, self-duality against the Hilbert symbols at the inert primes,
+and module lengths against a standalone elementary-divisor routine.
 """
 
 from __future__ import annotations
@@ -22,7 +22,11 @@ from hermcycles import (
     orthogonal_sum,
     smallest_nonresidue,
 )
-from hermcycles.errors import EnumerationLimitError, NonIntegralLatticeError
+from hermcycles.errors import (
+    EnumerationLimitError,
+    NonIntegralLatticeError,
+    PreconditionError,
+)
 from hermcycles.lattice import (
     mat_conj,
     mat_det,
@@ -31,7 +35,16 @@ from hermcycles.lattice import (
     mat_mul,
     mat_transpose,
 )
-from hermcycles.padic import _val
+from hermcycles.global_cycles import is_positive_definite
+from hermcycles.padic import (
+    DEFAULT_FACTOR_BOUND,
+    INERT,
+    _val,
+    check_quadratic_field,
+    hilbert_symbol,
+    rational_factorization,
+    splitting_type,
+)
 from hermcycles.ramified import pi_power
 from hermcycles.vertices import EnumerationBounds, Vertex, VertexSet, _snf_dual_basis
 
@@ -69,6 +82,32 @@ def conic_has_primitive_zero(a, b, p: int) -> bool:
     # z = 1
     b_values = {bi_m * y * y % m for y in range(m)}
     return any((1 - ai_m * x * x) % m in b_values for x in range(m))
+
+
+# ---------------------------------------------------------------------------
+# self-dual lattice oracle
+
+
+def self_dual_oracle(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+    """Whether the Hermitian space of T has a self-dual lattice, by symbols.
+
+    At split and ramified primes the condition is automatic; at an inert prime
+    p it reads (det T, delta)_p = 1, and only primes dividing 2 * det * delta
+    can obstruct.  Raises what ``self_dual_exists`` raises, in the same order.
+    """
+    check_quadratic_field(delta, bound)
+    if not is_positive_definite(T, delta):
+        raise PreconditionError("matrix must be positive definite")
+    det = HermGram(T).det_rational()
+    primes = {2}
+    primes.update(rational_factorization(det, bound))
+    primes.update(rational_factorization(delta, bound))
+    for p in sorted(primes):
+        if splitting_type(delta, p, bound) != INERT:
+            continue
+        if hilbert_symbol(det, delta, p) != 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,28 @@ def test_global_error_documents():
         assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
 
 
+def test_singular_error_documents():
+    # a singular matrix is reported before it is found non-integral (empty
+    # cycle, or the --raw precondition), and jordan finds it by elimination
+    singular = {"code": "singular-matrix", "message": "Gram matrix is singular"}
+    cases = (
+        (["jordan", "--p", "5"], '{"gram": [[1, 1], [1, 1]]}', singular),
+        (["jordan", "--p", "5"], '{"gram": [[0]]}', singular),
+        (["cycle", "--p", "3"], '{"matrix": [[1, 1], [1, 1]]}', singular),
+        (["cycle", "--p", "3"], '{"matrix": [["1/3", "1/3"], ["1/3", "1/3"]]}', singular),
+        (["cycle", "--p", "3", "--raw"], '{"matrix": [["1/3", "1/3"], ["1/3", "1/3"]]}', singular),
+        (
+            ["global"],
+            '{"delta": -3, "matrix": [[1, 1], [1, 1]]}',
+            {"code": "singular-matrix", "message": "matrix is singular"},
+        ),
+    )
+    for argv, text, error in cases:
+        code, out = invoke(argv, stdin_text=text)
+        assert code == 2
+        assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+
+
 def test_one_parser_serves_a_sequence_of_requests(monkeypatch):
     plane = json.dumps({"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]})
     # non-integral: empty without --raw, a precondition error with it

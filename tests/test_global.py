@@ -4,9 +4,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from support import conic_has_primitive_zero
+from support import conic_has_primitive_zero, self_dual_oracle
 
 from hermcycles import (
+    Error,
     HermGram,
     HermitianViolationError,
     IntegralityError,
@@ -23,6 +24,14 @@ from hermcycles import (
 )
 from hermcycles.global_cycles import _is_algebraic_integer
 from hermcycles.lattice import mat_det
+from hermcycles.padic import (
+    INERT,
+    RAMIFIED,
+    SPLIT,
+    is_squarefree,
+    rational_factorization,
+    splitting_type,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -93,6 +102,59 @@ def test_self_dual_exists_examples():
     assert hilbert_symbol(10, -3, 5) == -1
     assert hilbert_symbol(10, -3, 2) == -1
     assert hilbert_symbol(10, -3, 3) == 1 and hilbert_symbol(10, -3, "real") == 1
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Error as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _oracle_matrices(delta, rng):
+    """Diagonal and off-diagonal Hermitian 2x2 matrices over Q(sqrt(delta)).
+
+    Determinants carry powers of the inert primes below 24 with exponents -1
+    to 3, so both parities and non-integral determinants occur; one matrix
+    per delta is indefinite.
+    """
+    inert = [q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23) if splitting_type(delta, q) == INERT]
+
+    def det_value():
+        k = F(rng.choice((1, 1, 2, 3, 5, 7)), rng.choice((1, 1, 1, 2, 3)))
+        for q in rng.sample(inert, min(2, len(inert))):
+            k *= F(q) ** rng.randint(-1, 3)
+        return k
+
+    for _ in range(4):
+        yield diag(delta, [det_value(), det_value()])
+    for _ in range(3):
+        a = F(rng.randint(1, 6), rng.choice((1, 1, 2)))
+        z = qfe(delta, rng.randint(-3, 3), rng.randint(-2, 2))
+        b = (z.norm() + det_value()) / a
+        yield [[qfe(delta, a), z], [z.conjugate(), qfe(delta, b)]]
+    yield diag(delta, [det_value(), -det_value()])
+
+
+def test_self_dual_exists_matches_the_hilbert_symbol_oracle():
+    deltas = [d for d in range(-399, 0) if is_squarefree(d)]
+    assert {splitting_type(d, 2) for d in deltas} == {SPLIT, INERT, RAMIFIED}
+    answers, inert_parities, nonintegral = set(), set(), 0
+    for delta in deltas:
+        rng = random.Random(delta)
+        for T in _oracle_matrices(delta, rng):
+            for bound in (10**6, 10):
+                got = _outcome(self_dual_exists, T, delta, bound)
+                assert got == _outcome(self_dual_oracle, T, delta, bound), (delta, T, bound)
+                answers.add(got if isinstance(got, bool) else got[0])
+            det = HermGram(T).det_rational()
+            nonintegral += det.denominator != 1
+            for q, k in rational_factorization(det).items():
+                if splitting_type(delta, q) == INERT:
+                    inert_parities.add((q == 2, k % 2))
+    assert answers == {True, False, "PreconditionError", "FactorizationLimitError"}
+    assert inert_parities == {(True, 0), (True, 1), (False, 0), (False, 1)}
+    assert nonintegral > 0
 
 
 def test_global_fixtures_match_goldens():

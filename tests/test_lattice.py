@@ -29,6 +29,7 @@ from hermcycles import (
     smallest_nonresidue,
     validate_gram,
 )
+from hermcycles import lattice
 from hermcycles.lattice import reduce_mod_p_power, reduce_mod_pi_power
 
 
@@ -166,6 +167,24 @@ def test_jordan_mixed_needs_diagonal_fold():
     report = jordan_split(G)
     assert report.total_rank() == 3
     assert report.det_ord() == det_class(G)[0]
+
+
+def test_jordan_split_is_its_own_singularity_test(monkeypatch):
+    # (1) + H(1) + (0) at p=5 in random bases: the zero block appears only
+    # after a rank-1 and a rank-2 pivot, and no determinant is computed
+    rng = random.Random(24)
+    ctx = RamifiedContext(5, 1)
+    one, zero = diagonal_gram(ctx, [1]), diagonal_gram(ctx, [0])
+    singular = orthogonal_sum(one, hyperbolic_gram(ctx, 1), zero)
+    regular = orthogonal_sum(one, hyperbolic_gram(ctx, 1))
+    monkeypatch.setattr(lattice, "mat_det", lambda *args: pytest.fail("determinant computed"))
+    for trial in range(10):
+        G = transformed_gram(singular, random_basis_change(rng, ctx, 4))
+        assert all(any(row) for row in G.entries)  # no zero row to spot
+        with pytest.raises(SingularMatrixError, match="^Gram matrix is singular$"):
+            jordan_split(G)
+        G = transformed_gram(regular, random_basis_change(rng, ctx, 3))
+        assert [(b.scale, b.rank) for b in jordan_split(G).blocks] == [(0, 1), (1, 2)]
 
 
 def test_jordan_canonicity_under_basis_change():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +129,15 @@ def test_pi_power():
         x = pi_power(ctx, e)
         assert x.ord() == e
         assert x * pi_power(ctx, -e) == ctx.one()
+
+
+def test_pi_power_keeps_no_context_alive():
+    ctx = RamifiedContext(7, F(3, 5))
+    ref = weakref.ref(ctx)
+    assert pi_power(ctx, 3).ord() == 3
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 def test_element_json():

@@ -27,6 +27,7 @@ from hermcycles import (
     smallest_nonresidue,
     verify_structure_theorems,
 )
+from hermcycles import vertices
 from hermcycles.lattice import mat_conj, mat_inverse, mat_mul
 
 
@@ -228,6 +229,22 @@ def test_verify_hyperbolic_plane():
     assert rep.passed
     assert rep.formula_t == rep.max_type == 2
     assert rep.max_count == 1 and rep.predicted_unique
+
+
+def test_verify_reports_a_vertex_outside_every_maximal_vertex(monkeypatch):
+    # H(1) at p=3: four type-0 vertices, each inside the one vertex of type 2
+    ctx = RamifiedContext(3, 1)
+    L = HermLattice.from_gram(hyperbolic_gram(ctx, 1))
+    vs = enumerate_vertices(L)
+    assert vs.types() == [0, 0, 0, 0, 2]
+    assert vs.poset_edges == ((0, 4), (1, 4), (2, 4), (3, 4))
+    cut = replace(vs, poset_edges=((0, 4), (1, 4), (3, 4)))
+    monkeypatch.setattr(vertices, "enumerate_vertices", lambda L, bounds: cut)
+    rep = verify_structure_theorems(L)
+    assert rep.saturation is False and not rep.passed
+    assert rep.max_type_matches and rep.uniqueness_matches
+    assert rep.all_types_even and rep.poset_transitive
+    assert rep.counterexamples == ("vertex 2 (type 0) lies in no maximal-type vertex",)
 
 
 def test_verify_non_unique_case():
