@@ -116,7 +116,6 @@ def _cmd_jordan(args):
 
 def _cmd_cycle(args):
     ctx, T = _local_request(args, "matrix")
-    T.check_nonsingular()
     if args.raw:
         return cycle_invariants(T).to_json()
     return cycle_report(T, ctx).to_json()

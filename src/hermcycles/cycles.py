@@ -98,15 +98,20 @@ def invariants_from_report(report: JordanReport, p: int) -> CycleInvariants:
 
 
 def cycle_invariants(G: HermGram) -> CycleInvariants:
-    """Invariants of an integral cycle-lattice Gram matrix."""
+    """Invariants of an integral cycle-lattice Gram matrix (a singular G is
+    reported by the Jordan elimination before integrality is checked)."""
+    report = jordan_split(G)
     if not G.is_integral():
         raise PreconditionError("cycle lattice Gram must be integral")
-    return invariants_from_report(jordan_split(G), G.ctx.p)
+    return invariants_from_report(report, G.ctx.p)
 
 
 def cycle_report(T: HermGram, ctx: RamifiedContext) -> CycleInvariants:
-    """Full pipeline: scale T, handle the empty case, compute invariants."""
-    G = build_cycle_lattice(T, ctx)
-    if G is None:
+    """Full pipeline: scale T, handle the empty case, compute invariants; the
+    Jordan elimination of the scaled T is also the singularity test."""
+    if T.ctx != ctx:
+        raise PreconditionError("matrix context does not match")
+    report = jordan_split(T.scaled(ctx.unit_scale()))
+    if not T.is_integral():
         return CycleInvariants.empty()
-    return cycle_invariants(G)
+    return invariants_from_report(report, ctx.p)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cycles import CycleInvariants, cycle_report
 from .errors import IntegralityError, PreconditionError, SingularMatrixError
-from .lattice import HermGram, mat_det
+from .lattice import HermGram
 from .padic import (
     DEFAULT_FACTOR_BOUND,
     INERT,
@@ -50,12 +50,16 @@ def _hermitian(T, delta: int) -> HermGram:
 
 
 def is_positive_definite(T, delta: int) -> bool:
-    """All leading principal minors positive (they are exact rationals)."""
-    G = _hermitian(T, delta)
-    for k in range(1, G.n + 1):
-        minor = mat_det([list(row[:k]) for row in G.entries[:k]], G.ctx)
-        if minor.a <= 0:
+    """Whether every pivot of an elimination without row swaps is positive:
+    pivot k is leading minor k over leading minor k - 1, a rational."""
+    M = [list(row) for row in _hermitian(T, delta).entries]
+    for k in range(len(M)):
+        if M[k][k].a <= 0:
             return False
+        inv = M[k][k].inverse()
+        for r in range(k + 1, len(M)):
+            f = M[r][k] * inv
+            M[r] = [x - f * y for x, y in zip(M[r], M[k])]
     return True
 
 

@@ -460,24 +460,14 @@ def _min_entry_ord(M):
     return s, diag, offdiag
 
 
-def jordan_split(G: HermGram) -> JordanReport:
-    """Canonical Jordan invariants of a Hermitian Gram matrix.
-
-    Recursive pivoting: a diagonal entry of minimal order splits off a rank-1
-    block by one Gram-Schmidt step; a purely off-diagonal minimum of even
-    order is folded onto the diagonal first (for odd p the trace of the pivot
-    keeps the minimal order); an off-diagonal minimum of odd order splits off
-    a rank-2 hyperbolic block.  Scales, ranks and determinant classes do not
-    depend on any of the choices made.
-
-    The elimination is its own singularity test: every nonzero Schur
-    complement has a pivot of finite order (a diagonal entry, the fold of an
-    even off-diagonal entry, or a rank-2 block whose determinant has order
-    exactly 2s), so a singular Gram always reaches an all-zero block.
-    """
-    ctx = G.ctx
+def _jordan_chunks(G: HermGram, vectors):
+    """The pivoting of jordan_split, applying each basis change to ``vectors``
+    too (one coordinate vector per basis vector of G, possibly of length 0).
+    Returns (scale, rational det, pivot block, pivot vectors) per pivot, scales
+    ascending; the Gram of all the pivot vectors is the block diagonal."""
     M = [list(row) for row in G.entries]
-    chunks: list[tuple[int, Fraction, int]] = []
+    vecs = list(vectors)
+    chunks = []
     while M:
         n = len(M)
         s, diag, offdiag = _min_entry_ord(M)
@@ -494,29 +484,31 @@ def jordan_split(G: HermGram) -> JordanReport:
             for k in range(n):
                 if k != i:
                     M[k][i] = new_row[k].conjugate()
+            vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
             if M[i][i].ord() != s:
                 raise AssertionError("diagonal fold failed to attain the minimal order")
             diag = i
         if diag is not None:
+            # e_k <- e_k - lambda_k e_i with lambda_k = M[k][i] / M[i][i]
             i = diag
             g = M[i][i]
             if g.b:
                 raise AssertionError("diagonal pivot must be rational")
-            chunks.append((s, g.a, 1))
+            chunks.append((s, g.a, [[g]], [vecs[i]]))
             others = [k for k in range(n) if k != i]
             ginv = g.inverse()
-            M = [
-                [M[k][l] - M[k][i] * ginv * M[i][l] for l in others]
-                for k in others
-            ]
+            lam = {k: M[k][i] * ginv for k in others}
+            M = [[M[k][l] - lam[k] * M[i][l] for l in others] for k in others]
+            vecs = [[x - lam[k] * y for x, y in zip(vecs[k], vecs[i])] for k in others]
             continue
         # odd minimal order, attained only off the diagonal: split a 2x2 block
+        # by e_k <- e_k - alpha_k e_i - beta_k e_j
         i, j = offdiag
         s00, s01, s10, s11 = M[i][i], M[i][j], M[j][i], M[j][j]
         det2 = s00 * s11 - s01 * s10
         if det2.b:
             raise AssertionError("2x2 block determinant must be rational")
-        chunks.append((s, det2.a, 2))
+        chunks.append((s, det2.a, [[s00, s01], [s10, s11]], [vecs[i], vecs[j]]))
         dinv = det2.inverse()
         others = [k for k in range(n) if k != i and k != j]
         alphas = {k: (M[k][i] * s11 - M[k][j] * s10) * dinv for k in others}
@@ -525,11 +517,35 @@ def jordan_split(G: HermGram) -> JordanReport:
             [M[k][l] - alphas[k] * M[i][l] - betas[k] * M[j][l] for l in others]
             for k in others
         ]
+        vecs = [
+            [x - alphas[k] * y - betas[k] * z for x, y, z in zip(vecs[k], vecs[i], vecs[j])]
+            for k in others
+        ]
+    return chunks
+
+
+def jordan_split(G: HermGram) -> JordanReport:
+    """Canonical Jordan invariants of a Hermitian Gram matrix.
+
+    Recursive pivoting: a diagonal entry of minimal order splits off a rank-1
+    block by one Gram-Schmidt step; a purely off-diagonal minimum of even
+    order is folded onto the diagonal first (for odd p the trace of the pivot
+    keeps the minimal order); an off-diagonal minimum of odd order splits off
+    a rank-2 hyperbolic block.  Scales, ranks and determinant classes do not
+    depend on any of the choices made.
+
+    The elimination is its own singularity test: every nonzero Schur
+    complement has a pivot of finite order (a diagonal entry, the fold of an
+    even off-diagonal entry, or a rank-2 block whose determinant has order
+    exactly 2s), so a singular Gram always reaches an all-zero block.  The
+    same elimination (_jordan_chunks) finds the vertex enumerator's dual basis.
+    """
     grouped: dict[int, list] = {}
-    for scale, det, rank in chunks:
+    for scale, det, block, _ in _jordan_chunks(G, [()] * G.n):
         acc = grouped.setdefault(scale, [0, Fraction(1)])
-        acc[0] += rank
+        acc[0] += len(block)
         acc[1] *= det
+    ctx = G.ctx
     blocks = []
     p = ctx.p
     for scale in sorted(grouped):

@@ -8,11 +8,12 @@ the exact vertex conditions, and reports types, counts and the full inclusion
 poset.  It exists to double-check the closed-form invariants on small
 instances, so correctness beats speed throughout.
 
-All of that work lives in the finite module L^#/L, so from the dual basis
-through the canonical bases of the vertices found it runs on pairs of Python
-ints modulo a power of p, where the arithmetic is exact (see _Quotient);
+The dual basis C is a Jordan basis of L^#, from the elimination of
+jordan_split, so C * diag(pi^f) spans L (see _dual_jordan_basis).  All other
+work lives in the finite module L^#/L and runs on pairs of Python ints
+modulo a power of p, where the arithmetic is exact (see _Quotient);
 tests/support.py keeps the exact-rational enumerator it replaced as an
-oracle.
+oracle, with its own dual basis from a Smith form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .cycles import CycleInvariants, cycle_invariants
 from .errors import EnumerationLimitError, NonIntegralLatticeError
-from .lattice import HermLattice, mat_conj, mat_mul, mat_transpose
+from .lattice import HermLattice, _jordan_chunks
 from .lattice import mat_inverse  # noqa: F401  kept: bench/test_bench.py checks the tracer wraps it here
 from .padic import _val
 from .ramified import OHElement, RamifiedContext, pi_power
@@ -63,56 +64,31 @@ class VertexSet:
         }
 
 
-def _snf_dual_basis(L: HermLattice):
-    """Columns spanning the dual of L and exponents f with dual*diag(pi^f) = L.
+def _dual_jordan_basis(L: HermLattice):
+    """A matrix whose columns C_j are a Jordan basis of L^#, their Gram G#
+    (the block diagonal of the pivots) and ascending f with L = span(C_j * pi^f_j).
 
-    Diagonalizes the inclusion matrix of L in its dual (which is the conjugate
-    Gram matrix) by unimodular row and column operations, mirroring the row
-    operations into the dual basis so the product keeps spanning L.
+    Each block J has scale s = -f and is pi^s-modular (Jacobowitz): a rank-1
+    pivot is pi^s times a unit; a rank-2 pivot has off-diagonal entries of
+    order s, diagonal ones above s and det of order 2s, so adj(J) / det(J)
+    is pi^-s times a matrix in GL(O_H).  So is conj(J)^-1, and L, the dual
+    of L^#, is spanned by C * conj(G#)^-1 (see HermLattice.dual), blockwise
+    by C_J * pi^f * U with U in GL(O_H).  The scales ascend, so reversed
+    the f do.
     """
-    ctx = L.ctx
     n = L.n
     dual = L.dual()
-    dcols = [[dual.basis[i][j] for i in range(n)] for j in range(n)]
-    Y = [[x.conjugate() for x in row] for row in L.gram().entries]
-    fs = []
-    for k in range(n):
-        best, best_ord = None, None
-        for i in range(k, n):
-            for j in range(k, n):
-                o = Y[i][j].ord()
-                if best_ord is None or o < best_ord:
-                    best, best_ord = (i, j), o
-        i, j = best
-        e = best_ord
-        if i != k:
-            Y[i], Y[k] = Y[k], Y[i]
-            dcols[i], dcols[k] = dcols[k], dcols[i]
-        if j != k:
-            for row in Y:
-                row[j], row[k] = row[k], row[j]
-        unit = pi_power(ctx, e) / Y[k][k]
-        if unit != 1:
-            Y[k] = [unit * x for x in Y[k]]
-            inv = unit.inverse()
-            dcols[k] = [inv * x for x in dcols[k]]
-        piv_inv = pi_power(ctx, -e)
-        for r in range(k + 1, n):
-            if Y[r][k].is_zero():
-                continue
-            q = Y[r][k] * piv_inv
-            Y[r] = [x - q * y for x, y in zip(Y[r], Y[k])]
-            dcols[k] = [x + q * y for x, y in zip(dcols[k], dcols[r])]
-        for c in range(k + 1, n):
-            if Y[k][c].is_zero():
-                continue
-            q = Y[k][c] * piv_inv
-            for r in range(k, n):
-                Y[r][c] = Y[r][c] - q * Y[r][k]
-        fs.append(e)
-    if any(f2 < f1 for f1, f2 in zip(fs, fs[1:])):
-        raise AssertionError("elementary divisors not ascending")
-    return dcols, fs
+    chunks = _jordan_chunks(dual.gram(), list(zip(*dual.basis)))
+    zero = L.ctx.zero()
+    gram_dual = [[zero] * n for _ in range(n)]
+    basis, fs = [], []
+    for scale, _, block, vecs in reversed(chunks):
+        k = len(basis)
+        for r, row in enumerate(block):
+            gram_dual[k + r][k : k + len(row)] = row
+        basis.extend(vecs)
+        fs.extend([-scale] * len(vecs))
+    return [[col[i] for col in basis] for i in range(n)], fs, gram_dual
 
 
 def _residue(q: Fraction, m: int) -> int:
@@ -469,8 +445,10 @@ def enumerate_vertices(
     sorted by type and canonical basis, and do not depend on the basis in
     which L was presented.
 
-    From the dual basis through the canonical bases of the vertices found,
-    the work runs on pairs of ints modulo p^K (see _Quotient).  With
+    The dual columns are a Jordan basis of L^#, with G# their block-diagonal
+    Gram; times pi^f they span L (_dual_jordan_basis).  From there through
+    the canonical bases of the vertices found, the work runs on pairs of
+    ints modulo p^K (see _Quotient).  With
     F = max f, pi^F kills L^#/L, so pi^F * L^# lies in L and pairs integrally
     with L^#: pi^F * G# is integral, and so is p^c * G# for
     c = max(1, ceil(F/2)).  K = max(c + 1, ceil(d/2)) serves the vertex test
@@ -496,15 +474,12 @@ def enumerate_vertices(
             f"rank {L.n} exceeds enumeration bound {bounds.max_rank}"
         )
     ctx = L.ctx
-    dcols, fs = _snf_dual_basis(L)
+    dual_mat, fs, gram_dual = _dual_jordan_basis(L)
     if max(fs) > bounds.max_scale:
         raise EnumerationLimitError(
             f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
         )
     n = L.n
-    dual_mat = [[dcols[j][i] for j in range(n)] for i in range(n)]
-    amb = [list(row) for row in L.ambient.entries]
-    gram_dual = mat_mul(mat_mul(mat_transpose(dual_mat), amb), mat_conj(dual_mat))
     c = max(1, (max(fs) + 1) // 2)
     q = _Quotient(ctx, max(c + 1, (sum(fs) + 1) // 2))
     H = [[q.reduce(x * ctx.p**c) for x in row] for row in gram_dual]

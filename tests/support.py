@@ -4,7 +4,9 @@ The oracles here deliberately avoid the code paths they check: the Hilbert
 symbol is compared against a primitive-solution search for the conic
 a x^2 + b y^2 = z^2 over Z/p^4, norm membership against an enumeration of
 norm residues, self-duality against the Hilbert symbols at the inert primes,
-and module lengths against a standalone elementary-divisor routine.
+positivity against the signs of the leading principal minors, module
+lengths and the vertex oracle's dual basis against a standalone Smith
+form, and the vertex enumerator against an exact-rational enumerator.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hermcycles import (
     HermGram,
     HermLattice,
     OHElement,
+    QuadContext,
     RamifiedContext,
     diagonal_gram,
     hyperbolic_gram,
@@ -46,7 +49,7 @@ from hermcycles.padic import (
     splitting_type,
 )
 from hermcycles.ramified import pi_power
-from hermcycles.vertices import EnumerationBounds, Vertex, VertexSet, _snf_dual_basis
+from hermcycles.vertices import EnumerationBounds, Vertex, VertexSet
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +144,23 @@ def is_norm_oracle(q, ctx: RamifiedContext, residues: set[int] | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# standalone elementary divisors over O_H (for quotient-length cross-checks)
+# standalone elementary divisors over O_H (for quotient-length cross-checks
+# and the oracle's own dual basis)
 
 
-def elementary_divisor_exponents(M, ctx: RamifiedContext) -> list[int]:
-    """Exponents e with O^n / M O^n = sum of O/pi^e, by naive diagonalization."""
+def smith_diagonalize(M, cols=None):
+    """Exponents e with O^n / M O^n = sum of O/pi^e, ascending, by naive
+    diagonalization; ``cols`` (default: none) are columns D whose span of
+    D * M must stay fixed.
+
+    Every unimodular row operation E on M is mirrored as D <- D * E^-1, so
+    the product D * M keeps its span; column operations never change it.
+    Returns the exponents and the transformed columns, so that at the end
+    span(D_k * pi^e_k) = span(D * M).
+    """
     n = len(M)
     W = [row[:] for row in M]
+    cols = list(cols) if cols is not None else [()] * n
     exps = []
     for k in range(n):
         best, best_ord = None, None
@@ -159,6 +172,7 @@ def elementary_divisor_exponents(M, ctx: RamifiedContext) -> list[int]:
         i, j = best
         if i != k:
             W[i], W[k] = W[k], W[i]
+            cols[i], cols[k] = cols[k], cols[i]
         if j != k:
             for row in W:
                 row[j], row[k] = row[k], row[j]
@@ -168,6 +182,7 @@ def elementary_divisor_exponents(M, ctx: RamifiedContext) -> list[int]:
                 continue
             q = W[r][k] / piv
             W[r] = [x - q * y for x, y in zip(W[r], W[k])]
+            cols[k] = [x + q * y for x, y in zip(cols[k], cols[r])]
         for c in range(k + 1, n):
             if W[k][c].is_zero():
                 continue
@@ -175,7 +190,42 @@ def elementary_divisor_exponents(M, ctx: RamifiedContext) -> list[int]:
             for r in range(k, n):
                 W[r][c] = W[r][c] - q * W[r][k]
         exps.append(best_ord)
-    return exps
+    if any(f2 < f1 for f1, f2 in zip(exps, exps[1:])):
+        raise AssertionError("elementary divisors not ascending")
+    return exps, cols
+
+
+def elementary_divisor_exponents(M, ctx: RamifiedContext) -> list[int]:
+    """Exponents e with O^n / M O^n = sum of O/pi^e."""
+    return smith_diagonalize(M)[0]
+
+
+def snf_dual_basis(L: HermLattice):
+    """Columns spanning the dual of L and exponents f with dual*diag(pi^f) = L.
+
+    L = dual * conj(Gram of L) (see HermLattice.dual), so diagonalizing the
+    conjugate Gram with the dual's columns mirrored gives both.
+    """
+    n = L.n
+    dual = L.dual()
+    Y = [[x.conjugate() for x in row] for row in L.gram().entries]
+    fs, dcols = smith_diagonalize(Y, [[dual.basis[i][j] for i in range(n)] for j in range(n)])
+    return dcols, fs
+
+
+# ---------------------------------------------------------------------------
+# leading-minor positivity (oracle for global_cycles.is_positive_definite)
+
+
+def positive_definite_oracle(T, delta: int) -> bool:
+    """All leading principal minors of the rows T positive (they are exact
+    rationals)."""
+    G = HermGram(T, QuadContext(delta))
+    for k in range(1, G.n + 1):
+        minor = mat_det([list(row[:k]) for row in G.entries[:k]], G.ctx)
+        if minor.a <= 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +348,37 @@ def acceptance_family(include_h13_primes=(3,)):
                 )
 
 
+def block_sum_family(primes=(3, 5), epsilons=(1, -1, Fraction(1, 2))):
+    """Orthogonal sums of rank at most 4 of unit and pi0-scaled diagonal
+    entries and hyperbolic planes H(0) to H(3), as (label, ctx, gram).
+
+    H(0) and H(2) make the Jordan elimination fold, H(1) and H(3) split off
+    rank-2 blocks."""
+    for p in primes:
+        for eps in epsilons:
+            ctx = RamifiedContext(p, Fraction(eps))
+            pi0, r = ctx.pi0, smallest_nonresidue(p)
+            h = [hyperbolic_gram(ctx, i) for i in range(4)]
+
+            def d(*values):
+                return diagonal_gram(ctx, values)
+
+            sums = {
+                "(1)": d(1),
+                "(pi0*r)": d(pi0 * r),
+                "H(1)": h[1],
+                "H(2)": h[2],
+                "(1)+(pi0)": d(1, pi0),
+                "H(1)+(1)": orthogonal_sum(h[1], d(1)),
+                "H(0)+(pi0)": orthogonal_sum(h[0], d(pi0)),
+                "H(1)+H(3)": orthogonal_sum(h[1], h[3]),
+                "H(2)+(pi0)+(1)": orthogonal_sum(h[2], d(pi0, 1)),
+                "(1)+(r)+(pi0)+(pi0^2*r)": d(1, r, pi0, pi0**2 * r),
+            }
+            for label, gram in sums.items():
+                yield f"p{p},eps{eps}:{label}", ctx, gram
+
+
 def scaled_lattice(L: HermLattice, e: int) -> HermLattice:
     """The lattice pi^e * L."""
     s = pi_power(L.ctx, e)
@@ -384,16 +465,18 @@ def oracle_vertex_census(L: HermLattice, bounds: EnumerationBounds):
     """``enumerate_vertices(L, bounds).to_json()`` computed on exact rationals,
     and the number of candidate residues visited.
 
-    Shares only the dual basis (``_snf_dual_basis``) with the enumerator:
-    candidates, the vertex test (Fraction inverse and determinant) and the
-    containment test (integrality of Z_b^-1 * Z_a) are its own.
+    Shares no code past ``L.dual()`` with the enumerator: the dual basis
+    (``snf_dual_basis``, a Smith form where the enumerator takes a Jordan
+    basis of L^#), candidates, the vertex test (Fraction inverse and
+    determinant) and the containment test (integrality of Z_b^-1 * Z_a) are
+    its own.
     """
     if not L.gram().is_integral():
         raise NonIntegralLatticeError("lattice does not pair integrally with itself")
     if L.n > bounds.max_rank:
         raise EnumerationLimitError(f"rank {L.n} exceeds enumeration bound {bounds.max_rank}")
     ctx, n = L.ctx, L.n
-    dcols, fs = _snf_dual_basis(L)
+    dcols, fs = snf_dual_basis(L)
     if max(fs) > bounds.max_scale:
         raise EnumerationLimitError(f"Jordan scale {max(fs)} exceeds enumeration bound")
     dual_mat = [[dcols[j][i] for j in range(n)] for i in range(n)]

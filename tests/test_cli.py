@@ -318,6 +318,33 @@ def test_singular_error_documents():
         assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
 
 
+def test_cycle_and_global_compute_no_redundant_determinant(monkeypatch):
+    # cycle finds singularity by its Jordan elimination; global computes the
+    # determinant of the matrix once, and neither positivity nor the local
+    # cycle at an odd ramified prime computes another
+    from hermcycles import lattice
+
+    calls = []
+    real = lattice.mat_det
+    monkeypatch.setattr(lattice, "mat_det", lambda *args: calls.append(args) or real(*args))
+    # (request, exit code of cycle, exit code of cycle --raw)
+    matrices = (
+        ('{"matrix": [[1, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 3]]}', 0, 0),
+        ('{"matrix": [["1/3", 0], [0, 1]]}', 0, 2),
+        ('{"matrix": [[1, 1], [1, 1]]}', 2, 2),
+        ('{"matrix": [["1/3", "1/3"], ["1/3", "1/3"]]}', 2, 2),
+    )
+    for text, code, raw_code in matrices:
+        assert invoke(["cycle", "--p", "3"], stdin_text=text)[0] == code
+        assert invoke(["cycle", "--p", "3", "--raw"], stdin_text=text)[0] == raw_code
+    assert calls == []
+    code, out = invoke(["global"], stdin_text='{"delta": -3, "matrix": [[1, 0], [0, 1]]}')
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "ramified-supported" and list(doc["per_prime"]) == ["3"]
+    assert len(calls) == 1
+
+
 def test_one_parser_serves_a_sequence_of_requests(monkeypatch):
     plane = json.dumps({"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]})
     # non-integral: empty without --raw, a precondition error with it

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from support import conic_has_primitive_zero, self_dual_oracle
+from support import conic_has_primitive_zero, positive_definite_oracle, self_dual_oracle
 
 from hermcycles import (
     Error,
@@ -23,7 +23,7 @@ from hermcycles import (
     self_dual_exists,
 )
 from hermcycles.global_cycles import _is_algebraic_integer
-from hermcycles.lattice import mat_det
+from hermcycles.lattice import mat_conj, mat_det, mat_mul, mat_transpose
 from hermcycles.padic import (
     INERT,
     RAMIFIED,
@@ -74,6 +74,51 @@ def test_positive_definite():
     ]
     assert HermGram(T).det_rational() == 1  # 4 + delta
     assert is_positive_definite(T, -3)
+
+
+def _random_hermitian_rows(rng, delta, n):
+    """Random Hermitian rows over Q(sqrt(delta)): indefinite ones, Grams
+    B^T * conj(B) (positive semidefinite, singular when B is), and Grams with
+    a sign flipped on one diagonal entry."""
+    def entry():
+        return qfe(delta, F(rng.randint(-4, 4), rng.choice([1, 2])), rng.randint(-2, 2))
+
+    kind = rng.choice(["random", "gram", "gram", "singular", "flipped"])
+    if kind == "random":
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = qfe(delta, rng.randint(-3, 5))
+            for j in range(i + 1, n):
+                rows[i][j] = entry()
+                rows[j][i] = rows[i][j].conjugate()
+        return rows
+    B = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        B[rng.randrange(n)] = [qfe(delta, 0)] * n
+    rows = mat_mul(mat_transpose(B), mat_conj(B))
+    if kind == "flipped":
+        k = rng.randrange(n)
+        rows[k][k] = -rows[k][k]
+    return rows
+
+
+def test_positive_definite_agrees_with_the_leading_minor_oracle():
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        delta = rng.choice([-1, -3, -5, -7, -15])
+        rows = _random_hermitian_rows(rng, delta, rng.randint(1, 5))
+        expected = positive_definite_oracle(rows, delta)
+        assert is_positive_definite(rows, delta) == expected, (delta, rows)
+        seen[expected] += 1
+    assert min(seen.values()) >= 30
+    # a zero leading minor, and singular matrices, are not positive definite
+    for delta in (-1, -3, -7):
+        hyperbolic = [[qfe(delta, 0), qfe(delta, 1)], [qfe(delta, 1), qfe(delta, 0)]]
+        ones = [[qfe(delta, 1)] * 2] * 2
+        for rows in (hyperbolic, ones, diag(delta, [1, 0, 1]), diag(delta, [0])):
+            assert not positive_definite_oracle(rows, delta)
+            assert not is_positive_definite(rows, delta)
 
 
 def test_hermitian_validation():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from support import (
+    block_sum_family,
     rand_oh,
     random_basis_change,
     random_hermitian_gram,
@@ -30,7 +31,14 @@ from hermcycles import (
     validate_gram,
 )
 from hermcycles import lattice
-from hermcycles.lattice import reduce_mod_p_power, reduce_mod_pi_power
+from hermcycles.lattice import (
+    _jordan_chunks,
+    mat_conj,
+    mat_mul,
+    mat_transpose,
+    reduce_mod_p_power,
+    reduce_mod_pi_power,
+)
 
 
 def test_validate_gram():
@@ -185,6 +193,33 @@ def test_jordan_split_is_its_own_singularity_test(monkeypatch):
             jordan_split(G)
         G = transformed_gram(regular, random_basis_change(rng, ctx, 3))
         assert [(b.scale, b.rank) for b in jordan_split(G).blocks] == [(0, 1), (1, 2)]
+
+
+def test_jordan_core_tracks_an_orthogonal_basis_of_the_lattice():
+    rng = random.Random(41)
+    for label, ctx, G in block_sum_family():
+        for basis in (None, random_basis_change(rng, ctx, G.n)):
+            L = HermLattice.from_gram(G) if basis is None else HermLattice(G, basis)
+            cols = [[L.basis[i][j] for i in range(G.n)] for j in range(G.n)]
+            chunks = _jordan_chunks(L.gram(), cols)
+            scales = [chunk[0] for chunk in chunks]
+            assert scales == sorted(scales), label
+            vecs = [v for *_, vs in chunks for v in vs]
+            B = [[v[i] for v in vecs] for i in range(G.n)]
+            # the Gram of the tracked vectors is the block diagonal of the pivots
+            gram = mat_mul(mat_mul(mat_transpose(B), [list(r) for r in G.entries]), mat_conj(B))
+            expected = [[ctx.zero()] * G.n for _ in range(G.n)]
+            k = 0
+            for _, _, block, _ in chunks:
+                for r, row in enumerate(block):
+                    expected[k + r][k : k + len(row)] = row
+                k += len(block)
+            assert gram == expected, label
+            assert HermLattice(G, B).same_lattice(L), label
+            if basis is None:
+                # in the given basis only the folds of H(0) and H(2) mix vectors
+                mixed = any(sum(not x.is_zero() for x in v) > 1 for v in vecs)
+                assert mixed == ("H(0)" in label or "H(2)" in label), label
 
 
 def test_jordan_canonicity_under_basis_change():

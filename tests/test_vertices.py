@@ -6,10 +6,12 @@ from fractions import Fraction as F
 import pytest
 from support import (
     acceptance_family,
+    block_sum_family,
     elementary_divisor_exponents,
     oracle_vertex_census,
     random_basis_change,
     random_hermitian_gram,
+    snf_dual_basis,
 )
 
 from hermcycles import (
@@ -164,6 +166,20 @@ def test_integer_kernel_agrees_with_the_fraction_oracle():
         assert err.value.count == visited, label
         checked += 1
     assert checked == 164 + 12
+
+
+def test_dual_basis_is_a_jordan_basis_of_the_dual():
+    # the dual columns span L^#, dual * diag(pi^f) spans L, f ascends as the
+    # oracle's Smith form says, and G# is the Gram of the dual columns
+    rng = random.Random(42)
+    for label, ctx, G in block_sum_family():
+        L = HermLattice(G, random_basis_change(rng, ctx, G.n))
+        dual, fs, gram_dual = vertices._dual_jordan_basis(L)
+        assert fs == snf_dual_basis(L)[1], label
+        assert HermLattice(G, dual).same_lattice(L.dual()), label
+        scaled = [[x * pi_power(ctx, f) for x, f in zip(row, fs)] for row in dual]
+        assert HermLattice(G, scaled).same_lattice(L), label
+        assert gram_dual == [list(r) for r in HermLattice(G, dual).gram().entries], label
 
 
 def _off_identity_cases():
