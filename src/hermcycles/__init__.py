@@ -8,7 +8,6 @@ of p in which every result it keeps is exact.
 
 from .cycles import (
     CycleInvariants,
-    build_cycle_lattice,
     cycle_invariants,
     cycle_report,
     invariants_from_report,
@@ -49,7 +48,6 @@ from .lattice import (
     is_split_sum,
     jordan_split,
     orthogonal_sum,
-    validate_gram,
 )
 from .padic import (
     INERT,
@@ -58,7 +56,6 @@ from .padic import (
     REAL_PLACE,
     SPLIT,
     factorize,
-    field_discriminant,
     format_rational,
     hilbert_symbol,
     is_square_unit,

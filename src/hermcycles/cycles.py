@@ -49,20 +49,6 @@ class CycleInvariants:
         return record
 
 
-def build_cycle_lattice(T: HermGram, ctx: RamifiedContext) -> HermGram | None:
-    """Gram of the cycle lattice, or None when T has a non-integral entry.
-
-    A non-integral entry makes the cycle empty; otherwise the form is T scaled
-    by the unit -eps**-1 * delta_sq of Z_p.
-    """
-    T.check_nonsingular()
-    if T.ctx != ctx:
-        raise PreconditionError("matrix context does not match")
-    if not T.is_integral():
-        return None
-    return T.scaled(ctx.unit_scale())
-
-
 def invariants_from_report(report: JordanReport, p: int) -> CycleInvariants:
     """Cycle invariants from the Jordan data of an integral lattice."""
     if any(b.scale < 0 for b in report.blocks):

@@ -20,10 +20,10 @@ from .padic import (
     DEFAULT_FACTOR_BOUND,
     INERT,
     RAMIFIED,
+    _splitting,
     check_quadratic_field,
     format_rational,
     rational_factorization,
-    splitting_type,
 )
 from .ramified import OHElement, QuadContext, RamifiedContext
 
@@ -63,20 +63,25 @@ def is_positive_definite(T, delta: int) -> bool:
     return True
 
 
+def _diff0(det: Fraction, delta: int, bound: int) -> tuple[int, ...]:
+    """Inert primes of odd valuation in a nonzero det, for a checked field."""
+    return tuple(
+        p for p, k in rational_factorization(det, bound).items()
+        if k % 2 and _splitting(delta, p) == INERT
+    )
+
+
 def diff0(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, ...]:
     """Inert primes at which the determinant has odd valuation.
 
-    More than one of these forces the global cycle to be empty.
+    More than one of these forces the global cycle to be empty.  The field is
+    checked once and each prime of det T is then tested against delta itself.
     """
     check_quadratic_field(delta, bound)
     det = _hermitian(T, delta).det_rational()
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    out = []
-    for p, k in rational_factorization(det, bound).items():
-        if k % 2 and splitting_type(delta, p, bound) == INERT:
-            out.append(p)
-    return tuple(sorted(out))
+    return _diff0(det, delta, bound)
 
 
 def self_dual_exists(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
@@ -94,7 +99,7 @@ def self_dual_exists(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
     G = _hermitian(T, delta)
     if not is_positive_definite(G, delta):
         raise PreconditionError("matrix must be positive definite")
-    return not diff0(G, delta, bound)
+    return not _diff0(G.det_rational(), delta, bound)
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalRep
     data; otherwise the support lies over the ramified primes and every odd
     one receives its local invariants (p = 2 is reported as unsupported).
     """
-    check_quadratic_field(delta, bound)
+    primes = check_quadratic_field(delta, bound)
     G = _hermitian(T, delta)
     for i, row in enumerate(G.entries):
         for j, e in enumerate(row):
@@ -155,11 +160,9 @@ def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalRep
     if det == 0:
         raise SingularMatrixError("matrix is singular")
     positive = is_positive_definite(G, delta)
-    obstructions = diff0(G, delta, bound)
-    ramified_odd = tuple(
-        p for p in sorted(rational_factorization(delta, bound)) if p != 2
-    )
-    unsupported = (2,) if splitting_type(delta, 2, bound) == RAMIFIED else ()
+    obstructions = _diff0(det, delta, bound)
+    ramified_odd = tuple(p for p in primes if p != 2)
+    unsupported = (2,) if _splitting(delta, 2) == RAMIFIED else ()
     per_prime: dict[int, CycleInvariants] = {}
     if not positive or len(obstructions) > 1:
         status = STATUS_EMPTY

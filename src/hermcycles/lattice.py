@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .padic import INFINITY, _val, is_square_unit
+from .padic import INFINITY, _mod, _val, is_square_unit
 from .ramified import OHElement, QuadContext, RamifiedContext, pi_power
 
 _ZERO = Fraction(0)
@@ -124,10 +124,7 @@ def reduce_mod_p_power(q: Fraction, p: int, k: int) -> Fraction:
     v = _val(q, p)
     if v >= k:
         return _ZERO
-    modulus = p ** (k - v)
-    u = q / Fraction(p) ** v
-    r = u.numerator * pow(u.denominator, -1, modulus) % modulus
-    return r * Fraction(p) ** v
+    return _mod(q / Fraction(p) ** v, p ** (k - v)) * Fraction(p) ** v
 
 
 def reduce_mod_pi_power(x: OHElement, e: int) -> OHElement:
@@ -218,11 +215,6 @@ class HermGram:
 
     def to_json(self):
         return [[x.to_json() for x in row] for row in self.entries]
-
-
-def validate_gram(entries, ctx: RamifiedContext | None = None) -> HermGram:
-    """Check conjugate symmetry, rational diagonal and nonsingularity."""
-    return HermGram(entries, ctx).check_nonsingular()
 
 
 def diagonal_gram(ctx: RamifiedContext, values) -> HermGram:

@@ -118,6 +118,11 @@ def _val(q: Fraction, p: int):
     return -k
 
 
+def _mod(q: Fraction, m: int) -> int:
+    """The residue modulo m of a rational whose denominator is prime to m."""
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
 def val_p(q, p: int):
     """Exact p-adic valuation of a rational; +inf for 0."""
     _check_prime(p)
@@ -138,7 +143,7 @@ def residue(q, p: int) -> int:
     q = Fraction(q)
     if _val(q, p) < 0:
         raise PreconditionError(f"{q} is not integral at {p}")
-    return q.numerator * pow(q.denominator, -1, p) % p
+    return _mod(q, p)
 
 
 def legendre(n: int, p: int) -> int:
@@ -168,10 +173,6 @@ def smallest_nonresidue(p: int) -> int:
     raise PreconditionError(f"no quadratic non-residue mod {p}")
 
 
-def _unit_mod(u: Fraction, m: int) -> int:
-    return u.numerator * pow(u.denominator, -1, m) % m
-
-
 def hilbert_symbol(a, b, place) -> int:
     """Quadratic Hilbert symbol (a, b) at a finite prime or the real place.
 
@@ -187,7 +188,7 @@ def hilbert_symbol(a, b, place) -> int:
     u = a / Fraction(p) ** alpha
     v = b / Fraction(p) ** beta
     if p == 2:
-        u8, v8 = _unit_mod(u, 8), _unit_mod(v, 8)
+        u8, v8 = _mod(u, 8), _mod(v, 8)
         eps_u, eps_v = (u8 - 1) // 2 % 2, (v8 - 1) // 2 % 2
         omega_u, omega_v = (u8 * u8 - 1) // 8 % 2, (v8 * v8 - 1) // 8 % 2
         exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
@@ -205,8 +206,11 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
 
     A leftover cofactor is kept only when it is provably prime (below bound**2,
     or certified by deterministic Miller-Rabin); otherwise a
-    FactorizationLimitError is raised rather than guessing.
+    FactorizationLimitError is raised rather than guessing.  A negative bound
+    is refused: every cofactor would pass the bound**2 test.
     """
+    if bound < 0:
+        raise PreconditionError(f"factor bound must be nonnegative, got {bound}")
     if n == 0:
         raise PreconditionError("cannot factor 0")
     n = abs(n)
@@ -244,28 +248,25 @@ def rational_factorization(q, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, in
     return dict(sorted(out.items()))
 
 
-def is_squarefree(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
-    return all(k == 1 for k in factorize(n, bound).values())
+def check_quadratic_field(delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, ...]:
+    """Validate delta as a negative squarefree integer; returns its primes.
 
-
-def check_quadratic_field(delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> None:
-    """Validate delta as a negative squarefree integer."""
+    This is the one factorization of delta a request needs: the odd primes
+    returned are the odd ramified primes, and _splitting reads how any prime
+    behaves off delta itself, without checking the field again.
+    """
     if not isinstance(delta, int) or isinstance(delta, bool) or delta >= 0:
         raise InvalidFieldError(f"delta must be a negative integer, got {delta!r}")
-    if not is_squarefree(delta, bound):
+    primes = factorize(delta, bound)
+    if any(k > 1 for k in primes.values()):
         raise InvalidFieldError(f"delta must be squarefree, got {delta}")
+    return tuple(primes)
 
 
-def field_discriminant(delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> int:
-    """Discriminant of Q(sqrt(delta)) for squarefree delta < 0."""
-    check_quadratic_field(delta, bound)
-    return delta if delta % 4 == 1 else 4 * delta
-
-
-def splitting_type(delta: int, p: int, bound: int = DEFAULT_FACTOR_BOUND) -> str:
-    """How the prime p behaves in Q(sqrt(delta)): split, inert or ramified."""
-    _check_prime(p)
-    disc = field_discriminant(delta, bound)
+def _splitting(delta: int, p: int) -> str:
+    """Split, inert or ramified for a checked field and a prime p, read off
+    the discriminant (delta, or 4*delta unless delta = 1 mod 4)."""
+    disc = delta if delta % 4 == 1 else 4 * delta
     if p == 2:
         if disc % 2 == 0:
             return RAMIFIED
@@ -273,3 +274,10 @@ def splitting_type(delta: int, p: int, bound: int = DEFAULT_FACTOR_BOUND) -> str
     if disc % p == 0:
         return RAMIFIED
     return SPLIT if legendre(disc % p, p) == 1 else INERT
+
+
+def splitting_type(delta: int, p: int, bound: int = DEFAULT_FACTOR_BOUND) -> str:
+    """How the prime p behaves in Q(sqrt(delta)): split, inert or ramified."""
+    _check_prime(p)
+    check_quadratic_field(delta, bound)
+    return _splitting(delta, p)

@@ -25,7 +25,7 @@ from .cycles import CycleInvariants, cycle_invariants
 from .errors import EnumerationLimitError, NonIntegralLatticeError
 from .lattice import HermLattice, _jordan_chunks
 from .lattice import mat_inverse  # noqa: F401  kept: bench/test_bench.py checks the tracer wraps it here
-from .padic import _val
+from .padic import _mod, _val
 from .ramified import OHElement, RamifiedContext, pi_power
 
 
@@ -91,11 +91,6 @@ def _dual_jordan_basis(L: HermLattice):
     return [[col[i] for col in basis] for i in range(n)], fs, gram_dual
 
 
-def _residue(q: Fraction, m: int) -> int:
-    """The residue modulo m of a rational whose denominator is prime to m."""
-    return q.numerator * pow(q.denominator, -1, m) % m
-
-
 def _int_val(c: int, p: int, cap: int) -> int:
     """val_p(c), capped at cap (so 0 reads as cap)."""
     v = 0
@@ -122,12 +117,12 @@ class _Quotient:
         self.p = ctx.p
         self.k = k
         self.m = ctx.p**k
-        self.pi0 = _residue(ctx.pi0, self.m)
-        self.eps = _residue(ctx.eps, self.m)
+        self.pi0 = _mod(ctx.pi0, self.m)
+        self.eps = _mod(ctx.eps, self.m)
         self.inv_eps = pow(self.eps, -1, self.m)
 
     def reduce(self, x) -> tuple[int, int]:
-        return _residue(x.a, self.m), _residue(x.b, self.m)
+        return _mod(x.a, self.m), _mod(x.b, self.m)
 
     def pi_power(self, e: int) -> tuple[int, int]:
         s = pow(self.pi0, e // 2, self.m)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from hermcycles import (
     HermGram,
@@ -60,6 +61,11 @@ def _strip_even_p_power(n: int, p: int) -> int:
     while n % (p * p) == 0:
         n //= p * p
     return n
+
+
+def squarefree_deltas(lowest: int = -399) -> list[int]:
+    """The squarefree integers in [lowest, -1], by trial division by squares."""
+    return [d for d in range(lowest, 0) if all(d % (q * q) for q in range(2, isqrt(-lowest) + 1))]
 
 
 def conic_has_primitive_zero(a, b, p: int) -> bool:

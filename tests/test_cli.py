@@ -199,11 +199,11 @@ def test_round_trip_scaled_gram():
     # feeding the derived scaled Gram through --raw reproduces the invariants
     from fractions import Fraction as F
 
-    from hermcycles import HermGram, RamifiedContext, build_cycle_lattice
+    from hermcycles import HermGram, RamifiedContext
 
     ctx = RamifiedContext(3, F(-1))
     T = HermGram([[ctx.element(1), ctx.pi()], [-ctx.pi(), ctx.element(2)]], ctx)
-    G = build_cycle_lattice(T, ctx)
+    G = T.scaled(ctx.unit_scale())
     request = json.dumps({"matrix": [[e.to_json() for e in row] for row in G.entries]})
     code1, out1 = invoke(
         ["cycle", "--p", "3", "--epsilon", "-1"],
@@ -292,6 +292,36 @@ def test_global_error_documents():
     )
     for matrix, exit_code, error in cases:
         code, out = invoke(["global"], stdin_text='{"delta": -3, "matrix": %s}' % matrix)
+        assert code == exit_code
+        assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+
+
+def test_global_factor_bound_error_documents():
+    # delta and det hit the factor bound alike; an invalid field is reported
+    # from the same one factorization of delta; a negative bound is refused,
+    # since every cofactor would pass n <= bound**2 (221 = 13 * 17 read prime)
+    limit = {"code": "factorization-limit", "message": "unfactored remainder 143 beyond trial bound 10"}
+    cases = (
+        (["--factor-bound", "10"], -143, "[[1, 0], [0, 1]]", 3, limit),
+        (["--factor-bound", "10"], -3, "[[143, 0], [0, 1]]", 3, limit),
+        (
+            [],
+            -12,
+            "[[1, 0], [0, 1]]",
+            2,
+            {"code": "invalid-field", "message": "delta must be squarefree, got -12"},
+        ),
+        (
+            ["--factor-bound", "-100"],
+            -3,
+            "[[221, 0], [0, 1]]",
+            2,
+            {"code": "precondition-violation", "message": "factor bound must be nonnegative, got -100"},
+        ),
+    )
+    for flags, delta, matrix, exit_code, error in cases:
+        doc = '{"delta": %d, "matrix": %s}' % (delta, matrix)
+        code, out = invoke(["global", *flags], stdin_text=doc)
         assert code == exit_code
         assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
 

@@ -8,7 +8,6 @@ from hermcycles import (
     HermGram,
     PreconditionError,
     RamifiedContext,
-    build_cycle_lattice,
     cycle_invariants,
     cycle_report,
     diagonal_gram,
@@ -25,7 +24,6 @@ def test_build_cycle_lattice_nonintegral_is_empty():
         [[ctx.element(1), pi_power(ctx, -1)], [pi_power(ctx, -1).conjugate(), ctx.element(1)]],
         ctx,
     )
-    assert build_cycle_lattice(T, ctx) is None
     report = cycle_report(T, ctx)
     assert report.is_empty
     assert report.to_json() == {"status": "empty-nonintegral"}
@@ -33,12 +31,13 @@ def test_build_cycle_lattice_nonintegral_is_empty():
 
 def test_build_cycle_lattice_scaling():
     ctx = RamifiedContext(3, -1)  # unit scale -eps^-1 delta^2 = 2
+    assert ctx.unit_scale() == 2
     T = diagonal_gram(ctx, [1, 1])
-    G = build_cycle_lattice(T, ctx)
-    assert G.entries[0][0] == ctx.element(2)
+    assert T.scaled(ctx.unit_scale()).entries[0][0] == ctx.element(2)
+    assert cycle_report(T, ctx) == cycle_invariants(T.scaled(2))
     T2 = diagonal_gram(ctx, [ctx.pi0])
-    G2 = build_cycle_lattice(T2, ctx)
-    assert G2.entries[0][0] == ctx.element(2 * ctx.pi0)
+    assert T2.scaled(ctx.unit_scale()).entries[0][0] == ctx.element(2 * ctx.pi0)
+    assert cycle_report(T2, ctx) == cycle_invariants(T2.scaled(2))
 
 
 def test_unimodular_single_point():

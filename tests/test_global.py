@@ -4,7 +4,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from support import conic_has_primitive_zero, positive_definite_oracle, self_dual_oracle
+from support import (
+    conic_has_primitive_zero,
+    positive_definite_oracle,
+    self_dual_oracle,
+    squarefree_deltas,
+)
 
 from hermcycles import (
     Error,
@@ -28,7 +33,6 @@ from hermcycles.padic import (
     INERT,
     RAMIFIED,
     SPLIT,
-    is_squarefree,
     rational_factorization,
     splitting_type,
 )
@@ -135,6 +139,31 @@ def test_diff0_examples():
         diff0(diag(-3, [1, 0]), -3)
 
 
+def test_each_request_factors_delta_once(monkeypatch):
+    # the checked field is the only factorization of delta; det T adds one
+    # more when its numerator is not 1
+    import hermcycles.padic as padic
+
+    calls = []
+    factorize = padic.factorize
+
+    def counting(n, bound=padic.DEFAULT_FACTOR_BOUND):
+        calls.append(n)
+        return factorize(n, bound)
+
+    monkeypatch.setattr(padic, "factorize", counting)
+    cases = (
+        (lambda: global_report(diag(-3, [2, 5]), -3), [-3, 10]),
+        (lambda: global_report(diag(-15, [1, 1]), -15), [-15]),
+        (lambda: diff0(diag(-3, [2, 5]), -3), [-3, 10]),
+        (lambda: self_dual_exists(diag(-3, [2, 5]), -3), [-3, 10]),
+    )
+    for request, factored in cases:
+        calls.clear()
+        request()
+        assert calls == factored
+
+
 def test_self_dual_exists_examples():
     assert self_dual_exists(diag(-3, [1, 1]), -3)
     assert not self_dual_exists(diag(-3, [2, 5]), -3)
@@ -182,7 +211,7 @@ def _oracle_matrices(delta, rng):
 
 
 def test_self_dual_exists_matches_the_hilbert_symbol_oracle():
-    deltas = [d for d in range(-399, 0) if is_squarefree(d)]
+    deltas = squarefree_deltas()
     assert {splitting_type(d, 2) for d in deltas} == {SPLIT, INERT, RAMIFIED}
     answers, inert_parities, nonintegral = set(), set(), 0
     for delta in deltas:

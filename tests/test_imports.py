@@ -1,7 +1,11 @@
-"""Every name a package module imports is used in it.
+"""Every name a package module imports is used in it, and every function or
+class a package module defines is used somewhere.
 
 A name imported on a line carrying ``# noqa`` is exempt, as are
-``__future__`` imports; ``__init__.py`` re-exports and is not checked.
+``__future__`` imports; ``__init__.py`` re-exports and is not checked.  A
+module-level function or class counts as used when a ``Name`` or
+``Attribute`` node in the package or the tests refers to it; a re-export
+in ``__init__.py`` is an import, not a use.
 """
 
 import ast
@@ -10,6 +14,7 @@ from pathlib import Path
 import hermcycles
 
 PACKAGE = Path(hermcycles.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +34,24 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def dead_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
+    """Module-level functions and classes of ``modules`` (name -> source)
+    that no Name or Attribute node in ``modules`` or ``users`` refers to."""
+    used = set()
+    for source in [*modules.values(), *users]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
+                dead.append(f"{module}:{node.lineno}: {node.name}")
+    return dead
+
+
 def test_the_checker_sees_an_unused_name():
     source = (
         "from __future__ import annotations\n"
@@ -45,3 +68,20 @@ def test_no_unused_imports_in_the_package():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_the_checker_sees_a_dead_definition():
+    modules = {
+        "a.py": "def used():\n    return helper()\n\ndef helper():\n    pass\n\nclass Dead:\n    pass\n",
+        "b.py": "import a\n\ndef called_by_attribute():\n    pass\n\ndef dead():\n    pass\n",
+    }
+    users = ["from a import Dead\nimport b\na.used()\nb.called_by_attribute()\n"]
+    assert dead_definitions(modules, users) == ["a.py:7: Dead", "b.py:6: dead"]
+
+
+def test_no_dead_definitions_in_the_package():
+    modules = {
+        p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
+    }
+    users = [p.read_text() for p in sorted(TESTS.rglob("*.py"))]
+    assert dead_definitions(modules, users) == []

@@ -28,7 +28,6 @@ from hermcycles import (
     orthogonal_sum,
     pi_power,
     smallest_nonresidue,
-    validate_gram,
 )
 from hermcycles import lattice
 from hermcycles.lattice import (
@@ -43,16 +42,16 @@ from hermcycles.lattice import (
 
 def test_validate_gram():
     ctx = RamifiedContext(3, 1)
-    validate_gram(
+    HermGram(
         [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]], ctx
-    )
+    ).check_nonsingular()
     with pytest.raises(HermitianViolationError):
-        validate_gram([[ctx.one(), ctx.pi()], [ctx.pi(), ctx.one()]], ctx)
+        HermGram([[ctx.one(), ctx.pi()], [ctx.pi(), ctx.one()]], ctx).check_nonsingular()
     with pytest.raises(HermitianViolationError):
         # diagonal entry must be rational
-        validate_gram([[ctx.pi()]], ctx)
+        HermGram([[ctx.pi()]], ctx).check_nonsingular()
     with pytest.raises(SingularMatrixError):
-        validate_gram([[ctx.one(), ctx.one()], [ctx.one(), ctx.one()]], ctx)
+        HermGram([[ctx.one(), ctx.one()], [ctx.one(), ctx.one()]], ctx).check_nonsingular()
 
 
 def test_dual_examples():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from support import conic_has_primitive_zero
+from support import conic_has_primitive_zero, squarefree_deltas
 
 from hermcycles import (
     FactorizationLimitError,
@@ -20,7 +20,7 @@ from hermcycles import (
     val_p,
 )
 from hermcycles.errors import InvalidFieldError, SchemaError
-from hermcycles.padic import _MR_LIMIT, is_prime
+from hermcycles.padic import _MR_LIMIT, _splitting, check_quadratic_field, is_prime
 
 
 def test_val_examples():
@@ -145,6 +145,17 @@ def test_factorize():
         factorize(0)
 
 
+def test_factorize_refuses_a_negative_bound():
+    # a negative bound would pass every cofactor by the bound**2 test
+    for n in (221, 0, 1):
+        with pytest.raises(PreconditionError, match="factor bound must be nonnegative, got -1000"):
+            factorize(n, bound=-1000)
+    # bound 0 tries only 2 and 3, and still refuses a composite cofactor
+    assert factorize(12 * 13, bound=0) == {2: 2, 3: 1, 13: 1}
+    with pytest.raises(FactorizationLimitError):
+        factorize(221, bound=0)
+
+
 def test_factorize_refuses_huge_remainder():
     with pytest.raises(FactorizationLimitError):
         factorize(2**89 - 1, bound=10**4)  # prime, but beyond certification
@@ -201,6 +212,22 @@ def test_splitting_vs_minpoly_oracle():
     for delta in (-1, -2, -3, -5, -7, -11, -15, -19):
         for p in (2, 3, 5, 7, 11, 13):
             assert splitting_type(delta, p) == _minpoly_splitting(delta, p), (delta, p)
+
+
+def test_checked_field_primes_and_unchecked_splitting_agree_with_splitting_type():
+    assert check_quadratic_field(-1) == ()
+    assert check_quadratic_field(-30) == (2, 3, 5)
+    primes = [q for q in range(2, 51) if is_prime(q)]
+    squarefree = set(squarefree_deltas())
+    for delta in range(-399, 0):
+        if delta not in squarefree:
+            with pytest.raises(InvalidFieldError, match="squarefree"):
+                check_quadratic_field(delta)
+            continue
+        assert check_quadratic_field(delta) == tuple(factorize(delta))
+        for q in primes:
+            expected = _minpoly_splitting(delta, q)
+            assert _splitting(delta, q) == splitting_type(delta, q) == expected, (delta, q)
 
 
 def test_splitting_invalid_field():
