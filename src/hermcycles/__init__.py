@@ -43,7 +43,6 @@ from .lattice import (
     JordanReport,
     det_class,
     diagonal_gram,
-    hnf_canonicalize,
     hyperbolic_gram,
     is_split_sum,
     jordan_split,

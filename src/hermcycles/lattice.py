@@ -1,4 +1,4 @@
-"""Hermitian O_H-lattices: Gram validation, duals, canonical bases, Jordan splitting.
+"""Hermitian O_H-lattices: Gram validation, duals, Jordan splitting.
 
 Conventions.  The Hermitian form is linear in its first argument and
 conjugate-linear in the second; the Gram matrix G of a basis has
@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .padic import INFINITY, _mod, _val, is_square_unit
+from .padic import INFINITY, _val, is_square_unit
 from .ramified import OHElement, QuadContext, RamifiedContext, pi_power
 
 _ZERO = Fraction(0)
@@ -100,45 +100,8 @@ def mat_inverse(A, ctx: RamifiedContext):
     return [row[n:] for row in M]
 
 
-def mat_solve(A, B, ctx: RamifiedContext):
-    """A**-1 * B for square nonsingular A."""
-    return mat_mul(mat_inverse(A, ctx), B)
-
-
 def mat_is_integral(A) -> bool:
     return all(x.is_integral() for row in A for x in row)
-
-
-# ---------------------------------------------------------------------------
-# canonical residues modulo pi-powers
-
-
-def reduce_mod_p_power(q: Fraction, p: int, k: int) -> Fraction:
-    """Canonical representative of q modulo p**k * Z_p.
-
-    The representative is u * p**v with v = val_p(q) and u the residue of the
-    unit part mod p**(k - v); it depends only on the class of q.
-    """
-    if not q:
-        return _ZERO
-    v = _val(q, p)
-    if v >= k:
-        return _ZERO
-    return _mod(q / Fraction(p) ** v, p ** (k - v)) * Fraction(p) ** v
-
-
-def reduce_mod_pi_power(x: OHElement, e: int) -> OHElement:
-    """Canonical representative of x modulo pi**e * O_H.
-
-    pi**e O_H = p**ceil(e/2) Z_p + p**floor(e/2) pi Z_p, so both coordinates
-    reduce independently.
-    """
-    p = x.ctx.p
-    return OHElement._raw(
-        reduce_mod_p_power(x.a, p, (e + 1) // 2),
-        reduce_mod_p_power(x.b, p, e // 2),
-        x.ctx,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,64 +266,11 @@ class HermLattice:
         W = mat_inverse(mat_conj([list(r) for r in M.entries]), self.ctx)
         return HermLattice(self.ambient, mat_mul(self.basis_rows(), W))
 
-    def contains(self, other: "HermLattice") -> bool:
-        """Exact inclusion test: other <= self."""
-        if self.ambient != other.ambient:
-            raise PreconditionError("lattices live in different ambient spaces")
-        X = mat_solve(self.basis_rows(), other.basis_rows(), self.ctx)
-        return mat_is_integral(X)
-
-    def canonical(self) -> "HermLattice":
-        return hnf_canonicalize(self)
-
-    def same_lattice(self, other: "HermLattice") -> bool:
-        return self.contains(other) and other.contains(self)
-
     def __repr__(self):
         return f"HermLattice(basis={self.basis!r})"
 
     def to_json(self):
         return {"basis": [[x.to_json() for x in row] for row in self.basis]}
-
-
-def hnf_canonicalize(L: HermLattice) -> HermLattice:
-    """Canonical upper-triangular basis over the valuation ring O_H.
-
-    Pivots are exact powers of pi on the diagonal, entries below vanish and
-    the remaining entries of each pivot row are reduced to the canonical
-    fundamental domain modulo the pivot.  Two bases spanning the same lattice
-    produce identical output.
-    """
-    ctx = L.ctx
-    n = L.n
-    cols = [[L.basis[i][j] for i in range(n)] for j in range(n)]
-    for i in range(n - 1, -1, -1):
-        best, best_ord = None, INFINITY
-        for j in range(i + 1):
-            o = cols[j][i].ord()
-            if o < best_ord:
-                best, best_ord = j, o
-        if best is None or best_ord is INFINITY:
-            raise SingularMatrixError("basis matrix is singular")
-        if best != i:
-            cols[best], cols[i] = cols[i], cols[best]
-        e = best_ord
-        unit = pi_power(ctx, e) / cols[i][i]
-        cols[i] = [unit * x for x in cols[i]]
-        piv_inv = pi_power(ctx, -e)
-        for j in range(i):
-            if cols[j][i].is_zero():
-                continue
-            q = cols[j][i] * piv_inv
-            cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
-        for j in range(i + 1, n):
-            x = cols[j][i]
-            q = (x - reduce_mod_pi_power(x, e)) * piv_inv
-            if q.is_zero():
-                continue
-            cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
-    basis = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return HermLattice(L.ambient, basis)
 
 
 # ---------------------------------------------------------------------------

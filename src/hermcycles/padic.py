@@ -222,9 +222,8 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     f = 5
     while f * f <= n and f <= bound:
         for p in (f, f + 2):
-            k, n = _count_factor(n, p)
-            if k:
-                out[p] = k
+            if n % p == 0:
+                out[p], n = _count_factor(n, p)
         f += 6
     if n > 1:
         if n <= bound * bound or (n < _MR_LIMIT and is_prime(n)):

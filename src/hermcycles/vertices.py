@@ -8,23 +8,22 @@ the exact vertex conditions, and reports types, counts and the full inclusion
 poset.  It exists to double-check the closed-form invariants on small
 instances, so correctness beats speed throughout.
 
-The dual basis C is a Jordan basis of L^#, from the elimination of
-jordan_split, so C * diag(pi^f) spans L (see _dual_jordan_basis).  All other
-work lives in the finite module L^#/L and runs on pairs of Python ints
-modulo a power of p, where the arithmetic is exact (see _Quotient);
+The dual basis C is a Jordan basis of L^#, read off the elimination of
+jordan_split on Gram(L), so C * diag(pi^f) spans L (see _dual_jordan_basis).
+All other work lives in the finite module L^#/L and runs on pairs of Python
+ints modulo one power of p, where the arithmetic is exact (see _Quotient);
 tests/support.py keeps the exact-rational enumerator it replaced as an
 oracle, with its own dual basis from a Smith form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .cycles import CycleInvariants, cycle_invariants
-from .errors import EnumerationLimitError, NonIntegralLatticeError
-from .lattice import HermLattice, _jordan_chunks
-from .lattice import mat_inverse  # noqa: F401  kept: bench/test_bench.py checks the tracer wraps it here
+from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
+from .lattice import HermLattice, _jordan_chunks, mat_conj, mat_inverse, mat_mul
 from .padic import _mod, _val
 from .ramified import OHElement, RamifiedContext, pi_power
 
@@ -34,6 +33,12 @@ class EnumerationBounds:
     max_rank: int = 3
     max_scale: int = 3
     max_candidates: int = 10_000_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise PreconditionError(f"{f.name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,29 +71,32 @@ class VertexSet:
 
 def _dual_jordan_basis(L: HermLattice):
     """A matrix whose columns C_j are a Jordan basis of L^#, their Gram G#
-    (the block diagonal of the pivots) and ascending f with L = span(C_j * pi^f_j).
+    and ascending f with L = span(C_j * pi^f_j).
 
-    Each block J has scale s = -f and is pi^s-modular (Jacobowitz): a rank-1
-    pivot is pi^s times a unit; a rank-2 pivot has off-diagonal entries of
-    order s, diagonal ones above s and det of order 2s, so adj(J) / det(J)
-    is pi^-s times a matrix in GL(O_H).  So is conj(J)^-1, and L, the dual
-    of L^#, is spanned by C * conj(G#)^-1 (see HermLattice.dual), blockwise
-    by C_J * pi^f * U with U in GL(O_H).  The scales ascend, so reversed
-    the f do.
+    The elimination of jordan_split on Gram(L), tracking the columns of L's
+    basis, gives a Jordan basis B of L with B^T G conj(B) = J block diagonal,
+    scales ascending.  C = B * W with W = conj(J)^-1 (see HermLattice.dual)
+    has C^T G conj(B) = J^-1 * J = I, since J^T = conj(J), so C spans L^#;
+    its Gram is C^T G conj(B) conj(W) = conj(W) = J^-1.  Each block J_b of
+    scale s is pi^s-modular (Jacobowitz): a rank-1 pivot is pi^s times a
+    unit; a rank-2 pivot has off-diagonal entries of order s, diagonal ones
+    above s and det of order 2s.  So conj(J_b) is pi^s times a matrix in
+    GL(O_H), and B_b = C_b * conj(J_b) spans C_b * pi^s: f is the list of
+    scales.
     """
     n = L.n
-    dual = L.dual()
-    chunks = _jordan_chunks(dual.gram(), list(zip(*dual.basis)))
     zero = L.ctx.zero()
-    gram_dual = [[zero] * n for _ in range(n)]
-    basis, fs = [], []
-    for scale, _, block, vecs in reversed(chunks):
-        k = len(basis)
+    J = [[zero] * n for _ in range(n)]
+    vecs, fs = [], []
+    for scale, _, block, pivots in _jordan_chunks(L.gram(), list(zip(*L.basis))):
+        k = len(vecs)
         for r, row in enumerate(block):
-            gram_dual[k + r][k : k + len(row)] = row
-        basis.extend(vecs)
-        fs.extend([-scale] * len(vecs))
-    return [[col[i] for col in basis] for i in range(n)], fs, gram_dual
+            J[k + r][k : k + len(row)] = row
+        vecs.extend(pivots)
+        fs.extend([scale] * len(pivots))
+    W = mat_inverse(mat_conj(J), L.ctx)
+    B = [[v[i] for v in vecs] for i in range(n)]
+    return mat_mul(B, W), fs, mat_conj(W)
 
 
 def _int_val(c: int, p: int, cap: int) -> int:
@@ -355,9 +363,10 @@ def _contains(Zb, eb, Za, ea, q: _Quotient) -> bool:
     return True
 
 
-def _canonical_basis(D, Z, es, a: int, q: _Quotient, ctx: RamifiedContext):
-    """hnf_canonicalize of span(dual * Z), computed from M = D * Z over O_H / p^K,
-    where D = p^a * dual is integral.
+def _canonical_basis(D, Z, a: int, q: _Quotient, ctx: RamifiedContext):
+    """The canonical triangular basis of span(dual * Z) (the Fraction HNF of
+    tests/support.py), computed from M = D * Z over O_H / p^K, where
+    D = p^a * dual is integral.
 
     M spans p^a * V, and its canonical basis is p^a times that of V: the
     pivot of V's column i is pi^e, so the pivot of M's is p^a * pi^e, of
@@ -368,23 +377,22 @@ def _canonical_basis(D, Z, es, a: int, q: _Quotient, ctx: RamifiedContext):
     [0, p^floor(e'/2)).  The pivot must be p^a * pi^e = eps^-a * pi^e', not
     pi^e': the two differ by a unit, and for eps != 1 the other choice is
     another triangular basis.  Rows are processed bottom-up, each taking a
-    column of least order as pivot as in hnf_canonicalize; the canonical
+    column of least order as pivot as the Fraction HNF does; the canonical
     basis is unique, so ties may break differently.  The result divides M
-    by p^a, with the pivots the exact pi^e.  Z's entries right of its
-    pivots are exact residues; its pivots are reduced again modulo p^K.
+    by p^a, with the pivots the exact pi^e.
 
     Precision: M is exact modulo pi^(2K).  Normalising the pivot of row i
     and clearing or reducing its row divide by pi^(e'_i), so the rows above
     lose e'_i digits: row i is known modulo pi^(2K - e'_(i+1) - ... -
     e'_n).  Finding its least order e'_i and reducing modulo pi^(e'_i)
     need that precision to exceed e'_i, which holds when 2K >= ord det M + 1
-    = e'_1 + ... + e'_n + 1.
+    = e'_1 + ... + e'_n + 1; enumerate_vertices bounds ord det M so.
     """
     n = len(Z)
     p, m, pi0 = q.p, q.m, q.pi0
     cols = []
     for j in range(n):
-        zj = [Z[k][j] for k in range(j)] + [q.pi_power(es[j])]
+        zj = [Z[k][j] for k in range(j + 1)]
         col = []
         for row in D:
             sa = sb = 0
@@ -443,23 +451,21 @@ def enumerate_vertices(
     The dual columns are a Jordan basis of L^#, with G# their block-diagonal
     Gram; times pi^f they span L (_dual_jordan_basis).  From there through
     the canonical bases of the vertices found, the work runs on pairs of
-    ints modulo p^K (see _Quotient).  With
-    F = max f, pi^F kills L^#/L, so pi^F * L^# lies in L and pairs integrally
-    with L^#: pi^F * G# is integral, and so is p^c * G# for
-    c = max(1, ceil(F/2)).  K = max(c + 1, ceil(d/2)) serves the vertex test
-    (K >= c + 1) and the back-substitutions of the candidates and the poset
-    (2K >= d = f_1 + ... + f_n).
+    ints modulo one p^K (see _Quotient), K the least meeting three needs:
 
-    The canonical bases use their own modulus p^K2.  With a the least
-    exponent making D = p^a * dual integral in ambient coordinates (for a
-    request from the command line, where L is O_H^n, a = ceil(F/2), which
-    is c unless L is unimodular), a vertex's
-    M = D * Z has ord det M = ord det D + e_1 + ... + e_n, at most
-    ord det D + floor(d/2) by the candidates' pivot window; ord det D =
-    2an + ord det dual, and ord det dual = -(d + ord det G)/2 for the
-    ambient Gram G, because the Gram of L^# has determinant order -d.  So
-    2K2 >= ord det D + floor(d/2) + 1 gives _canonical_basis the precision
-    it needs.
+    - the vertex test needs K >= c + 1.  With F = max f, pi^F kills L^#/L,
+      so pi^F * L^# lies in L and pairs integrally with L^#: pi^F * G# is
+      integral, and so is p^c * G# for c = max(1, ceil(F/2));
+    - the back-substitutions of the candidates and the poset need
+      2K >= d = f_1 + ... + f_n;
+    - the canonical bases need 2K >= ord det M + 1 (_canonical_basis).
+      With a the least exponent making D = p^a * dual integral in ambient
+      coordinates (a = ceil(F/2) for a request from the command line, where
+      L is O_H^n, which is c unless L is unimodular), a vertex's M = D * Z
+      has ord det M = ord det D + e_1 + ... + e_n, at most ord det D +
+      floor(d/2) by the candidates' pivot window; ord det D = 2an + ord det
+      dual, and ord det dual = -(d + ord det G)/2 for the ambient Gram G,
+      because the Gram of L^# has determinant order -d.
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -475,19 +481,19 @@ def enumerate_vertices(
             f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
         )
     n = L.n
+    d = sum(fs)
     c = max(1, (max(fs) + 1) // 2)
-    q = _Quotient(ctx, max(c + 1, (sum(fs) + 1) // 2))
-    H = [[q.reduce(x * ctx.p**c) for x in row] for row in gram_dual]
     a = max([0] + [-_val(y, ctx.p) for row in dual_mat for x in row for y in (x.a, x.b) if y])
-    ord_det_D = 2 * a * n - (sum(fs) + L.ambient.det().ord()) // 2
-    q2 = _Quotient(ctx, max(1, (ord_det_D + sum(fs) // 2 + 2) // 2))
-    D = [[q2.reduce(x * ctx.p**a) for x in row] for row in dual_mat]
+    ord_det_D = 2 * a * n - (d + L.ambient.det().ord()) // 2
+    q = _Quotient(ctx, max(c + 1, (d + 1) // 2, (ord_det_D + d // 2 + 2) // 2))
+    H = [[q.reduce(x * ctx.p**c) for x in row] for row in gram_dual]
+    D = [[q.reduce(x * ctx.p**a) for x in row] for row in dual_mat]
     decorated = []
     for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
         t = _vertex_type(Z, H, c, q)
         if t is None:
             continue
-        lat = HermLattice(L.ambient, _canonical_basis(D, Z, es, a, q2, ctx))
+        lat = HermLattice(L.ambient, _canonical_basis(D, Z, a, q, ctx))
         key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
         decorated.append(((t, key), Vertex(lat, t), es, Z))
     decorated.sort(key=lambda item: item[0])

@@ -6,7 +6,8 @@ a x^2 + b y^2 = z^2 over Z/p^4, norm membership against an enumeration of
 norm residues, self-duality against the Hilbert symbols at the inert primes,
 positivity against the signs of the leading principal minors, module
 lengths and the vertex oracle's dual basis against a standalone Smith
-form, and the vertex enumerator against an exact-rational enumerator.
+form, the enumerator's modular canonical bases against a Fraction HNF,
+and the vertex enumerator against an exact-rational enumerator.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from hermcycles.errors import (
     EnumerationLimitError,
     NonIntegralLatticeError,
     PreconditionError,
+    SingularMatrixError,
 )
 from hermcycles.lattice import (
     mat_conj,
@@ -43,6 +45,8 @@ from hermcycles.global_cycles import is_positive_definite
 from hermcycles.padic import (
     DEFAULT_FACTOR_BOUND,
     INERT,
+    INFINITY,
+    _mod,
     _val,
     check_quadratic_field,
     hilbert_symbol,
@@ -217,6 +221,91 @@ def snf_dual_basis(L: HermLattice):
     Y = [[x.conjugate() for x in row] for row in L.gram().entries]
     fs, dcols = smith_diagonalize(Y, [[dual.basis[i][j] for i in range(n)] for j in range(n)])
     return dcols, fs
+
+
+# ---------------------------------------------------------------------------
+# Fraction canonical bases and inclusion (oracles for the enumerator's modular
+# HNF and its containment test)
+
+
+def reduce_mod_p_power(q: Fraction, p: int, k: int) -> Fraction:
+    """Canonical representative of q modulo p**k * Z_p.
+
+    The representative is u * p**v with v = val_p(q) and u the residue of the
+    unit part mod p**(k - v); it depends only on the class of q.
+    """
+    if not q:
+        return Fraction(0)
+    v = _val(q, p)
+    if v >= k:
+        return Fraction(0)
+    return _mod(q / Fraction(p) ** v, p ** (k - v)) * Fraction(p) ** v
+
+
+def reduce_mod_pi_power(x: OHElement, e: int) -> OHElement:
+    """Canonical representative of x modulo pi**e * O_H.
+
+    pi**e O_H = p**ceil(e/2) Z_p + p**floor(e/2) pi Z_p, so both coordinates
+    reduce independently.
+    """
+    p = x.ctx.p
+    return OHElement._raw(
+        reduce_mod_p_power(x.a, p, (e + 1) // 2),
+        reduce_mod_p_power(x.b, p, e // 2),
+        x.ctx,
+    )
+
+
+def hnf_canonicalize(L: HermLattice) -> HermLattice:
+    """Canonical upper-triangular basis over the valuation ring O_H.
+
+    Pivots are exact powers of pi on the diagonal, entries below vanish and
+    the remaining entries of each pivot row are reduced to the canonical
+    fundamental domain modulo the pivot.  Two bases spanning the same lattice
+    produce identical output.
+    """
+    ctx = L.ctx
+    n = L.n
+    cols = [[L.basis[i][j] for i in range(n)] for j in range(n)]
+    for i in range(n - 1, -1, -1):
+        best, best_ord = None, INFINITY
+        for j in range(i + 1):
+            o = cols[j][i].ord()
+            if o < best_ord:
+                best, best_ord = j, o
+        if best is None or best_ord is INFINITY:
+            raise SingularMatrixError("basis matrix is singular")
+        if best != i:
+            cols[best], cols[i] = cols[i], cols[best]
+        e = best_ord
+        unit = pi_power(ctx, e) / cols[i][i]
+        cols[i] = [unit * x for x in cols[i]]
+        piv_inv = pi_power(ctx, -e)
+        for j in range(i):
+            if cols[j][i].is_zero():
+                continue
+            q = cols[j][i] * piv_inv
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
+        for j in range(i + 1, n):
+            x = cols[j][i]
+            q = (x - reduce_mod_pi_power(x, e)) * piv_inv
+            if q.is_zero():
+                continue
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
+    basis = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return HermLattice(L.ambient, basis)
+
+
+def contains(big: HermLattice, small: HermLattice) -> bool:
+    """Exact inclusion test small <= big: big^-1 * small is integral."""
+    if big.ambient != small.ambient:
+        raise PreconditionError("lattices live in different ambient spaces")
+    X = mat_mul(mat_inverse(big.basis_rows(), big.ctx), small.basis_rows())
+    return mat_is_integral(X)
+
+
+def same_lattice(A: HermLattice, B: HermLattice) -> bool:
+    return contains(A, B) and contains(B, A)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +583,7 @@ def oracle_vertex_census(L: HermLattice, bounds: EnumerationBounds):
         t = _oracle_vertex_type(Z, gram_dual, ctx)
         if t is None:
             continue
-        lat = HermLattice(L.ambient, mat_mul(dual_mat, Z)).canonical()
+        lat = hnf_canonicalize(HermLattice(L.ambient, mat_mul(dual_mat, Z)))
         key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
         decorated.append(((t, key), Vertex(lat, t), Z))
     decorated.sort(key=lambda item: item[0])

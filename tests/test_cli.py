@@ -375,6 +375,71 @@ def test_cycle_and_global_compute_no_redundant_determinant(monkeypatch):
     assert len(calls) == 1
 
 
+def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
+    # The dual basis comes from one Jordan elimination of Gram(L): no dual
+    # lattice, one inverse (of the block-diagonal Jordan Gram), one product,
+    # and the one determinant the CLI's singularity check computes.
+    from hermcycles import lattice, vertices
+
+    calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 0}
+    inverted = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "mat_inverse":
+                inverted.append(args[0])
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lattice.HermLattice, "dual", counting("dual", lattice.HermLattice.dual))
+    for name in ("mat_inverse", "mat_mul"):
+        wrapped = counting(name, getattr(lattice, name))
+        monkeypatch.setattr(lattice, name, wrapped)
+        monkeypatch.setattr(vertices, name, wrapped)
+    monkeypatch.setattr(lattice, "mat_det", counting("mat_det", lattice.mat_det))
+    monkeypatch.setattr(vertices, "_jordan_chunks", counting("_jordan_chunks", vertices._jordan_chunks))
+    h13 = json.dumps(
+        {
+            "gram": [
+                [0, {"a": "0", "b": "1"}, 0, 0],
+                [{"a": "0", "b": "-1"}, 0, 0, 0],
+                [0, 0, 0, {"a": "0", "b": "3"}],
+                [0, 0, {"a": "0", "b": "-3"}, 0],
+            ]
+        }
+    )
+    for command in ("vertices", "verify"):
+        for name in calls:
+            calls[name] = 0
+        inverted.clear()
+        code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
+        assert code == 0
+        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 1, "mat_det": 1, "_jordan_chunks": 1}
+        (J,) = inverted
+        assert all(J[i][j].is_zero() for i in range(4) for j in range(4) if i // 2 != j // 2)
+
+
+def test_negative_enumeration_bounds_are_refused():
+    # --max-candidates -5 on H(1) used to report a limit error with count -4,
+    # and -7 on [[1]] a full census
+    plane = json.dumps({"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]})
+    cases = (
+        ("--max-candidates", "-5", "max_candidates", plane),
+        ("--max-candidates", "-7", "max_candidates", '{"gram": [[1]]}'),
+        ("--max-rank", "-1", "max_rank", plane),
+        ("--max-scale", "-2", "max_scale", plane),
+    )
+    for command in ("vertices", "verify"):
+        for flag, value, field, text in cases:
+            code, out = invoke([command, "--p", "3", flag, value], stdin_text=text)
+            assert code == 2
+            message = f"{field} must be nonnegative, got {value}"
+            error = {"code": "precondition-violation", "message": message}
+            assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+
+
 def test_one_parser_serves_a_sequence_of_requests(monkeypatch):
     plane = json.dumps({"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]})
     # non-integral: empty without --raw, a precondition error with it

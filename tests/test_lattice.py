@@ -4,9 +4,13 @@ from fractions import Fraction as F
 import pytest
 from support import (
     block_sum_family,
+    hnf_canonicalize,
     rand_oh,
     random_basis_change,
     random_hermitian_gram,
+    reduce_mod_p_power,
+    reduce_mod_pi_power,
+    same_lattice,
     scaled_lattice,
     transformed_gram,
 )
@@ -20,7 +24,6 @@ from hermcycles import (
     SingularMatrixError,
     det_class,
     diagonal_gram,
-    hnf_canonicalize,
     hyperbolic_gram,
     is_split_sum,
     is_square_unit,
@@ -35,8 +38,6 @@ from hermcycles.lattice import (
     mat_conj,
     mat_mul,
     mat_transpose,
-    reduce_mod_p_power,
-    reduce_mod_pi_power,
 )
 
 
@@ -58,11 +59,11 @@ def test_dual_examples():
     ctx = RamifiedContext(3, 1)
     identity = diagonal_gram(ctx, [1, 1])
     L = HermLattice.from_gram(identity)
-    assert L.dual().same_lattice(L)
+    assert same_lattice(L.dual(), L)
 
     H1 = hyperbolic_gram(ctx, 1)
     LH = HermLattice.from_gram(H1)
-    assert LH.dual().same_lattice(scaled_lattice(LH, -1))
+    assert same_lattice(LH.dual(), scaled_lattice(LH, -1))
 
     Lpi = HermLattice.from_gram(diagonal_gram(ctx, [ctx.pi0]))
     dual_gram = Lpi.dual().gram()
@@ -77,7 +78,7 @@ def test_dual_involution_and_det_bookkeeping():
         n = rng.randint(1, 3)
         G = random_hermitian_gram(rng, ctx, n)
         L = HermLattice.from_gram(G)
-        assert L.dual().dual().canonical().basis == L.canonical().basis
+        assert hnf_canonicalize(L.dual().dual()).basis == hnf_canonicalize(L).basis
         report = jordan_split(G)
         val, sq = det_class(G)
         assert report.det_ord() == val
@@ -90,13 +91,13 @@ def test_hnf_trivial_cases():
     ctx = RamifiedContext(3, 1)
     G = diagonal_gram(ctx, [1, ctx.pi0])
     L = HermLattice.from_gram(G)
-    C = L.canonical()
+    C = hnf_canonicalize(L)
     assert C.basis == L.basis  # identity is already canonical
     swapped = HermLattice(G, [[ctx.zero(), ctx.one()], [ctx.one(), ctx.zero()]])
-    assert swapped.canonical().basis == C.basis
+    assert hnf_canonicalize(swapped).basis == C.basis
     unit = ctx.element(F(4, 5), F(1))  # a unit of O_H
     scaled = HermLattice(G, [[x * unit for x in row] for row in L.basis])
-    assert scaled.canonical().basis == C.basis
+    assert hnf_canonicalize(scaled).basis == C.basis
 
 
 def test_hnf_canonical_on_random_spans():
@@ -111,15 +112,15 @@ def test_hnf_canonical_on_random_spans():
         from hermcycles.lattice import mat_mul
 
         moved = HermLattice(G, mat_mul(L.basis_rows(), U))
-        assert moved.same_lattice(L)
-        assert moved.canonical().basis == L.canonical().basis
-        assert hnf_canonicalize(moved.canonical()).basis == moved.canonical().basis
+        assert same_lattice(moved, L)
+        assert hnf_canonicalize(moved).basis == hnf_canonicalize(L).basis
+        assert hnf_canonicalize(hnf_canonicalize(moved)).basis == hnf_canonicalize(moved).basis
 
 
 def test_hnf_pivots_are_pi_powers():
     ctx = RamifiedContext(3, 1)
     H1 = hyperbolic_gram(ctx, 1)
-    D = HermLattice.from_gram(H1).dual().canonical()
+    D = hnf_canonicalize(HermLattice.from_gram(H1).dual())
     for i in range(2):
         piv = D.basis[i][i]
         assert piv == pi_power(ctx, piv.ord())
@@ -214,7 +215,7 @@ def test_jordan_core_tracks_an_orthogonal_basis_of_the_lattice():
                     expected[k + r][k : k + len(row)] = row
                 k += len(block)
             assert gram == expected, label
-            assert HermLattice(G, B).same_lattice(L), label
+            assert same_lattice(HermLattice(G, B), L), label
             if basis is None:
                 # in the given basis only the folds of H(0) and H(2) mix vectors
                 mixed = any(sum(not x.is_zero() for x in v) > 1 for v in vecs)

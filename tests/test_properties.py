@@ -3,9 +3,14 @@
 import random
 
 import pytest
-from support import acceptance_family, oracle_vertex_census, random_basis_change
+from support import (
+    acceptance_family,
+    hnf_canonicalize,
+    oracle_vertex_census,
+    random_basis_change,
+)
 
-from hermcycles import EnumerationBounds, HermLattice, enumerate_vertices, hnf_canonicalize
+from hermcycles import EnumerationBounds, HermLattice, enumerate_vertices
 from hermcycles.lattice import mat_mul
 
 pytest.importorskip("hypothesis")
