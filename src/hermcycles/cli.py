@@ -33,18 +33,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_document(args) -> dict:
-    if args.input and args.input != "-":
-        try:
+    try:
+        if args.input and args.input != "-":
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read input: {exc}") from exc
-    else:
-        text = sys.stdin.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read input: {exc}") from exc
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SchemaError("request document must be a JSON object")
     return doc
@@ -123,7 +125,7 @@ def _cmd_cycle(args):
 
 def _cmd_vertices(args):
     _, G = _local_request(args, "gram")
-    vs = enumerate_vertices(HermLattice.from_gram(G.check_nonsingular()), _bounds(args))
+    vs = enumerate_vertices(HermLattice.from_gram(G), _bounds(args))
     if args.dot:
         return poset_dot(vs)
     return vs.to_json()
@@ -131,9 +133,7 @@ def _cmd_vertices(args):
 
 def _cmd_verify(args):
     _, G = _local_request(args, "gram")
-    return verify_structure_theorems(
-        HermLattice.from_gram(G.check_nonsingular()), _bounds(args)
-    ).to_json()
+    return verify_structure_theorems(HermLattice.from_gram(G), _bounds(args)).to_json()
 
 
 def _cmd_global(args):

@@ -177,9 +177,10 @@ def _iter_candidates(fs, q: _Quotient, max_candidates: int):
     those congruent to -s / pi^g modulo pi^(e_i - g).  Every residue of every
     slot reached still counts against ``max_candidates``.
 
-    A vertex has type between 0 and the rank, which pins the pivot-exponent
-    sum to the window [(d - n)/2, d/2] with d the order of det L; pivot
-    choices outside the window are skipped up front.
+    A candidate has type d - 2*(e_1 + ... + e_n), d the order of det L (see
+    _is_vertex).  A vertex has type between 0 and the rank, which pins the
+    pivot-exponent sum to the window [(d - n)/2, d/2]; pivot choices outside
+    the window are skipped up front.
 
     Precision: X[j][j] = pi^(f_j - e_j) is exact and X[i][j] divides by
     pi^e_i, so s at slot (i, j) is known modulo pi^(2K - e_(i+1) - ... -
@@ -248,55 +249,28 @@ def _iter_candidates(fs, q: _Quotient, max_candidates: int):
     yield from rec_row(n - 1, 0)
 
 
-def _eliminate_units(NX, NY, rows, cols, p: int) -> int:
-    """Eliminate the unit pivots of N = NX + NY*pi over F_p[pi]/(pi^2), in place.
-
-    Each pivot's row and column leave ``rows`` and ``cols``; the Schur
-    complement stays behind, with NX = 0 on it once no unit is left.
-    Returns the number of pivots.
-    """
-    found = 0
-    while True:
-        piv = next(((i, j) for i in rows for j in cols if NX[i][j]), None)
-        if piv is None:
-            return found
-        i, j = piv
-        rows.remove(i)
-        cols.remove(j)
-        ux = pow(NX[i][j], -1, p)
-        uy = -NY[i][j] * ux * ux  # the pivot's inverse is ux + uy*pi
-        for k in rows:
-            ax, ay = NX[k][j], NY[k][j]
-            fx, fy = ax * ux % p, (ax * uy + ay * ux) % p
-            if fx or fy:
-                for c in cols:
-                    bx = NX[i][c]
-                    NX[k][c] = (NX[k][c] - fx * bx) % p
-                    NY[k][c] = (NY[k][c] - fx * NY[i][c] - fy * bx) % p
-        found += 1
-
-
-def _vertex_type(Z, H, c: int, q: _Quotient):
-    """Type of the candidate, or None when it is not a vertex lattice.
+def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
+    """Whether the candidate with triangular basis Z and type t is a vertex lattice.
 
     The candidate Gram is M = Z^T * G# * conj(Z), with G# the Gram of the
-    dual basis.  H = p^c * G# is integral and reduced modulo p^K, K >= c + 1,
-    so S = p^c * M = Z^T * H * conj(Z) is exact modulo pi^(2c + 2).  A vertex
-    needs every entry of M of order >= -1 (pi*V pairs integrally with V),
-    that is S = 0 modulo pi^(2c - 1).  Then N = pi*M is integral and known
-    modulo pi^2, which is all that matters: M^-1 = pi * N^-1 is integral (the
-    dual sits inside V) exactly when every elementary divisor of N is 1 or
-    pi.  Over F_p[pi]/(pi^2): once the r unit pivots of N are eliminated,
-    the rest must be pi times a matrix invertible over F_p.  The type, minus
-    the pi-order of det M = pi^-n * det N, is then n - (n - r) = r.
+    dual basis, of determinant order -d, so ord det M = 2*(e_1 + ... + e_n)
+    - d = -t.  H = p^c * G# is integral and reduced modulo p^K, K >= c, so
+    S = p^c * M = Z^T * H * conj(Z) is exact modulo pi^(2c).  A vertex needs
+    every entry of M of order >= -1 (pi*V pairs integrally with V), that is
+    S = 0 modulo pi^(2c - 1).  Then N = pi*M is integral, with ord det N =
+    n - t, and M^-1 = pi * N^-1 is integral (the dual sits inside V) exactly
+    when every elementary divisor of N is 1 or pi.  Their exponents sum to
+    n - t, and to at least n - r, r the rank over F_p of N modulo pi, with
+    equality only when none exceeds 1: V is a vertex exactly when r = t.
+    N modulo pi is alternating (N^T = -conj(N), and the diagonal of N is pi
+    times a rational), so r is even and an odd t is never accepted.
     """
     n = len(Z)
     p, m, pi0 = q.p, q.m, q.pi0
     pc, pc1 = p**c, p ** (c - 1)
     eps = q.eps % p
     P = [[None] * n for _ in range(n)]  # H * conj(Z), row a filled at step a
-    NX = [[0] * n for _ in range(n)]
-    NY = [[0] * n for _ in range(n)]
+    R = [[0] * n for _ in range(n)]  # N modulo pi
     for a in range(n):
         Ha, Pa = H[a], P[a]
         for b in range(a, n):  # column b of Z vanishes below row b
@@ -315,22 +289,23 @@ def _vertex_type(Z, H, c: int, q: _Quotient):
                 sa += za * xa + zb * xb * pi0
                 sb += za * xb + zb * xa
             if sa % pc or sb % pc1:
-                return None
-            # N = pi*S / p^c = eps * sb/p^(c-1) + (sa/p^c)*pi, and N^T = -conj(N)
-            x, y = sb // pc1 * eps % p, sa // pc % p
-            NX[a][b], NY[a][b] = x, y
-            NX[b][a], NY[b][a] = -x % p, y
-    rows, cols = list(range(n)), list(range(n))
-    t = _eliminate_units(NX, NY, rows, cols, p)
-    for i in rows:
-        for j in cols:
-            NX[i][j], NY[i][j] = NY[i][j], 0  # the rest of N, divided by pi
-    _eliminate_units(NX, NY, rows, cols, p)
-    if rows:
-        return None
-    if t % 2:
-        raise AssertionError(f"vertex type {t} must be a nonnegative even integer")
-    return t
+                return False
+            # N = pi*S / p^c = eps * sb/p^(c-1) + (sa/p^c)*pi
+            R[a][b] = sb // pc1 * eps % p
+            R[b][a] = -R[a][b] % p
+    r = 0
+    for j in range(n):
+        i = next((i for i in range(r, n) if R[i][j]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][j], -1, p)
+        for i in range(r + 1, n):
+            f = R[i][j] * inv % p
+            if f:
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        r += 1
+    return r == t
 
 
 def _contains(Zb, eb, Za, ea, q: _Quotient) -> bool:
@@ -453,7 +428,7 @@ def enumerate_vertices(
     the canonical bases of the vertices found, the work runs on pairs of
     ints modulo one p^K (see _Quotient), K the least meeting three needs:
 
-    - the vertex test needs K >= c + 1.  With F = max f, pi^F kills L^#/L,
+    - the vertex test needs K >= c.  With F = max f, pi^F kills L^#/L,
       so pi^F * L^# lies in L and pairs integrally with L^#: pi^F * G# is
       integral, and so is p^c * G# for c = max(1, ceil(F/2));
     - the back-substitutions of the candidates and the poset need
@@ -485,13 +460,13 @@ def enumerate_vertices(
     c = max(1, (max(fs) + 1) // 2)
     a = max([0] + [-_val(y, ctx.p) for row in dual_mat for x in row for y in (x.a, x.b) if y])
     ord_det_D = 2 * a * n - (d + L.ambient.det().ord()) // 2
-    q = _Quotient(ctx, max(c + 1, (d + 1) // 2, (ord_det_D + d // 2 + 2) // 2))
+    q = _Quotient(ctx, max(c, (d + 1) // 2, (ord_det_D + d // 2 + 2) // 2))
     H = [[q.reduce(x * ctx.p**c) for x in row] for row in gram_dual]
     D = [[q.reduce(x * ctx.p**a) for x in row] for row in dual_mat]
     decorated = []
     for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
-        t = _vertex_type(Z, H, c, q)
-        if t is None:
+        t = d - 2 * sum(es)
+        if not _is_vertex(Z, H, c, t, q):
             continue
         lat = HermLattice(L.ambient, _canonical_basis(D, Z, a, q, ctx))
         key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
@@ -500,19 +475,17 @@ def enumerate_vertices(
     vertices = tuple(item[1] for item in decorated)
     exps = [item[2] for item in decorated]
     mats = [item[3] for item in decorated]
-    # Containment a < b multiplies the index in the dual by the covolume
-    # ratio, and each index step drops the type by exactly 2; it also needs
-    # the pivot exponents of a to dominate those of b.  Vertices are grouped
-    # by (exponents, type), and only pairs of groups that pass both tests
+    # Containment a < b needs the pivot exponents of a to dominate those of
+    # b and to differ from them, as equal exponents mean equal covolumes.
+    # Vertices are grouped by exponents, and only pairs of groups that pass
     # meet the back-substitution.
     groups: dict[tuple, list[int]] = {}
-    for a, (es, v) in enumerate(zip(exps, vertices)):
-        groups.setdefault((es, v.type), []).append(a)
+    for a, es in enumerate(exps):
+        groups.setdefault(es, []).append(a)
     edges = []
-    for (ea, ta), members_a in groups.items():
-        for (eb, tb), members_b in groups.items():
-            step = sum(ea) - sum(eb)
-            if step <= 0 or tb - ta != 2 * step or any(x < y for x, y in zip(ea, eb)):
+    for ea, members_a in groups.items():
+        for eb, members_b in groups.items():
+            if ea == eb or any(x < y for x, y in zip(ea, eb)):
                 continue
             for a in members_a:
                 for b in members_b:

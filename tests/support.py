@@ -7,12 +7,16 @@ norm residues, self-duality against the Hilbert symbols at the inert primes,
 positivity against the signs of the leading principal minors, module
 lengths and the vertex oracle's dual basis against a standalone Smith
 form, the enumerator's modular canonical bases against a Fraction HNF,
-and the vertex enumerator against an exact-rational enumerator.
+and the vertex enumerator against an exact-rational enumerator.  ``invoke``
+runs one CLI request in-process.
 """
 
 from __future__ import annotations
 
+import io
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import isqrt
 
@@ -27,6 +31,7 @@ from hermcycles import (
     orthogonal_sum,
     smallest_nonresidue,
 )
+from hermcycles.cli import run
 from hermcycles.errors import (
     EnumerationLimitError,
     NonIntegralLatticeError,
@@ -55,6 +60,23 @@ from hermcycles.padic import (
 )
 from hermcycles.ramified import pi_power
 from hermcycles.vertices import EnumerationBounds, Vertex, VertexSet
+
+
+def invoke(argv, stdin_text=None):
+    """Exit code and standard output of one CLI request, run in-process."""
+    buf = io.StringIO()
+    if stdin_text is not None:
+        old = sys.stdin
+        sys.stdin = io.StringIO(stdin_text)
+        try:
+            with redirect_stdout(buf):
+                code = run(argv)
+        finally:
+            sys.stdin = old
+    else:
+        with redirect_stdout(buf):
+            code = run(argv)
+    return code, buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,20 @@
-import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from support import invoke
 
 import hermcycles
 from hermcycles import cli
-from hermcycles.cli import run
 from hermcycles.padic import parse_rational
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def invoke(argv, stdin_text=None):
-    buf = io.StringIO()
-    if stdin_text is not None:
-        old = sys.stdin
-        sys.stdin = io.StringIO(stdin_text)
-        try:
-            with redirect_stdout(buf):
-                code = run(argv)
-        finally:
-            sys.stdin = old
-    else:
-        with redirect_stdout(buf):
-            code = run(argv)
-    return code, buf.getvalue()
 
 
 def test_cycle_unimodular_single_point():
@@ -58,7 +41,7 @@ def test_cycle_rejects_p2():
     assert json.loads(out)["error"]["code"] == "unsupported-prime"
 
 
-def test_schema_violations_exit_1():
+def test_schema_violations_exit_1(tmp_path):
     code, out = invoke(["cycle", "--p", "3"], stdin_text='{"matrix": [[1]], "x": 1}')
     assert code == 1
     assert json.loads(out)["error"]["code"] == "schema-violation"
@@ -68,6 +51,28 @@ def test_schema_violations_exit_1():
     assert code == 1
     code, out = invoke(["nosuchcommand"])
     assert code == 1
+    # a document nested past the parser's recursion limit, and a request file
+    # that is not UTF-8, used to end in a traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"matrix": [["\xe9"]]}')
+    cases = (
+        (
+            ["cycle", "--p", "3"],
+            "[" * 100_000,
+            "invalid JSON: nested too deeply",
+        ),
+        (
+            ["cycle", "--p", "3", str(latin1)],
+            None,
+            "cannot read input: 'utf-8' codec can't decode byte 0xe9 in position 14:"
+            " invalid continuation byte",
+        ),
+    )
+    for argv, text, message in cases:
+        code, out = invoke(argv, stdin_text=text)
+        assert code == 1
+        error = {"code": "schema-violation", "message": message}
+        assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
 
 
 def test_domain_errors_exit_2():
@@ -375,10 +380,44 @@ def test_cycle_and_global_compute_no_redundant_determinant(monkeypatch):
     assert len(calls) == 1
 
 
+def test_vertices_and_verify_check_integrality_and_rank_before_singularity(monkeypatch):
+    # The enumerator's Jordan elimination is the singularity test of vertices
+    # and verify, so a singular request that is also over rank or not integral
+    # gets the error of the earlier check; none of these requests computes a
+    # determinant.
+    from hermcycles import lattice
+
+    calls = []
+    real = lattice.mat_det
+    monkeypatch.setattr(lattice, "mat_det", lambda *args: calls.append(args) or real(*args))
+    singular = '{"gram": [[1, 1], [1, 1]]}'
+    cases = (
+        (
+            ["--max-rank", "1"],
+            singular,
+            3,
+            {"code": "enumeration-limit", "message": "rank 2 exceeds enumeration bound 1"},
+        ),
+        (
+            [],
+            '{"gram": [["1/3", "1/3"], ["1/3", "1/3"]]}',
+            2,
+            {"code": "nonintegral-lattice", "message": "lattice does not pair integrally with itself"},
+        ),
+        ([], singular, 2, {"code": "singular-matrix", "message": "Gram matrix is singular"}),
+    )
+    for command in ("vertices", "verify"):
+        for flags, text, exit_code, error in cases:
+            code, out = invoke([command, "--p", "3", *flags], stdin_text=text)
+            assert code == exit_code
+            assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+    assert calls == []
+
+
 def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # The dual basis comes from one Jordan elimination of Gram(L): no dual
     # lattice, one inverse (of the block-diagonal Jordan Gram), one product,
-    # and the one determinant the CLI's singularity check computes.
+    # and one determinant, the enumerator's ord det of the ambient Gram.
     from hermcycles import lattice, vertices
 
     calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 0}
@@ -487,3 +526,17 @@ def test_decimal_exponent_past_the_digit_limit_is_refused_before_the_work():
         error = {"code": "schema-violation", "message": message}
         assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
         assert peak < 5 * 2**20
+
+
+def test_readme_cli_examples_run():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(commands) == 4
+    for line in commands:
+        echo, text, pipe, program, *argv = shlex.split(line)
+        assert (echo, pipe, program) == ("echo", "|", "hermcycles"), line
+        code, out = invoke(argv, stdin_text=text)
+        assert code == 0, line
+        assert isinstance(json.loads(out), dict), line

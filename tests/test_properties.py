@@ -1,11 +1,14 @@
 """Property tests drawn by Hypothesis (skipped when it is not installed)."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from support import (
     acceptance_family,
     hnf_canonicalize,
+    invoke,
     oracle_vertex_census,
     random_basis_change,
 )
@@ -33,3 +36,72 @@ def test_canonical_bases_and_census_in_random_bases(case, seed):
     bounds = EnumerationBounds(max_scale=4)
     expected, _ = oracle_vertex_census(moved, bounds)
     assert enumerate_vertices(moved, bounds).to_json() == expected, label
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1] * 8 + [3, 9]))
+
+
+@st.composite
+def _near_hermitian(draw, keys):
+    """A Hermitian matrix of rank 1 to 3 in the request format, with one entry
+    replaced by an arbitrary JSON value one time in four."""
+    n = draw(st.integers(1, 3))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a = draw(_RATIONALS)
+            b = draw(_RATIONALS) if i != j else Fraction(0)
+            rows[i][j] = {keys[0]: str(a), keys[1]: str(b)}
+            rows[j][i] = {keys[0]: str(a), keys[1]: str(-b)}
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_JSON)
+    return rows
+
+
+_LOCAL_FLAGS = st.tuples(
+    st.just("--p"),
+    st.sampled_from(["3", "5"] * 3 + ["2", "9"]),
+    st.just("--epsilon"),
+    st.sampled_from(["1", "-1", "1/2"] * 2 + ["3"]),
+)
+_LOCAL = st.fixed_dictionaries({"gram": _near_hermitian(("a", "b"))})
+_MATRIX = st.fixed_dictionaries({"matrix": _near_hermitian(("a", "b"))})
+_REQUESTS = {
+    "jordan": (_LOCAL_FLAGS, _LOCAL),
+    "cycle": (_LOCAL_FLAGS, _MATRIX),
+    "cycle --raw": (_LOCAL_FLAGS, _MATRIX),
+    "global --factor-bound 1000": (
+        st.just(()),
+        st.fixed_dictionaries({"delta": st.integers(-40, 5), "matrix": _near_hermitian(("x", "y"))}),
+    ),
+    "hilbert": (
+        st.just(()),
+        st.fixed_dictionaries(
+            {
+                "a": _RATIONALS.map(str),
+                "b": _RATIONALS.map(str),
+                "place": st.sampled_from([2, 3, 5, 7, 9, "real", 0, "3", None]),
+            }
+        ),
+    ),
+    "vertices --max-candidates 2000": (_LOCAL_FLAGS, _LOCAL),
+    "verify --max-candidates 2000": (_LOCAL_FLAGS, _LOCAL),
+}
+
+
+@pytest.mark.parametrize("command", list(_REQUESTS))
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_the_cli_answers_every_request_with_one_document(command, data):
+    flags, doc = (data.draw(strategy) for strategy in _REQUESTS[command])
+    if data.draw(st.integers(0, 3)) == 0:  # one request in four is arbitrary JSON
+        doc = data.draw(_JSON)
+    code, out = invoke([*command.split(), *flags], json.dumps(doc))
+    assert code in (0, 1, 2, 3)
+    assert out.endswith("\n")
+    json.loads(out)
