@@ -61,6 +61,8 @@ def mat_transpose(A):
 
 
 def mat_det(A, ctx: QuadContext) -> OHElement:
+    """Gaussian elimination; zero entries cost nothing, and a pivot is
+    inverted only when some row below it has to be cleared."""
     n = len(A)
     M = [row[:] for row in A]
     det = ctx.one()
@@ -72,16 +74,18 @@ def mat_det(A, ctx: QuadContext) -> OHElement:
             M[c], M[piv] = M[piv], M[c]
             det = -det
         det = det * M[c][c]
+        below = [r for r in range(c + 1, n) if not M[r][c].is_zero()]
+        if not below:
+            continue
         inv = M[c][c].inverse()
-        for r in range(c + 1, n):
-            if M[r][c].is_zero():
-                continue
+        for r in below:
             f = M[r][c] * inv
-            M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+            M[r] = [x - f * y if y else x for x, y in zip(M[r], M[c])]
     return det
 
 
 def mat_inverse(A, ctx: RamifiedContext):
+    """Gauss-Jordan elimination on [A | I]; zero entries cost nothing."""
     n = len(A)
     M = [row[:] + ident_row[:] for row, ident_row in zip(A, mat_identity(n, ctx))]
     for c in range(n):
@@ -91,12 +95,12 @@ def mat_inverse(A, ctx: RamifiedContext):
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
         inv = M[c][c].inverse()
-        M[c] = [x * inv for x in M[c]]
+        M[c] = [x * inv if x else x for x in M[c]]
         for r in range(n):
             if r == c or M[r][c].is_zero():
                 continue
             f = M[r][c]
-            M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+            M[r] = [x - f * y if y else x for x, y in zip(M[r], M[c])]
     return [row[n:] for row in M]
 
 

@@ -110,11 +110,18 @@ class OHElement:
             return OHElement._raw(Fraction(other), _ZERO, self.ctx)
         return None
 
+    # Zero components cost no Fraction work: a zero addend leaves the other
+    # component as it is, and a rational factor makes a product one or two
+    # Fraction products instead of the general formula's five.
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OHElement._raw(self.a + o.a, self.b + o.b, self.ctx)
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return OHElement._raw(
+            (a + c if c else a) if a else c, (b + d if d else b) if b else d, self.ctx
+        )
 
     __radd__ = __add__
 
@@ -122,26 +129,33 @@ class OHElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OHElement._raw(self.a - o.a, self.b - o.b, self.ctx)
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return OHElement._raw(
+            (a - c if a else -c) if c else a, (b - d if b else -d) if d else b, self.ctx
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OHElement._raw(o.a - self.a, o.b - self.b, self.ctx)
+        return o - self
 
     def __neg__(self):
-        return OHElement._raw(-self.a, -self.b, self.ctx)
+        a, b = self.a, self.b
+        return OHElement._raw(-a if a else a, -b if b else b, self.ctx)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OHElement._raw(
-            self.a * o.a + self.b * o.b * self.ctx.pi0,
-            self.a * o.b + self.b * o.a,
-            self.ctx,
-        )
+        a, b, c, d = self.a, self.b, o.a, o.b
+        if not b:
+            if not d:
+                return OHElement._raw(a * c, _ZERO, self.ctx)
+            return OHElement._raw(a * c, a * d, self.ctx)
+        if not d:
+            return OHElement._raw(a * c, b * c, self.ctx)
+        return OHElement._raw(a * c + b * d * self.ctx.pi0, a * d + b * c, self.ctx)
 
     __rmul__ = __mul__
 
@@ -161,14 +175,20 @@ class OHElement:
         n = self.norm()
         if n == 0:
             raise PreconditionError("division by zero in H")
-        return OHElement._raw(self.a / n, -self.b / n, self.ctx)
+        a, b = self.a, self.b
+        return OHElement._raw(a / n if a else a, -b / n if b else b, self.ctx)
 
     def conjugate(self) -> "OHElement":
-        return OHElement._raw(self.a, -self.b, self.ctx)
+        return OHElement._raw(self.a, -self.b, self.ctx) if self.b else self
 
     def norm(self) -> Fraction:
         """x * conj(x) = a**2 - b**2 * pi0, fixed by conjugation."""
-        return self.a * self.a - self.b * self.b * self.ctx.pi0
+        a, b = self.a, self.b
+        if not b:
+            return a * a
+        if not a:
+            return -(b * b * self.ctx.pi0)
+        return a * a - b * b * self.ctx.pi0
 
     def ord(self):
         """pi-adic order: min(2*val_p(a), 2*val_p(b) + 1); +inf for 0."""

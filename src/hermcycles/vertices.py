@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
+from . import lattice
 from .cycles import CycleInvariants, cycle_invariants
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
 from .lattice import HermLattice, _jordan_chunks, mat_conj, mat_inverse, mat_mul
@@ -74,15 +75,18 @@ def _dual_jordan_basis(L: HermLattice):
     and ascending f with L = span(C_j * pi^f_j).
 
     The elimination of jordan_split on Gram(L), tracking the columns of L's
-    basis, gives a Jordan basis B of L with B^T G conj(B) = J block diagonal,
-    scales ascending.  C = B * W with W = conj(J)^-1 (see HermLattice.dual)
-    has C^T G conj(B) = J^-1 * J = I, since J^T = conj(J), so C spans L^#;
-    its Gram is C^T G conj(B) conj(W) = conj(W) = J^-1.  Each block J_b of
-    scale s is pi^s-modular (Jacobowitz): a rank-1 pivot is pi^s times a
-    unit; a rank-2 pivot has off-diagonal entries of order s, diagonal ones
-    above s and det of order 2s.  So conj(J_b) is pi^s times a matrix in
-    GL(O_H), and B_b = C_b * conj(J_b) spans C_b * pi^s: f is the list of
-    scales.
+    basis, gives a Jordan basis B = L.basis * U of L with U in GL_n(O_H)
+    (each step adds O_H-multiples of pivot vectors to the others, as the
+    pivot has least order, and the pivots are taken in some order), and
+    B^T G conj(B) = J block diagonal, scales ascending; so ord det J = d =
+    ord det G + 2 * ord det(L.basis).  C = B * W with W = conj(J)^-1 (see
+    HermLattice.dual) has C^T G conj(B) = J^-1 * J = I, since J^T =
+    conj(J), so C spans L^#; its Gram is C^T G conj(B) conj(W) = conj(W) =
+    J^-1.  Each block J_b of scale s is pi^s-modular (Jacobowitz): a rank-1
+    pivot is pi^s times a unit; a rank-2 pivot has off-diagonal entries of
+    order s, diagonal ones above s and det of order 2s.  So conj(J_b) is
+    pi^s times a matrix in GL(O_H), and B_b = C_b * conj(J_b) spans C_b *
+    pi^s: f is the list of scales.
     """
     n = L.n
     zero = L.ctx.zero()
@@ -108,6 +112,15 @@ def _int_val(c: int, p: int, cap: int) -> int:
     return v
 
 
+def _scaled_residues(A, s: int, m: int):
+    """The entries of s * A, which must be integral, as int pairs modulo m;
+    zero components cost no Fraction work."""
+    return [
+        [(_mod(x.a * s, m) if x.a else 0, _mod(x.b * s, m) if x.b else 0) for x in row]
+        for row in A
+    ]
+
+
 class _Quotient:
     """O_H / p^K on pairs of ints (a, b) = a + b*pi reduced modulo p^K.
 
@@ -128,9 +141,6 @@ class _Quotient:
         self.pi0 = _mod(ctx.pi0, self.m)
         self.eps = _mod(ctx.eps, self.m)
         self.inv_eps = pow(self.eps, -1, self.m)
-
-    def reduce(self, x) -> tuple[int, int]:
-        return _mod(x.a, self.m), _mod(x.b, self.m)
 
     def pi_power(self, e: int) -> tuple[int, int]:
         s = pow(self.pi0, e // 2, self.m)
@@ -439,8 +449,10 @@ def enumerate_vertices(
       L is O_H^n, which is c unless L is unimodular), a vertex's M = D * Z
       has ord det M = ord det D + e_1 + ... + e_n, at most ord det D +
       floor(d/2) by the candidates' pivot window; ord det D = 2an + ord det
-      dual, and ord det dual = -(d + ord det G)/2 for the ambient Gram G,
-      because the Gram of L^# has determinant order -d.
+      dual, and ord det dual = ord det(L.basis) - d, because the dual
+      columns times pi^f are L.basis times a matrix in GL_n(O_H)
+      (_dual_jordan_basis).  For a request from the command line L.basis
+      is the identity, so no determinant of a dense Gram is needed.
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -459,10 +471,10 @@ def enumerate_vertices(
     d = sum(fs)
     c = max(1, (max(fs) + 1) // 2)
     a = max([0] + [-_val(y, ctx.p) for row in dual_mat for x in row for y in (x.a, x.b) if y])
-    ord_det_D = 2 * a * n - (d + L.ambient.det().ord()) // 2
+    ord_det_D = 2 * a * n - d + lattice.mat_det(L.basis_rows(), ctx).ord()
     q = _Quotient(ctx, max(c, (d + 1) // 2, (ord_det_D + d // 2 + 2) // 2))
-    H = [[q.reduce(x * ctx.p**c) for x in row] for row in gram_dual]
-    D = [[q.reduce(x * ctx.p**a) for x in row] for row in dual_mat]
+    H = _scaled_residues(gram_dual, ctx.p**c, q.m)
+    D = _scaled_residues(dual_mat, ctx.p**a, q.m)
     decorated = []
     for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
         t = d - 2 * sum(es)

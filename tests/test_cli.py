@@ -417,17 +417,21 @@ def test_vertices_and_verify_check_integrality_and_rank_before_singularity(monke
 def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # The dual basis comes from one Jordan elimination of Gram(L): no dual
     # lattice, one inverse (of the block-diagonal Jordan Gram), one product,
-    # and one determinant, the enumerator's ord det of the ambient Gram.
+    # and one determinant, of the lattice basis (the identity for a request
+    # from the command line), which with the Jordan scales gives the
+    # enumerator its ord det of the dual; no determinant of a Gram.
     from hermcycles import lattice, vertices
 
     calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 0}
-    inverted = []
+    inverted, determinants = [], []
 
     def counting(name, fn):
         def wrapper(*args):
             calls[name] += 1
             if name == "mat_inverse":
                 inverted.append(args[0])
+            if name == "mat_det":
+                determinants.append(args[0])
             return fn(*args)
 
         return wrapper
@@ -453,11 +457,14 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         for name in calls:
             calls[name] = 0
         inverted.clear()
+        determinants.clear()
         code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
         assert code == 0
         assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 1, "mat_det": 1, "_jordan_chunks": 1}
         (J,) = inverted
         assert all(J[i][j].is_zero() for i in range(4) for j in range(4) if i // 2 != j // 2)
+        (basis,) = determinants
+        assert basis == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
 def test_negative_enumeration_bounds_are_refused():

@@ -36,6 +36,9 @@ from hermcycles import lattice
 from hermcycles.lattice import (
     _jordan_chunks,
     mat_conj,
+    mat_det,
+    mat_identity,
+    mat_inverse,
     mat_mul,
     mat_transpose,
 )
@@ -332,3 +335,84 @@ def test_orthogonal_sum_shape():
     assert G.n == 3
     assert G.entries[2][2] == ctx.one()
     assert G.entries[0][2].is_zero()
+
+
+def _kernel_cases(rng, ctx):
+    """Square matrices over H as (label, rows): the identity, random sparse
+    ones, block diagonals with 1x1 and 2x2 blocks shaped like the Jordan
+    Gram of the enumerator, ones whose elimination needs row swaps, and
+    singular ones with no zero row."""
+    zero = ctx.zero()
+
+    def nonzero():
+        x = zero
+        while x.is_zero():
+            x = rand_oh(rng, ctx, -1, 1)
+        return x
+
+    for n in (1, 3, 4):
+        yield f"identity {n}", mat_identity(n, ctx)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        yield "sparse", [
+            [nonzero() if rng.random() < 0.6 else zero for _ in range(n)] for _ in range(n)
+        ]
+    for _ in range(8):
+        sizes = rng.choice([[1, 2], [2, 1], [2, 2], [1, 1, 2], [2], [1, 2, 1]])
+        n = sum(sizes)
+        J = [[zero] * n for _ in range(n)]
+        k = 0
+        for size in sizes:
+            if size == 1:
+                J[k][k] = ctx.element(nonzero().a or 1)
+            else:
+                x = nonzero()
+                J[k][k + 1], J[k + 1][k] = x, x.conjugate()
+                for r in (k, k + 1):
+                    J[r][r] = ctx.element(rand_oh(rng, ctx).a)
+            k += size
+        yield f"block diagonal {sizes}", J
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        perm = list(range(n))
+        while perm[0] == 0:
+            rng.shuffle(perm)
+        yield "row swaps", [
+            [nonzero() if j == perm[i] else (rand_oh(rng, ctx) if j > perm[i] else zero) for j in range(n)]
+            for i in range(n)
+        ]
+    x, y = nonzero(), nonzero()
+    yield "singular: y times the first row", [
+        [x, y, ctx.one()],
+        [x * y, y * y, y],
+        [zero, ctx.pi(), x],
+    ]
+    yield "singular: zero column", [[zero, x], [zero, y]]
+
+
+def test_matrix_kernels_agree_with_sympy_over_the_quadratic_field():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(13)
+    for ctx in (RamifiedContext(3, 1), RamifiedContext(5, F(-2, 3)), RamifiedContext(7, -1)):
+        root = sympy.sqrt(sympy.Rational(ctx.pi0))
+        K = sympy.QQ.algebraic_field(root)
+        g = K.from_sympy(root)
+
+        def to_field(x):
+            return K.convert(sympy.Rational(x.a)) + K.convert(sympy.Rational(x.b)) * g
+
+        for label, A in _kernel_cases(rng, ctx):
+            n = len(A)
+            oracle = DomainMatrix([[to_field(x) for x in row] for row in A], (n, n), K)
+            det = oracle.det()
+            assert to_field(mat_det(A, ctx)) == det, label
+            assert det == K.zero or not label.startswith("singular"), label
+            if det == K.zero:
+                with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                    mat_inverse(A, ctx)
+                continue
+            got = mat_inverse(A, ctx)
+            assert [[to_field(x) for x in row] for row in got] == oracle.inv().to_list(), label
+            assert all(type(x.a) is F and type(x.b) is F for row in got for x in row), label

@@ -8,7 +8,9 @@ from support import is_norm_oracle, rand_oh, unit_norm_residues
 
 from hermcycles import (
     INFINITY,
+    OHElement,
     PreconditionError,
+    QuadContext,
     RamifiedContext,
     UnsupportedPrimeError,
     is_norm,
@@ -152,3 +154,62 @@ def test_arithmetic_with_plain_numbers():
     assert 2 * pi == ctx.element(0, 2)
     assert (pi + F(1, 2)) - F(1, 2) == pi
     assert 1 / ctx.element(2) == ctx.element(F(1, 2))
+
+
+def _pair(x):
+    """(a, b) of an element, or (x, 0) of a plain number, as Fractions."""
+    if isinstance(x, OHElement):
+        return x.a, x.b
+    return F(x), F(0)
+
+
+def _pair_formulas(x, y, pi0):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    return {
+        "+": (a + c, b + d),
+        "-": (a - c, b - d),
+        "*": (a * c + b * d * pi0, a * d + b * c),
+    }
+
+
+def test_zero_aware_arithmetic_matches_the_pair_formulas():
+    # the fast paths for zero components give what the general formulas give,
+    # with every component a Fraction, for int and Fraction scalars on either
+    # side, over the local and the global algebra
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    contexts = st.sampled_from(
+        [RamifiedContext(3, -1), RamifiedContext(5, F(2, 3)), QuadContext(-3), QuadContext(F(7, 2))]
+    )
+    nonzero = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+    component = st.one_of(st.just(F(0)), nonzero, nonzero)  # zero about a third of the time
+    scalar = st.one_of(st.integers(-4, 4), component)
+    ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(contexts, component, component, component, component, scalar)
+    def check(ctx, a, b, c, d, s):
+        x, y = OHElement(a, b, ctx), OHElement(c, d, ctx)
+        for left, right in ((x, y), (y, x), (x, s), (s, x)):
+            expected = _pair_formulas(left, right, ctx.pi0)
+            for name, op in ops.items():
+                r = op(left, right)
+                assert type(r.a) is F and type(r.b) is F, (name, left, right)
+                assert (r.a, r.b) == expected[name], (name, left, right)
+        for z in (x, -x, x.conjugate()):
+            assert type(z.norm()) is F
+            za, zb = _pair(z)
+            assert z.norm() == za * za - zb * zb * ctx.pi0
+        assert (-x).a == -a and (-x).b == -b and x.conjugate().b == -b
+        if x.is_zero():
+            with pytest.raises(PreconditionError):
+                x.inverse()
+        else:
+            n = a * a - b * b * ctx.pi0
+            inv = x.inverse()
+            assert type(inv.a) is F and type(inv.b) is F
+            assert (inv.a, inv.b) == (a / n, -b / n)
+
+    check()

@@ -32,7 +32,7 @@ from hermcycles import (
     verify_structure_theorems,
 )
 from hermcycles import vertices
-from hermcycles.lattice import mat_conj, mat_inverse, mat_mul
+from hermcycles.lattice import mat_conj, mat_det, mat_inverse, mat_mul
 
 
 def test_unimodular_has_single_vertex():
@@ -170,6 +170,13 @@ def test_integer_kernel_agrees_with_the_fraction_oracle():
     assert checked == 164 + 12
 
 
+def _det_bookkeeping_holds(L, fs):
+    # the Jordan basis is L.basis times a matrix in GL_n(O_H), so the scales
+    # add up to ord det Gram(L) = ord det G + 2 * ord det(L.basis); the
+    # enumerator's modulus relies on it in place of ord det G
+    return sum(fs) == L.ambient.det().ord() + 2 * mat_det(L.basis_rows(), L.ctx).ord()
+
+
 def test_dual_basis_is_a_jordan_basis_of_the_dual():
     # the dual columns span L^#, dual * diag(pi^f) spans L, f ascends as the
     # oracle's Smith form says, and G# is the Gram of the dual columns
@@ -182,6 +189,11 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual():
         scaled = [[x * pi_power(ctx, f) for x, f in zip(row, fs)] for row in dual]
         assert same_lattice(HermLattice(G, scaled), L), label
         assert gram_dual == [list(r) for r in HermLattice(G, dual).gram().entries], label
+        assert _det_bookkeeping_holds(L, fs), label
+    for label, G, B in _off_identity_cases():
+        L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
+        _, fs, _ = vertices._dual_jordan_basis(L)
+        assert _det_bookkeeping_holds(L, fs), label
 
 
 def _off_identity_cases():
