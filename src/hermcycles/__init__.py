@@ -2,8 +2,8 @@
 
 Jordan splittings, vertex-lattice enumeration, and the support and dimension
 invariants of the special cycles attached to Hermitian matrices, computed
-exactly: in rational arithmetic, and in the vertex enumerator modulo a power
-of p in which every result it keeps is exact.
+exactly: in rational arithmetic, and in the Jordan elimination and the vertex
+enumerator modulo powers of p at which every result they keep is exact.
 """
 
 from .cycles import (

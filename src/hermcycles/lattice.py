@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm, prod
 
 from .errors import (
     HermitianViolationError,
     PreconditionError,
     SingularMatrixError,
 )
-from .padic import INFINITY, _val, is_square_unit
+from .padic import _mod, _val, is_square_unit, legendre
 from .ramified import OHElement, QuadContext, RamifiedContext, pi_power
 
 _ZERO = Fraction(0)
@@ -278,7 +279,69 @@ class HermLattice:
 
 
 # ---------------------------------------------------------------------------
+# O_H modulo p^K
+
+
+def _int_val(c: int, p: int, cap: int) -> int:
+    """val_p(c), capped at cap (so 0 reads as cap)."""
+    v = 0 if c else cap
+    while v < cap and c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+class _Quotient:
+    """O_H / p^K on pairs of ints (a, b) = a + b*pi reduced modulo p^K.
+
+    Reduction modulo p^K O_H = pi^(2K) O_H is a ring map, so sums and products
+    of integral elements stay exact; every rational that enters (entries,
+    pi0 = eps*p, eps**-1) is reduced through the inverse of its denominator.
+    Division by pi^e of an element of order >= e costs precision: a pair
+    known modulo pi^P gives the quotient modulo pi^(P - e), and its order is
+    decided correctly up to P.  Callers bound the total division by 2K.
+    """
+
+    __slots__ = ("p", "k", "m", "pi0", "eps", "inv_eps")
+
+    def __init__(self, ctx: RamifiedContext, k: int):
+        self.p, self.k, self.m = ctx.p, k, ctx.p**k
+        self.pi0 = _mod(ctx.pi0, self.m)
+        self.eps = _mod(ctx.eps, self.m)
+        self.inv_eps = pow(self.eps, -1, self.m)
+
+    def pi_power(self, e: int) -> tuple[int, int]:
+        s = pow(self.pi0, e // 2, self.m)
+        return (0, s) if e % 2 else (s, 0)
+
+    def mul(self, x, y) -> tuple[int, int]:
+        (xa, xb), (ya, yb), m = x, y, self.m
+        return (xa * ya + xb * yb * self.pi0) % m, (xa * yb + xb * ya) % m
+
+    def ord(self, x) -> int:
+        """pi-order of a + b*pi, read as 2K when both vanish modulo p^K."""
+        (a, b), p, k = x, self.p, self.k
+        return 0 if a % p else min(2 * _int_val(a, p, k), 2 * _int_val(b, p, k) + 1)
+
+    def has_order(self, x, e: int) -> bool:
+        """ord(a + b*pi) >= e: p^ceil(e/2) divides a and p^floor(e/2) divides b."""
+        return x[0] % self.p ** ((e + 1) // 2) == 0 and x[1] % self.p ** (e // 2) == 0
+
+    def div_pi_power(self, x, e: int) -> tuple[int, int]:
+        """x / pi^e for x of order >= e, from pi^-2 = eps^-1 / p and pi^-1 = pi / pi0."""
+        (a, b), m = x, self.m
+        if e >= 2:
+            q = self.p ** (e // 2)
+            u = pow(self.inv_eps, e // 2, m)
+            a, b = a // q * u % m, b // q * u % m
+        if e % 2:
+            a, b = b, a // self.p * self.inv_eps % m
+        return a, b
+
+
+# ---------------------------------------------------------------------------
 # Jordan splitting
+
 
 
 @dataclass(frozen=True)
@@ -349,85 +412,137 @@ def is_split_sum(blocks, p: int) -> bool:
     return negatives % 2 == 0
 
 
-def _min_entry_ord(M):
-    s, diag, offdiag = INFINITY, None, None
-    n = len(M)
-    for i in range(n):
-        for j in range(i, n):
-            o = M[i][j].ord()
-            if o < s:
-                s, diag, offdiag = o, None, None
-            if o == s:
-                if i == j:
-                    if diag is None:
-                        diag = i
-                elif offdiag is None:
-                    offdiag = (i, j)
-    return s, diag, offdiag
+def _sub_mul(row, lam, piv, pi0: int, m: int):
+    """row - lam * piv, entrywise on pairs modulo m."""
+    la, lb = lam
+    return [
+        ((x - la * c - lb * d * pi0) % m, (y - la * d - lb * c) % m)
+        for (x, y), (c, d) in zip(row, piv)
+    ]
 
 
-def _jordan_chunks(G: HermGram, vectors):
-    """The pivoting of jordan_split, applying each basis change to ``vectors``
-    too (one coordinate vector per basis vector of G, possibly of length 0).
-    Returns (scale, rational det, pivot block, pivot vectors) per pivot, scales
-    ascending; the Gram of all the pivot vectors is the block diagonal."""
-    M = [list(row) for row in G.entries]
-    vecs = list(vectors)
+def _eliminate(M, q: _Quotient):
+    """One pass of _jordan_chunks on rows M of Gram pairs, then tracked pairs;
+    None when a complement's least order reads 2K - 1 or more."""
+    p, m, pi0 = q.p, q.m, q.pi0
     chunks = []
     while M:
         n = len(M)
-        s, diag, offdiag = _min_entry_ord(M)
-        if s is INFINITY:
-            raise SingularMatrixError("Gram matrix is singular")
-        if diag is None and s % 2 == 0:
+        # the least order; among its entries a diagonal one, then the first
+        s, is_off, i, j = min((q.ord(M[i][j]), i != j, i, j) for i in range(n) for j in range(i, n))
+        if s >= 2 * q.k - 1:
+            return None
+        if is_off and s % 2 == 0:
             # fold e_i <- e_i + e_j to surface a diagonal entry of order s
-            i, j = offdiag
-            new_diag = M[i][i] + M[i][j] + M[j][i] + M[j][j]
-            new_row = [
-                M[i][k] + M[j][k] if k != i else new_diag for k in range(n)
-            ]
-            M[i] = new_row
-            for k in range(n):
-                if k != i:
-                    M[k][i] = new_row[k].conjugate()
-            vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
-            if M[i][i].ord() != s:
+            M[i] = row = _sub_mul(M[i], (m - 1, 0), M[j], pi0, m)
+            row[i] = ((row[i][0] + row[j][0]) % m, 0)  # a trace: rational
+            for r in range(n):
+                M[r][i] = (row[r][0], -row[r][1] % m)
+            if q.ord(row[i]) != s:
                 raise AssertionError("diagonal fold failed to attain the minimal order")
-            diag = i
-        if diag is not None:
-            # e_k <- e_k - lambda_k e_i with lambda_k = M[k][i] / M[i][i]
-            i = diag
-            g = M[i][i]
-            if g.b:
-                raise AssertionError("diagonal pivot must be rational")
-            chunks.append((s, g.a, [[g]], [vecs[i]]))
-            others = [k for k in range(n) if k != i]
-            ginv = g.inverse()
-            lam = {k: M[k][i] * ginv for k in others}
-            M = [[M[k][l] - lam[k] * M[i][l] for l in others] for k in others]
-            vecs = [[x - lam[k] * y for x, y in zip(vecs[k], vecs[i])] for k in others]
-            continue
-        # odd minimal order, attained only off the diagonal: split a 2x2 block
-        # by e_k <- e_k - alpha_k e_i - beta_k e_j
-        i, j = offdiag
-        s00, s01, s10, s11 = M[i][i], M[i][j], M[j][i], M[j][j]
-        det2 = s00 * s11 - s01 * s10
-        if det2.b:
-            raise AssertionError("2x2 block determinant must be rational")
-        chunks.append((s, det2.a, [[s00, s01], [s10, s11]], [vecs[i], vecs[j]]))
-        dinv = det2.inverse()
-        others = [k for k in range(n) if k != i and k != j]
-        alphas = {k: (M[k][i] * s11 - M[k][j] * s10) * dinv for k in others}
-        betas = {k: (M[k][j] * s00 - M[k][i] * s01) * dinv for k in others}
-        M = [
-            [M[k][l] - alphas[k] * M[i][l] - betas[k] * M[j][l] for l in others]
-            for k in others
-        ]
-        vecs = [
-            [x - alphas[k] * y - betas[k] * z for x, y, z in zip(vecs[k], vecs[i], vecs[j])]
-            for k in others
-        ]
+            is_off = False
+        # split off the pivot block P (rank 2 at odd s) by e_r <- e_r - sum_b
+        # lambda_rb e_b, lambda_r = (c_r / pi^s) * (P / pi^s)^-1 for the row
+        # c_r of r in the pivot columns; det(P / pi^s) is a rational unit
+        pivots = (i, j) if is_off else (i,)
+        Q = [[q.div_pi_power(M[a][b], s) for b in pivots] for a in pivots]
+        if is_off:
+            (q00, q01), (q10, q11) = Q
+            det = (q.mul(q00, q11)[0] - q.mul(q01, q10)[0]) % m
+            adj = [[q11, (-q01[0] % m, -q01[1] % m)], [(-q10[0] % m, -q10[1] % m), q00]]
+        else:
+            det, adj = Q[0][0][0], [[(1, 0)]]
+        block = [[M[a][b] for b in pivots] for a in pivots]
+        chunks.append((s, legendre(det, p), block, [M[c][n:] for c in pivots]))
+        dinv = pow(det, -1, m)
+        keep = [r for r in range(n) if r not in pivots]
+        cols = keep + list(range(n, len(M[0])))
+        piv_rows = [[M[c][l] for l in cols] for c in pivots]
+        rest = []
+        for r in keep:
+            row = [M[r][l] for l in cols]
+            c = [q.div_pi_power(M[r][a], s) for a in pivots]
+            for col, prow in zip(zip(*adj), piv_rows):
+                lam = [sum(t) * dinv % m for t in zip(*map(q.mul, c, col))]
+                if lam != [0, 0]:
+                    row = _sub_mul(row, lam, prow, pi0, m)
+            rest.append(row)
+        M = rest
     return chunks
+
+
+def _precision_cap(G: HermGram, v: int, j: int) -> int:
+    """The K at which a pass certifies every nonsingular G (_jordan_chunks)."""
+    ctx, n, f = G.ctx, G.n, G.ctx.pi0.denominator
+    den = lcm(*(y.denominator for row in G.entries for x in row for y in (x.a, x.b)))
+    r = isqrt(abs(ctx.pi0.numerator * f)) + 1
+    bound = prod(sum(abs(x.a * den * f) + abs(x.b * den) * r for x in row) for row in G.entries)
+    e = 0
+    while bound >= ctx.p:
+        bound, e = bound // ctx.p, e + 1
+    return e - n * v + 2 * j * n + 1
+
+
+def _jordan_chunks(G: HermGram, track: bool = False, need=None):
+    """The elimination of jordan_split on pairs of ints (a, b) = a + b*pi
+    modulo p^K (_Quotient): (K, chunks), a chunk (scale, Legendre symbol of
+    the unit part of the block determinant, pivot block, pivot vectors) per
+    pivot, scales ascending.  With ``track``, the coordinates of G's basis
+    take the same steps: lifted, they give U in GL_n(O_H) with U^T G conj(U)
+    block diagonal modulo pi^(2K) when G is integral.
+
+    It runs on p^(2j) * G, p-integral for the least such j; p^(2j) = pi^(4j)
+    * eps^(-2j) shifts every scale by 4j (shifted back) and unit parts by
+    squares.  A pivot of order s has the least order of its complement, so
+    each multiplier, from the pivot block and column divided by pi^s, is
+    integral and known modulo pi^(2K - s), and times a pivot-row entry
+    modulo pi^(2K): every Schur complement is exact modulo pi^(2K), and
+    congruent to that of the exact elimination, whose choices read orders
+    below 2K repeat; tracked vectors agree modulo pi^(2K - max scale).  A
+    pass is certified when every pivot reads below 2K - 1, which fixes each
+    unit part modulo pi^2; otherwise it restarts at 2K, up to K = E + 1
+    (_precision_cap), where failing proves G singular: with pi0 = e/f, den *
+    f * G has entries A + B*pi', A and B integers, pi'^2 = e*f, so Hadamard
+    bounds its integer det by prod_i sum_j (|A_ij| + |B_ij| * (isqrt|e*f| +
+    1)), v_p det(p^(2j) G) <= E = floor(log_p of that) - n*v_p(den) + 2jn,
+    and every pivot order is at most 2E < 2K - 1.  ``need`` maps the
+    certified scales to the least K the caller needs (asked once).
+    """
+    ctx, n, p = G.ctx, G.n, G.ctx.p
+    comps = [y for row in G.entries for x in row for y in (x.a, x.b)]
+    v = max([0] + [-_val(y, p) for y in comps if y.denominator % p == 0])
+    j = (v + 1) // 2
+    comps = [y * p ** (2 * j) for y in comps] if j else comps
+    eye = [[(int(r == c), 0) for c in range(n)] if track else [] for r in range(n)]
+    k, cap = 8, None
+    while True:
+        q = _Quotient(ctx, k)
+        res = iter([_mod(y, q.m) if y else 0 for y in comps])
+        chunks = _eliminate([[(next(res), next(res)) for _ in range(n)] + row for row in eye], q)
+        if chunks is None:
+            cap = cap or _precision_cap(G, v, j)
+            if k >= cap:
+                raise SingularMatrixError("Gram matrix is singular")
+            k = min(2 * k, cap)
+            continue
+        chunks = [(s - 4 * j, *rest) for s, *rest in chunks]
+        wanted, need = (need([c[0] for c in chunks]) if need else 0), None
+        if wanted <= k:
+            return k, chunks
+        k = wanted
+
+
+def _jordan_report(chunks, p: int) -> JordanReport:
+    """The JordanReport of the chunks of _jordan_chunks."""
+    blocks = []
+    for scale in sorted({chunk[0] for chunk in chunks}):
+        group = [chunk for chunk in chunks if chunk[0] == scale]
+        rank, sign = sum(len(c[2]) for c in group), prod(c[1] for c in group)
+        if scale % 2 and rank % 2:
+            raise AssertionError("odd-modular block of odd rank")
+        split = scale % 2 == 1 or (rank % 2 == 0 and sign * legendre(-1, p) ** (rank // 2) == 1)
+        blocks.append(JordanBlock(scale, rank, scale * rank, sign == 1, split))
+    return JordanReport(tuple(blocks))
 
 
 def jordan_split(G: HermGram) -> JordanReport:
@@ -443,32 +558,11 @@ def jordan_split(G: HermGram) -> JordanReport:
     The elimination is its own singularity test: every nonzero Schur
     complement has a pivot of finite order (a diagonal entry, the fold of an
     even off-diagonal entry, or a rank-2 block whose determinant has order
-    exactly 2s), so a singular Gram always reaches an all-zero block.  The
-    same elimination (_jordan_chunks) finds the vertex enumerator's dual basis.
+    exactly 2s), so a singular Gram always reaches an all-zero block.  It
+    runs modulo a certified power of p (_jordan_chunks); the same
+    elimination finds the vertex enumerator's dual basis.
     """
-    grouped: dict[int, list] = {}
-    for scale, det, block, _ in _jordan_chunks(G, [()] * G.n):
-        acc = grouped.setdefault(scale, [0, Fraction(1)])
-        acc[0] += len(block)
-        acc[1] *= det
-    ctx = G.ctx
-    blocks = []
-    p = ctx.p
-    for scale in sorted(grouped):
-        rank, det = grouped[scale]
-        if scale % 2 and rank % 2:
-            raise AssertionError("odd-modular block of odd rank")
-        det_val = scale * rank
-        if 2 * _val(det, p) != det_val:
-            raise AssertionError("block determinant order mismatch")
-        unit = det / ctx.pi0 ** (det_val // 2)
-        sq = is_square_unit(unit, p)
-        if scale % 2:
-            split = True
-        else:
-            split = rank % 2 == 0 and is_square_unit(Fraction(-1) ** (rank // 2) * unit, p)
-        blocks.append(JordanBlock(scale, rank, det_val, sq, split))
-    return JordanReport(tuple(blocks))
+    return _jordan_report(_jordan_chunks(G)[1], G.ctx.p)
 
 
 def det_class(G: HermGram) -> tuple[int, bool]:

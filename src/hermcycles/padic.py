@@ -2,8 +2,8 @@
 
 Valuations, square classes, Legendre/Kronecker and Hilbert symbols, and prime
 splitting in an imaginary quadratic field.  Everything here works on exact
-arbitrary-precision rationals, with no truncated p-adic precision; only the
-vertex enumerator computes modulo a power of p, where the quotient is exact.
+arbitrary-precision rationals, with no truncated p-adic precision; the Jordan
+elimination and the vertex enumerator run modulo certified powers of p.
 Rationals are parsed and printed as decimal strings "n" or "n/d".
 """
 

@@ -230,10 +230,14 @@ class OHElement:
 
 
 def pi_power(ctx: QuadContext, e: int) -> OHElement:
-    """pi**e as an exact element, for any integer e."""
-    if e % 2 == 0:
-        return OHElement._raw(ctx.pi0 ** (e // 2), _ZERO, ctx)
-    return OHElement._raw(_ZERO, ctx.pi0 ** ((e - 1) // 2), ctx)
+    """pi**e as an exact element, for any integer e: pi0**h or pi0**h * pi,
+    h = floor(e/2), from int powers of pi0's numerator and denominator (a
+    power of the Fraction pi0 costs twice as much)."""
+    u, v, h = ctx.pi0.numerator, ctx.pi0.denominator, e // 2
+    if h < 0:
+        u, v, h = v, u, -h
+    c = Fraction(u**h) if v == 1 else Fraction(u**h, v**h)
+    return OHElement._raw(_ZERO, c, ctx) if e % 2 else OHElement._raw(c, _ZERO, ctx)
 
 
 def is_norm(q, ctx: RamifiedContext) -> bool:

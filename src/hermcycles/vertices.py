@@ -8,12 +8,12 @@ the exact vertex conditions, and reports types, counts and the full inclusion
 poset.  It exists to double-check the closed-form invariants on small
 instances, so correctness beats speed throughout.
 
-The dual basis C is a Jordan basis of L^#, read off the elimination of
-jordan_split on Gram(L), so C * diag(pi^f) spans L (see _dual_jordan_basis).
-All other work lives in the finite module L^#/L and runs on pairs of Python
-ints modulo one power of p, where the arithmetic is exact (see _Quotient);
-tests/support.py keeps the exact-rational enumerator it replaced as an
-oracle, with its own dual basis from a Smith form.
+Everything runs on pairs of Python ints modulo powers of p, where the
+arithmetic is exact (lattice._Quotient): the Jordan elimination of Gram(L),
+shared with jordan_split, gives a Jordan basis C of L^# with C * diag(pi^f)
+spanning L (_dual_jordan_basis), and the work in the finite module L^#/L
+runs modulo one p^K.  tests/support.py keeps the exact-rational enumerator
+as an oracle, with its own dual basis from a Smith form.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import lattice
-from .cycles import CycleInvariants, cycle_invariants
+from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
-from .lattice import HermLattice, _jordan_chunks, mat_conj, mat_inverse, mat_mul
+from .lattice import HermLattice, JordanReport, _jordan_chunks, _jordan_report, _Quotient
+from .lattice import mat_conj, mat_inverse, mat_mul
 from .padic import _mod, _val
 from .ramified import OHElement, RamifiedContext, pi_power
 
@@ -57,6 +58,7 @@ class VertexSet:
     poset_edges: tuple[tuple[int, int], ...]
     max_type: int
     max_count: int
+    jordan: JordanReport | None = field(default=None, compare=False, repr=False)  # of L
 
     def types(self) -> list[int]:
         return [v.type for v in self.vertices]
@@ -70,46 +72,50 @@ class VertexSet:
         }
 
 
-def _dual_jordan_basis(L: HermLattice):
-    """A matrix whose columns C_j are a Jordan basis of L^#, their Gram G#
-    and ascending f with L = span(C_j * pi^f_j).
+def _dual_jordan_basis(L: HermLattice, need):
+    """A matrix whose columns C_j are a Jordan basis of L^#, their Gram G#,
+    ascending f with L = span(C_j * pi^f_j), and the JordanReport of L.
 
-    The elimination of jordan_split on Gram(L), tracking the columns of L's
-    basis, gives a Jordan basis B = L.basis * U of L with U in GL_n(O_H)
-    (each step adds O_H-multiples of pivot vectors to the others, as the
-    pivot has least order, and the pivots are taken in some order), and
-    B^T G conj(B) = J block diagonal, scales ascending; so ord det J = d =
-    ord det G + 2 * ord det(L.basis).  C = B * W with W = conj(J)^-1 (see
-    HermLattice.dual) has C^T G conj(B) = J^-1 * J = I, since J^T =
-    conj(J), so C spans L^#; its Gram is C^T G conj(B) conj(W) = conj(W) =
-    J^-1.  Each block J_b of scale s is pi^s-modular (Jacobowitz): a rank-1
+    The elimination of jordan_split on Gram(L), modulo the p^K ``need`` asks
+    for, gives U in GL_n(O_H) (each step adds O_H-multiples of pivot vectors
+    to the others, as the pivot has least order) and B = L.basis * U with
+    B^T G conj(B) = J + E: J block diagonal, scales ascending, E = 0 modulo
+    pi^(2K).  A block J_b of scale s is pi^s-modular (Jacobowitz): a rank-1
     pivot is pi^s times a unit; a rank-2 pivot has off-diagonal entries of
-    order s, diagonal ones above s and det of order 2s.  So conj(J_b) is
-    pi^s times a matrix in GL(O_H), and B_b = C_b * conj(J_b) spans C_b *
-    pi^s: f is the list of scales.
+    order s, diagonal ones above s and det of order 2s.  So ord det J = d =
+    ord det G + 2 * ord det(L.basis), and W = conj(J)^-1 has order >= -F.
+    C = B * W (see HermLattice.dual) has C^T G conj(B) = W^T (J + E) = I +
+    W^T E in GL_n(O_H), as J^T = conj(J), so C spans L^#; B_b = C_b *
+    conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the Gram of C
+    up to W^T E conj(W), of order >= 2K - 2F.
     """
-    n = L.n
-    zero = L.ctx.zero()
-    J = [[zero] * n for _ in range(n)]
+    n, ctx = L.n, L.ctx
+    k, chunks = _jordan_chunks(L.gram(), True, need)
+    m = ctx.p**k
+
+    def lift(x):
+        return OHElement(*(c - m if 2 * c > m else c for c in x), ctx)
+
+    J = [[ctx.zero()] * n for _ in range(n)]
     vecs, fs = [], []
-    for scale, _, block, pivots in _jordan_chunks(L.gram(), list(zip(*L.basis))):
-        k = len(vecs)
+    for scale, _, block, pivots in chunks:
+        i = len(vecs)
         for r, row in enumerate(block):
-            J[k + r][k : k + len(row)] = row
+            J[i + r][i : i + len(row)] = [lift(x) for x in row]
         vecs.extend(pivots)
         fs.extend([scale] * len(pivots))
-    W = mat_inverse(mat_conj(J), L.ctx)
-    B = [[v[i] for v in vecs] for i in range(n)]
-    return mat_mul(B, W), fs, mat_conj(W)
+    B = [[lift(v[i]) for v in vecs] for i in range(n)]
+    if any(x != (i == j) for i, row in enumerate(L.basis) for j, x in enumerate(row)):
+        B = mat_mul(L.basis_rows(), B)
+    W = mat_inverse(mat_conj(J), ctx)
+    return mat_mul(B, W), fs, mat_conj(W), _jordan_report(chunks, ctx.p)
 
 
-def _int_val(c: int, p: int, cap: int) -> int:
-    """val_p(c), capped at cap (so 0 reads as cap)."""
-    v = 0
-    while v < cap and c % p == 0:
-        c //= p
-        v += 1
-    return v
+def _modulus(fs, a: int, ord_det_basis: int) -> int:
+    """The least K meeting the enumeration's three needs (enumerate_vertices)."""
+    n, d = len(fs), sum(fs)
+    c = max(1, (max(fs) + 1) // 2)
+    return max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
 
 
 def _scaled_residues(A, s: int, m: int):
@@ -119,57 +125,6 @@ def _scaled_residues(A, s: int, m: int):
         [(_mod(x.a * s, m) if x.a else 0, _mod(x.b * s, m) if x.b else 0) for x in row]
         for row in A
     ]
-
-
-class _Quotient:
-    """O_H / p^K on pairs of ints (a, b) = a + b*pi reduced modulo p^K.
-
-    Reduction modulo p^K O_H = pi^(2K) O_H is a ring map, so sums and products
-    of integral elements stay exact; every rational that enters (entries,
-    pi0 = eps*p, eps**-1) is reduced through the inverse of its denominator.
-    Division by pi^e of an element of order >= e costs precision: a pair
-    known modulo pi^P gives the quotient modulo pi^(P - e), and its order is
-    decided correctly up to P.  Callers bound the total division by 2K.
-    """
-
-    __slots__ = ("p", "k", "m", "pi0", "eps", "inv_eps")
-
-    def __init__(self, ctx: RamifiedContext, k: int):
-        self.p = ctx.p
-        self.k = k
-        self.m = ctx.p**k
-        self.pi0 = _mod(ctx.pi0, self.m)
-        self.eps = _mod(ctx.eps, self.m)
-        self.inv_eps = pow(self.eps, -1, self.m)
-
-    def pi_power(self, e: int) -> tuple[int, int]:
-        s = pow(self.pi0, e // 2, self.m)
-        return (0, s) if e % 2 else (s, 0)
-
-    def mul(self, x, y) -> tuple[int, int]:
-        (xa, xb), (ya, yb), m = x, y, self.m
-        return (xa * ya + xb * yb * self.pi0) % m, (xa * yb + xb * ya) % m
-
-    def ord(self, x) -> int:
-        """pi-order of a + b*pi, read as at least 2K when both vanish modulo p^K."""
-        va, vb = (_int_val(c, self.p, self.k) for c in x)
-        return min(2 * va, 2 * vb + 1)
-
-    def has_order(self, x, e: int) -> bool:
-        """ord(a + b*pi) >= e: p^ceil(e/2) divides a and p^floor(e/2) divides b."""
-        return x[0] % self.p ** ((e + 1) // 2) == 0 and x[1] % self.p ** (e // 2) == 0
-
-    def div_pi_power(self, x, e: int) -> tuple[int, int]:
-        """x / pi^e for x of order >= e, from pi^-2 = eps^-1 / p and pi^-1 = pi / pi0."""
-        a, b = x
-        m = self.m
-        if e >= 2:
-            q = self.p ** (e // 2)
-            u = pow(self.inv_eps, e // 2, m)
-            a, b = a // q * u % m, b // q * u % m
-        if e % 2:
-            a, b = b, a // self.p * self.inv_eps % m
-        return a, b
 
 
 def _iter_candidates(fs, q: _Quotient, max_candidates: int):
@@ -433,26 +388,26 @@ def enumerate_vertices(
     sorted by type and canonical basis, and do not depend on the basis in
     which L was presented.
 
-    The dual columns are a Jordan basis of L^#, with G# their block-diagonal
-    Gram; times pi^f they span L (_dual_jordan_basis).  From there through
-    the canonical bases of the vertices found, the work runs on pairs of
-    ints modulo one p^K (see _Quotient), K the least meeting three needs:
+    The dual columns are a Jordan basis of L^#, times pi^f spanning L, with
+    G# their Gram (_dual_jordan_basis).  From there through the canonical
+    bases of the vertices found, the work runs on pairs of ints modulo one
+    p^K (see _Quotient), K the least meeting three needs:
 
-    - the vertex test needs K >= c.  With F = max f, pi^F kills L^#/L,
-      so pi^F * L^# lies in L and pairs integrally with L^#: pi^F * G# is
-      integral, and so is p^c * G# for c = max(1, ceil(F/2));
+    - the vertex test needs K >= c.  With F = max f, pi^F kills L^#/L, so
+      pi^F * G# is integral, and so is p^c * G# for c = max(1, ceil(F/2));
     - the back-substitutions of the candidates and the poset need
       2K >= d = f_1 + ... + f_n;
     - the canonical bases need 2K >= ord det M + 1 (_canonical_basis).
       With a the least exponent making D = p^a * dual integral in ambient
-      coordinates (a = ceil(F/2) for a request from the command line, where
-      L is O_H^n, which is c unless L is unimodular), a vertex's M = D * Z
-      has ord det M = ord det D + e_1 + ... + e_n, at most ord det D +
-      floor(d/2) by the candidates' pivot window; ord det D = 2an + ord det
-      dual, and ord det dual = ord det(L.basis) - d, because the dual
-      columns times pi^f are L.basis times a matrix in GL_n(O_H)
-      (_dual_jordan_basis).  For a request from the command line L.basis
-      is the identity, so no determinant of a dense Gram is needed.
+      coordinates (ceil(F/2) for a request from the command line, where L
+      is O_H^n), a vertex's M = D * Z has ord det M = ord det D + e_1 + ...
+      + e_n, at most ord det D + floor(d/2) by the candidates' pivot window;
+      ord det D = 2an + ord det(L.basis) - d (_dual_jordan_basis), and
+      L.basis is the identity for a request from the command line.
+
+    The elimination runs F + h digits past the K of a <= ceil(F/2) + h,
+    p^h * L.basis integral, so H = p^c * G# and D modulo p^K are those of
+    the exact rational elimination (_jordan_chunks, _dual_jordan_basis).
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -461,18 +416,25 @@ def enumerate_vertices(
         raise EnumerationLimitError(
             f"rank {L.n} exceeds enumeration bound {bounds.max_rank}"
         )
-    ctx = L.ctx
-    dual_mat, fs, gram_dual = _dual_jordan_basis(L)
+    ctx, p = L.ctx, L.ctx.p
+    h = max([0] + [-_val(y, p) for row in L.basis for x in row for y in (x.a, x.b) if y])
+    ord_det_basis = []
+
+    def need(fs):  # a <= ceil(F/2) + h, as pi^F * L^# <= L <= p^-h * O_H^n
+        if max(fs) > bounds.max_scale:
+            return 0
+        ord_det_basis.append(lattice.mat_det(L.basis_rows(), ctx).ord())
+        return _modulus(fs, (max(fs) + 1) // 2 + h, ord_det_basis[0]) + max(fs) + h
+
+    dual_mat, fs, gram_dual, report = _dual_jordan_basis(L, need)
     if max(fs) > bounds.max_scale:
         raise EnumerationLimitError(
             f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
         )
-    n = L.n
     d = sum(fs)
     c = max(1, (max(fs) + 1) // 2)
-    a = max([0] + [-_val(y, ctx.p) for row in dual_mat for x in row for y in (x.a, x.b) if y])
-    ord_det_D = 2 * a * n - d + lattice.mat_det(L.basis_rows(), ctx).ord()
-    q = _Quotient(ctx, max(c, (d + 1) // 2, (ord_det_D + d // 2 + 2) // 2))
+    a = max([0] + [-_val(y, p) for row in dual_mat for x in row for y in (x.a, x.b) if y])
+    q = _Quotient(ctx, _modulus(fs, a, ord_det_basis[0]))
     H = _scaled_residues(gram_dual, ctx.p**c, q.m)
     D = _scaled_residues(dual_mat, ctx.p**a, q.m)
     decorated = []
@@ -509,7 +471,7 @@ def enumerate_vertices(
         max_count = sum(1 for v in vertices if v.type == max_type)
     else:
         max_type, max_count = -1, 0
-    return VertexSet(vertices, tuple(edges), max_type, max_count)
+    return VertexSet(vertices, tuple(edges), max_type, max_count, report)
 
 
 @dataclass(frozen=True)
@@ -564,7 +526,7 @@ def verify_structure_theorems(
     recorded inclusion poset is transitively closed.
     """
     vs = enumerate_vertices(L, bounds)
-    inv: CycleInvariants = cycle_invariants(L.gram())
+    inv: CycleInvariants = invariants_from_report(vs.jordan, L.ctx.p)
     counterexamples = []
 
     max_type_matches = vs.max_type == inv.t

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths they check: the Hilbert
 symbol is compared against a primitive-solution search for the conic
 a x^2 + b y^2 = z^2 over Z/p^4, norm membership against an enumeration of
 norm residues, self-duality against the Hilbert symbols at the inert primes,
-positivity against the signs of the leading principal minors, module
+positivity against the signs of the leading principal minors, the
+modular Jordan elimination against the exact-rational one, module
 lengths and the vertex oracle's dual basis against a standalone Smith
 form, the enumerator's modular canonical bases against a Fraction HNF,
 and the vertex enumerator against an exact-rational enumerator.  ``invoke``
@@ -23,6 +24,8 @@ from math import isqrt
 from hermcycles import (
     HermGram,
     HermLattice,
+    JordanBlock,
+    JordanReport,
     OHElement,
     QuadContext,
     RamifiedContext,
@@ -55,6 +58,7 @@ from hermcycles.padic import (
     _val,
     check_quadratic_field,
     hilbert_symbol,
+    is_square_unit,
     rational_factorization,
     splitting_type,
 )
@@ -243,6 +247,122 @@ def snf_dual_basis(L: HermLattice):
     Y = [[x.conjugate() for x in row] for row in L.gram().entries]
     fs, dcols = smith_diagonalize(Y, [[dual.basis[i][j] for i in range(n)] for j in range(n)])
     return dcols, fs
+
+
+# ---------------------------------------------------------------------------
+# Fraction Jordan elimination (differential oracle for lattice._jordan_chunks,
+# which runs modulo a power of p)
+
+
+def _min_entry_ord(M):
+    """Least order of the upper triangle, with its first diagonal and first
+    off-diagonal position."""
+    s, diag, offdiag = INFINITY, None, None
+    n = len(M)
+    for i in range(n):
+        for j in range(i, n):
+            o = M[i][j].ord()
+            if o < s:
+                s, diag, offdiag = o, None, None
+            if o == s:
+                if i == j:
+                    if diag is None:
+                        diag = i
+                elif offdiag is None:
+                    offdiag = (i, j)
+    return s, diag, offdiag
+
+
+def jordan_chunks_oracle(G: HermGram, vectors):
+    """The pivoting of jordan_split in exact rationals, applying each basis
+    change to ``vectors`` too (one coordinate vector per basis vector of G, possibly of length 0).
+    Returns (scale, rational det, pivot block, pivot vectors) per pivot, scales
+    ascending; the Gram of all the pivot vectors is the block diagonal."""
+    M = [list(row) for row in G.entries]
+    vecs = list(vectors)
+    chunks = []
+    while M:
+        n = len(M)
+        s, diag, offdiag = _min_entry_ord(M)
+        if s is INFINITY:
+            raise SingularMatrixError("Gram matrix is singular")
+        if diag is None and s % 2 == 0:
+            # fold e_i <- e_i + e_j to surface a diagonal entry of order s
+            i, j = offdiag
+            new_diag = M[i][i] + M[i][j] + M[j][i] + M[j][j]
+            new_row = [
+                M[i][k] + M[j][k] if k != i else new_diag for k in range(n)
+            ]
+            M[i] = new_row
+            for k in range(n):
+                if k != i:
+                    M[k][i] = new_row[k].conjugate()
+            vecs[i] = [x + y for x, y in zip(vecs[i], vecs[j])]
+            if M[i][i].ord() != s:
+                raise AssertionError("diagonal fold failed to attain the minimal order")
+            diag = i
+        if diag is not None:
+            # e_k <- e_k - lambda_k e_i with lambda_k = M[k][i] / M[i][i]
+            i = diag
+            g = M[i][i]
+            if g.b:
+                raise AssertionError("diagonal pivot must be rational")
+            chunks.append((s, g.a, [[g]], [vecs[i]]))
+            others = [k for k in range(n) if k != i]
+            ginv = g.inverse()
+            lam = {k: M[k][i] * ginv for k in others}
+            M = [[M[k][l] - lam[k] * M[i][l] for l in others] for k in others]
+            vecs = [[x - lam[k] * y for x, y in zip(vecs[k], vecs[i])] for k in others]
+            continue
+        # odd minimal order, attained only off the diagonal: split a 2x2 block
+        # by e_k <- e_k - alpha_k e_i - beta_k e_j
+        i, j = offdiag
+        s00, s01, s10, s11 = M[i][i], M[i][j], M[j][i], M[j][j]
+        det2 = s00 * s11 - s01 * s10
+        if det2.b:
+            raise AssertionError("2x2 block determinant must be rational")
+        chunks.append((s, det2.a, [[s00, s01], [s10, s11]], [vecs[i], vecs[j]]))
+        dinv = det2.inverse()
+        others = [k for k in range(n) if k != i and k != j]
+        alphas = {k: (M[k][i] * s11 - M[k][j] * s10) * dinv for k in others}
+        betas = {k: (M[k][j] * s00 - M[k][i] * s01) * dinv for k in others}
+        M = [
+            [M[k][l] - alphas[k] * M[i][l] - betas[k] * M[j][l] for l in others]
+            for k in others
+        ]
+        vecs = [
+            [x - alphas[k] * y - betas[k] * z for x, y, z in zip(vecs[k], vecs[i], vecs[j])]
+            for k in others
+        ]
+    return chunks
+
+
+def jordan_split_oracle(G: HermGram) -> JordanReport:
+    """jordan_split by the exact rational elimination, with the determinant
+    classes read off the products of the rational pivot determinants."""
+    grouped: dict[int, list] = {}
+    for scale, det, block, _ in jordan_chunks_oracle(G, [()] * G.n):
+        acc = grouped.setdefault(scale, [0, Fraction(1)])
+        acc[0] += len(block)
+        acc[1] *= det
+    ctx = G.ctx
+    blocks = []
+    p = ctx.p
+    for scale in sorted(grouped):
+        rank, det = grouped[scale]
+        if scale % 2 and rank % 2:
+            raise AssertionError("odd-modular block of odd rank")
+        det_val = scale * rank
+        if 2 * _val(det, p) != det_val:
+            raise AssertionError("block determinant order mismatch")
+        unit = det / ctx.pi0 ** (det_val // 2)
+        sq = is_square_unit(unit, p)
+        if scale % 2:
+            split = True
+        else:
+            split = rank % 2 == 0 and is_square_unit(Fraction(-1) ** (rank // 2) * unit, p)
+        blocks.append(JordanBlock(scale, rank, det_val, sq, split))
+    return JordanReport(tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,20 @@ def test_jordan_command():
     ]
 
 
+def test_jordan_keeps_the_unit_class_of_a_block_with_p_in_its_denominator():
+    # diag(1/3, 1/2) at p = 3, eps = -1: the elimination runs on 9 * G, and
+    # the unit part of det(1/3) / pi0^-1 = -1 is not a square at 3
+    code, out = invoke(
+        ["jordan", "--p", "3", "--epsilon", "-1"],
+        stdin_text='{"gram": [["1/3", 0], [0, "1/2"]]}',
+    )
+    assert code == 0
+    assert json.loads(out)["blocks"] == [
+        {"scale": -2, "rank": 1, "det_val": -2, "det_unit_is_square": False, "split": False},
+        {"scale": 0, "rank": 1, "det_val": 0, "det_unit_is_square": False, "split": False},
+    ]
+
+
 def test_vertices_and_verify_commands():
     plane = json.dumps(
         {
@@ -419,20 +433,22 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # lattice, one inverse (of the block-diagonal Jordan Gram), one product,
     # and one determinant, of the lattice basis (the identity for a request
     # from the command line), which with the Jordan scales gives the
-    # enumerator its ord det of the dual; no determinant of a Gram.
+    # enumerator its ord det of the dual; no determinant of a Gram.  verify
+    # reads the closed-form invariants off the same elimination, so
+    # lattice._jordan_chunks (behind jordan_split) is counted too.
     from hermcycles import lattice, vertices
 
     calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 0}
     inverted, determinants = [], []
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "mat_inverse":
                 inverted.append(args[0])
             if name == "mat_det":
                 determinants.append(args[0])
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -443,6 +459,7 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         monkeypatch.setattr(vertices, name, wrapped)
     monkeypatch.setattr(lattice, "mat_det", counting("mat_det", lattice.mat_det))
     monkeypatch.setattr(vertices, "_jordan_chunks", counting("_jordan_chunks", vertices._jordan_chunks))
+    monkeypatch.setattr(lattice, "_jordan_chunks", counting("_jordan_chunks", lattice._jordan_chunks))
     h13 = json.dumps(
         {
             "gram": [

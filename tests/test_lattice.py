@@ -5,6 +5,8 @@ import pytest
 from support import (
     block_sum_family,
     hnf_canonicalize,
+    jordan_chunks_oracle,
+    jordan_split_oracle,
     rand_oh,
     random_basis_change,
     random_hermitian_gram,
@@ -20,6 +22,7 @@ from hermcycles import (
     HermLattice,
     HermitianViolationError,
     JordanBlock,
+    OHElement,
     RamifiedContext,
     SingularMatrixError,
     det_class,
@@ -204,7 +207,7 @@ def test_jordan_core_tracks_an_orthogonal_basis_of_the_lattice():
         for basis in (None, random_basis_change(rng, ctx, G.n)):
             L = HermLattice.from_gram(G) if basis is None else HermLattice(G, basis)
             cols = [[L.basis[i][j] for i in range(G.n)] for j in range(G.n)]
-            chunks = _jordan_chunks(L.gram(), cols)
+            chunks = jordan_chunks_oracle(L.gram(), cols)
             scales = [chunk[0] for chunk in chunks]
             assert scales == sorted(scales), label
             vecs = [v for *_, vs in chunks for v in vs]
@@ -223,6 +226,107 @@ def test_jordan_core_tracks_an_orthogonal_basis_of_the_lattice():
                 # in the given basis only the folds of H(0) and H(2) mix vectors
                 mixed = any(sum(not x.is_zero() for x in v) > 1 for v in vecs)
                 assert mixed == ("H(0)" in label or "H(2)" in label), label
+
+
+def _lift(x, m, ctx):
+    """The symmetric integer lift of a pair modulo m, as an element."""
+    return ctx.element(*(c - m if 2 * c > m else c for c in x))
+
+
+def test_modular_jordan_core_tracks_a_basis_modulo_its_precision():
+    # the assertions of the exact test above, with "equal" read modulo the
+    # p^K the modular elimination certified; and its chunks agree with the
+    # exact elimination's, which makes the same pivot choices: blocks modulo
+    # pi^(2K), vectors modulo pi^(2K - F), and the Legendre symbols
+    rng = random.Random(41)
+    for label, ctx, G in block_sum_family():
+        for basis in (None, random_basis_change(rng, ctx, G.n)):
+            L = HermLattice.from_gram(G) if basis is None else HermLattice(G, basis)
+            k, chunks = _jordan_chunks(L.gram(), True)
+            m = ctx.p**k
+            scales = [chunk[0] for chunk in chunks]
+            assert scales == sorted(scales), label
+            U = [[_lift(v[i], m, ctx) for *_, vs in chunks for v in vs] for i in range(G.n)]
+            B = mat_mul(L.basis_rows(), U)
+            gram = mat_mul(mat_mul(mat_transpose(B), [list(r) for r in G.entries]), mat_conj(B))
+            expected = [[ctx.zero()] * G.n for _ in range(G.n)]
+            i = 0
+            for _, _, block, _ in chunks:
+                for r, row in enumerate(block):
+                    expected[i + r][i : i + len(row)] = [_lift(x, m, ctx) for x in row]
+                i += len(block)
+            assert all((x - y).ord() >= 2 * k for r, t in zip(gram, expected) for x, y in zip(r, t)), label
+            assert same_lattice(HermLattice(G, B), L), label
+            if basis is None:
+                mixed = any(sum(not x.is_zero() for x in col) > 1 for col in zip(*U))
+                assert mixed == ("H(0)" in label or "H(2)" in label), label
+            cols = [[L.basis[i][j] for i in range(G.n)] for j in range(G.n)]
+            exact = jordan_chunks_oracle(L.gram(), cols)
+            assert [chunk[0] for chunk in exact] == scales, label
+            for (s, sign, block, _), (_, det, exact_block, _) in zip(chunks, exact):
+                unit = det / ctx.pi0 ** (s * len(block) // 2)
+                assert sign == (1 if is_square_unit(unit, ctx.p) else -1), label
+                lifted = [_lift(x, m, ctx) for row in block for x in row]
+                assert all((x - y).ord() >= 2 * k for x, y in zip(lifted, sum(exact_block, []))), label
+            exact_B = [[v[i] for *_, vs in exact for v in vs] for i in range(G.n)]
+            assert all(
+                (x - y).ord() >= 2 * k - max(scales) for r, t in zip(B, exact_B) for x, y in zip(r, t)
+            ), label
+
+
+def test_jordan_restarts_at_twice_the_precision_until_certified(monkeypatch):
+    # orders 40 and 41 read as zero modulo p^8 and p^16; the next pass, at
+    # p^32 or at the Hadamard cap when that is lower, certifies them
+    passes = []
+    real = lattice._eliminate
+    monkeypatch.setattr(lattice, "_eliminate", lambda M, q: passes.append(q.k) or real(M, q))
+    for p, eps in ((3, 1), (5, -1), (7, F(1, 2))):
+        ctx = RamifiedContext(p, eps)
+        for G in (diagonal_gram(ctx, [1, ctx.pi0**20]), hyperbolic_gram(ctx, 41)):
+            passes.clear()
+            k, chunks = _jordan_chunks(G)
+            assert passes == [8, 16, k] and k == min(32, lattice._precision_cap(G, 0, 0))
+            assert [chunk[0] for chunk in chunks][-1] in (40, 41)
+            assert jordan_split(G) == jordan_split_oracle(G)
+
+
+def test_a_singular_gram_is_refused_at_the_precision_cap(monkeypatch):
+    # (1) + (pi0^20 * (x, y) with x = y) is singular; its complement reads
+    # zero at every precision, so the passes double up to the Hadamard cap
+    # and the pass at the cap raises
+    ctx = RamifiedContext(3, 1)
+    one, deep = ctx.one(), ctx.element(ctx.pi0**20)
+    G = HermGram([[one, deep], [deep, deep * deep]], ctx)
+    passes = []
+    real = lattice._eliminate
+    monkeypatch.setattr(lattice, "_eliminate", lambda M, q: passes.append(q.k) or real(M, q))
+    with pytest.raises(SingularMatrixError, match="^Gram matrix is singular$"):
+        jordan_split(G)
+    cap = lattice._precision_cap(G, 0, 0)
+    assert passes == [8, 16, 32, cap] and 64 > cap > 40
+    with pytest.raises(SingularMatrixError, match="^Gram matrix is singular$"):
+        jordan_split_oracle(G)
+
+
+def test_jordan_split_does_no_element_arithmetic(monkeypatch):
+    # a deterministic cost guard: the modular elimination reads components
+    # and works on ints, so a regression to an elimination over OHElement
+    # (rational arithmetic) fails here without any timing
+    rng = random.Random(16)
+    ctx = RamifiedContext(5, -1)
+    r = smallest_nonresidue(5)
+    parts = [hyperbolic_gram(ctx, i) for i in (0, 1, 1, 2, 3)]
+    parts.append(diagonal_gram(ctx, [1, r, ctx.pi0, ctx.pi0 * r, ctx.pi0**2, 7]))
+    G = transformed_gram(orthogonal_sum(*parts), random_basis_change(rng, ctx, 16))
+    assert G.n == 16
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "inverse"):
+        real = getattr(OHElement, name)
+        monkeypatch.setattr(OHElement, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args))
+    report = jordan_split(G)
+    monkeypatch.undo()
+    assert calls == []
+    assert report == jordan_split_oracle(G)
 
 
 def test_jordan_canonicity_under_basis_change():

@@ -9,11 +9,24 @@ from support import (
     acceptance_family,
     hnf_canonicalize,
     invoke,
+    jordan_split_oracle,
     oracle_vertex_census,
     random_basis_change,
+    transformed_gram,
 )
 
-from hermcycles import EnumerationBounds, HermLattice, enumerate_vertices
+from hermcycles import (
+    EnumerationBounds,
+    HermLattice,
+    RamifiedContext,
+    SingularMatrixError,
+    diagonal_gram,
+    enumerate_vertices,
+    hyperbolic_gram,
+    jordan_split,
+    orthogonal_sum,
+    smallest_nonresidue,
+)
 from hermcycles.lattice import mat_mul
 
 pytest.importorskip("hypothesis")
@@ -36,6 +49,43 @@ def test_canonical_bases_and_census_in_random_bases(case, seed):
     bounds = EnumerationBounds(max_scale=4)
     expected, _ = oracle_vertex_census(moved, bounds)
     assert enumerate_vertices(moved, bounds).to_json() == expected, label
+
+
+@st.composite
+def _disguised_block_sums(draw):
+    """A Gram of rank 1 to 16: an orthogonal sum of rank-1 blocks u * pi0^e
+    (e from -2, so with p in the denominator; u with a prime-to-p
+    denominator) and hyperbolic planes u * H(i), i from -3, with one zero
+    rank-1 block (a singular Gram) one time in five, in a random basis."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    ctx = RamifiedContext(p, draw(st.sampled_from([1, -1, smallest_nonresidue(p)])))
+    units = [Fraction(u) for u in (1, -1, 2, "1/2", "-1/4")]
+    n = draw(st.integers(1, 16))
+    blocks = [diagonal_gram(ctx, [0])] if draw(st.integers(0, 4)) == 0 else []
+    rank = len(blocks)
+    while rank < n:
+        u = draw(st.sampled_from(units))
+        if rank == n - 1 or draw(st.booleans()):
+            blocks.append(diagonal_gram(ctx, [u * ctx.pi0 ** draw(st.integers(-2, 4))]))
+            rank += 1
+        else:
+            blocks.append(hyperbolic_gram(ctx, draw(st.integers(-3, 6))).scaled(u))
+            rank += 2
+    U = random_basis_change(random.Random(draw(st.integers(0, 2**32 - 1))), ctx, rank)
+    return transformed_gram(orthogonal_sum(*blocks), U)
+
+
+def _jordan_outcome(split, G):
+    try:
+        return split(G)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_disguised_block_sums())
+def test_modular_jordan_split_is_the_exact_one(G):
+    assert _jordan_outcome(jordan_split, G) == _jordan_outcome(jordan_split_oracle, G)
 
 
 _JSON = st.recursive(

@@ -133,6 +133,18 @@ def test_pi_power():
         assert x * pi_power(ctx, -e) == ctx.one()
 
 
+def test_pi_power_from_int_powers_is_the_fraction_power():
+    # pi_power builds pi0**h from int powers; the pivots of the enumerator's
+    # canonical bases and the hyperbolic planes come from it
+    for ctx in (RamifiedContext(3, 1), RamifiedContext(5, F(1, 2)), RamifiedContext(7, F(-5, 3))):
+        for e in range(-8, 9):
+            x, c = pi_power(ctx, e), ctx.pi0 ** (e // 2)
+            assert (x.a, x.b) == ((F(0), c) if e % 2 else (c, F(0))), (ctx, e)
+            assert type(x.a) is type(x.b) is F, (ctx, e)
+    x = pi_power(QuadContext(F(-7, 3)), -3)
+    assert (x.a, x.b) == (F(0), F(9, 49))
+
+
 def test_pi_power_keeps_no_context_alive():
     ctx = RamifiedContext(7, F(3, 5))
     ref = weakref.ref(ctx)

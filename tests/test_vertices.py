@@ -9,6 +9,7 @@ from support import (
     block_sum_family,
     contains,
     elementary_divisor_exponents,
+    jordan_chunks_oracle,
     oracle_vertex_census,
     random_basis_change,
     random_hermitian_gram,
@@ -25,6 +26,7 @@ from hermcycles import (
     diagonal_gram,
     enumerate_vertices,
     hyperbolic_gram,
+    jordan_split,
     orthogonal_sum,
     pi_power,
     poset_dot,
@@ -177,23 +179,93 @@ def _det_bookkeeping_holds(L, fs):
     return sum(fs) == L.ambient.det().ord() + 2 * mat_det(L.basis_rows(), L.ctx).ord()
 
 
+def _exact_dual_jordan_basis(L):
+    """The dual columns, f and G# of _dual_jordan_basis, built the same way
+    on the exact rational elimination of tests/support.py."""
+    ctx, n = L.ctx, L.n
+    cols = [[L.basis[i][j] for i in range(n)] for j in range(n)]
+    J = [[ctx.zero()] * n for _ in range(n)]
+    vecs, fs = [], []
+    for scale, _, block, pivots in jordan_chunks_oracle(L.gram(), cols):
+        k = len(vecs)
+        for r, row in enumerate(block):
+            J[k + r][k : k + len(row)] = row
+        vecs.extend(pivots)
+        fs.extend([scale] * len(pivots))
+    W = mat_inverse(mat_conj(J), ctx)
+    return mat_mul([[v[i] for v in vecs] for i in range(n)], W), fs, mat_conj(W)
+
+
 def test_dual_basis_is_a_jordan_basis_of_the_dual():
     # the dual columns span L^#, dual * diag(pi^f) spans L, f ascends as the
-    # oracle's Smith form says, and G# is the Gram of the dual columns
+    # oracle's Smith form says, and G# is the Gram of the dual columns: exactly
+    # when built on the exact elimination, and modulo pi^(2K - 2F) on the
+    # modular one, K the precision asked of it (its lifted Jordan basis is
+    # orthogonal modulo pi^(2K) only); the report is that of jordan_split
     rng = random.Random(42)
     for label, ctx, G in block_sum_family():
         L = HermLattice(G, random_basis_change(rng, ctx, G.n))
-        dual, fs, gram_dual = vertices._dual_jordan_basis(L)
+        exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
+        assert exact_gram_dual == [list(r) for r in HermLattice(G, exact_dual).gram().entries], label
+        dual, fs, gram_dual, report = vertices._dual_jordan_basis(L, lambda fs: 10)
         assert fs == snf_dual_basis(L)[1], label
         assert same_lattice(HermLattice(G, dual), L.dual()), label
         scaled = [[x * pi_power(ctx, f) for x, f in zip(row, fs)] for row in dual]
         assert same_lattice(HermLattice(G, scaled), L), label
-        assert gram_dual == [list(r) for r in HermLattice(G, dual).gram().entries], label
+        gram = HermLattice(G, dual).gram().entries
+        assert all(
+            (x - y).ord() >= 20 - 2 * max(fs) for r, t in zip(gram_dual, gram) for x, y in zip(r, t)
+        ), label
+        assert report == jordan_split(L.gram()), label
         assert _det_bookkeeping_holds(L, fs), label
     for label, G, B in _off_identity_cases():
         L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
-        _, fs, _ = vertices._dual_jordan_basis(L)
+        _, fs, _, _ = vertices._dual_jordan_basis(L, lambda fs: 0)
         assert _det_bookkeeping_holds(L, fs), label
+
+
+class _SetupSeen(Exception):
+    pass
+
+
+def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
+    # f, a, K, H = p^c * G# and D = p^a * dual modulo p^K, as the enumeration
+    # reads them, equal what the exact rational elimination (with the same
+    # pivots) gives; so the modular elimination changes no residue the walk,
+    # the vertex test or the canonical bases see
+    seen = {}
+    real = vertices._scaled_residues
+
+    def residues(A, scale, m):
+        seen.setdefault("residues", []).append((scale, m, real(A, scale, m)))
+        return seen["residues"][-1][2]
+
+    def candidates(fs, q, max_candidates):
+        seen["fs"] = fs
+        raise _SetupSeen
+
+    monkeypatch.setattr(vertices, "_scaled_residues", residues)
+    monkeypatch.setattr(vertices, "_iter_candidates", candidates)
+    rng = random.Random(43)
+    cases = [(label, HermLattice.from_gram(G)) for label, _, G in acceptance_family()]
+    for label, ctx, G in block_sum_family():
+        cases.append((label, HermLattice(G, random_basis_change(rng, ctx, G.n))))
+    for label, G, B in _off_identity_cases():
+        cases.append((label, HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))))
+    bounds = EnumerationBounds(max_rank=4, max_scale=4)
+    for label, L in cases:
+        seen.clear()
+        with pytest.raises(_SetupSeen):
+            enumerate_vertices(L, bounds)
+        dual, fs, gram_dual = _exact_dual_jordan_basis(L)
+        p = L.ctx.p
+        c = max(1, (max(fs) + 1) // 2)
+        a = max([0] + [(1 - x.ord()) // 2 for row in dual for x in row if not x.is_zero()])
+        m = p ** vertices._modulus(fs, a, mat_det(L.basis_rows(), L.ctx).ord())
+        assert seen["fs"] == fs, label
+        (H_seen, D_seen) = seen["residues"]
+        assert H_seen == (p**c, m, vertices._scaled_residues(gram_dual, p**c, m)), label
+        assert D_seen == (p**a, m, vertices._scaled_residues(dual, p**a, m)), label
 
 
 def _off_identity_cases():
