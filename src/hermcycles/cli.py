@@ -17,7 +17,7 @@ from .cycles import cycle_invariants, cycle_report
 from .errors import DomainError, ResourceError, SchemaError
 from .global_cycles import global_report
 from .lattice import HermGram, HermLattice, jordan_split
-from .padic import REAL_PLACE, hilbert_symbol, parse_rational
+from .padic import DEFAULT_FACTOR_BOUND, REAL_PLACE, hilbert_symbol, parse_rational
 from .ramified import OHElement, QuadContext, RamifiedContext
 from .vertices import (
     EnumerationBounds,
@@ -204,7 +204,7 @@ def build_parser() -> _Parser:
         "global",
         _cmd_global,
         "support analysis over an imaginary quadratic field",
-        extra={"--factor-bound": {"type": int, "default": 10**6, "dest": "factor_bound"}},
+        extra={"--factor-bound": {"type": int, "default": DEFAULT_FACTOR_BOUND, "dest": "factor_bound"}},
     )
     add("hilbert", _cmd_hilbert, "quadratic Hilbert symbol at a place")
     return parser

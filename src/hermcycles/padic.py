@@ -35,6 +35,20 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Deterministic Miller-Rabin with these thirteen bases is valid below _MR_LIMIT,
 # the smallest strong pseudoprime to all of them (OEIS A014233).
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# (limit, k): the first k bases suffice below limit, the smallest strong
+# pseudoprime to all of them (the earlier terms of A014233).
+_MR_PREFIXES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_LIMIT, 13),
+)
 
 
 def parse_rational(value) -> Fraction:
@@ -73,13 +87,16 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True  # no prime factor up to 41, none above sqrt(n)
     if n >= _MR_LIMIT:
         raise PreconditionError(f"primality of {n} is not certified at or above {_MR_LIMIT}")
+    k = next(k for limit, k in _MR_PREFIXES if n < limit)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -201,13 +218,73 @@ def hilbert_symbol(a, b, place) -> int:
     return -1 if exponent % 2 else 1
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Factor a nonzero integer by trial division up to ``bound``.
+def _trial_divide(n: int, bound: int, out: dict[int, int]) -> int:
+    """Divide n by every 6k +- 1 up to min(sqrt(n), bound), counting the
+    prime factors found into out; returns the cofactor."""
+    f = 5
+    while f * f <= n and f <= bound:
+        for p in (f, f + 2):
+            if n % p == 0:
+                k, n = _count_factor(n, p)
+                out[p] = out.get(p, 0) + k
+        f += 6
+    return n
 
-    A leftover cofactor is kept only when it is provably prime (below bound**2,
-    or certified by deterministic Miller-Rabin); otherwise a
-    FactorizationLimitError is raised rather than guessing.  A negative bound
-    is refused: every cofactor would pass the bound**2 test.
+
+def _rho(n: int, budget: int) -> int | None:
+    """A proper divisor of a composite n by Brent's variant of Pollard's rho,
+    or None when about ``budget`` squarings find none.
+
+    Starts at y = 2 with c = 1 and moves to the next c only when a gcd
+    collapses to n; differences are multiplied 128 at a time per gcd.
+    """
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if r >= budget:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            budget -= r
+            k = 0
+            while k < r and g == 1 and budget > 0:
+                ys, step = y, min(128, r - k)
+                for _ in range(step):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += step
+                budget -= step
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g < n:
+            return g
+        c += 1
+
+
+def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
+    """Factor a nonzero integer with the answers and errors of trial division
+    up to ``bound``.
+
+    T, the last divisor that trial division tries, is 3 for bound < 5 and
+    bound - (bound - 5) % 6 + 2 otherwise; no prime lies in (T, bound].  Every
+    prime factor up to T is found.  The rest, R, the product of the prime
+    powers above T, is kept only when it is 1 or provably prime (at most
+    bound**2, or certified by deterministic Miller-Rabin below _MR_LIMIT);
+    otherwise a FactorizationLimitError names R rather than guessing.  A
+    negative bound is refused: every R would pass the bound**2 test.
+
+    Pieces are split by Brent's rho, with a budget of about 1/16 of the
+    time trial division would take; a piece it cannot split within that
+    budget is trial divided.  So the bound decides the answer, and the
+    running time follows the second-largest prime factor, not the bound,
+    except on pieces rho cannot split.
     """
     if bound < 0:
         raise PreconditionError(f"factor bound must be nonnegative, got {bound}")
@@ -219,19 +296,30 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
         k, n = _count_factor(n, p)
         if k:
             out[p] = k
-    f = 5
-    while f * f <= n and f <= bound:
-        for p in (f, f + 2):
-            if n % p == 0:
-                out[p], n = _count_factor(n, p)
-        f += 6
-    if n > 1:
-        if n <= bound * bound or (n < _MR_LIMIT and is_prime(n)):
-            out[n] = out.get(n, 0) + 1
-        else:
+    top = 3 if bound < 5 else bound - (bound - 5) % 6 + 2
+    rest = 1
+    pieces = [n] if n > 1 else []
+    while pieces:
+        m = pieces.pop()
+        if not (m < _MR_LIMIT and is_prime(m)):
+            # rho gets 1/16 of the trial divisions it may save; one of its
+            # steps costs about 2 + bits/64 of them
+            trial_steps = min(math.isqrt(m), bound) // 6
+            g = _rho(m, trial_steps // (16 * (2 + m.bit_length() // 64)))
+            if g:
+                pieces += (g, m // g)
+                continue
+            m = _trial_divide(m, bound, out)
+        if m > top:
+            rest *= m
+        elif m > 1:
+            out[m] = out.get(m, 0) + 1
+    if rest > 1:
+        if not (rest <= bound * bound or (rest < _MR_LIMIT and is_prime(rest))):
             raise FactorizationLimitError(
-                f"unfactored remainder {n} beyond trial bound {bound}"
+                f"unfactored remainder {rest} beyond trial bound {bound}"
             )
+        out[rest] = 1
     return dict(sorted(out.items()))
 
 
@@ -240,7 +328,7 @@ def rational_factorization(q, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, in
     q = Fraction(q)
     if q == 0:
         raise PreconditionError("cannot factor 0")
-    out = {p: k for p, k in factorize(q.numerator, bound).items()} if abs(q.numerator) != 1 else {}
+    out = factorize(q.numerator, bound)
     if q.denominator != 1:
         for p, k in factorize(q.denominator, bound).items():
             out[p] = out.get(p, 0) - k

@@ -8,8 +8,9 @@ positivity against the signs of the leading principal minors, the
 modular Jordan elimination against the exact-rational one, module
 lengths and the vertex oracle's dual basis against a standalone Smith
 form, the enumerator's modular canonical bases against a Fraction HNF,
-and the vertex enumerator against an exact-rational enumerator.  ``invoke``
-runs one CLI request in-process.
+the vertex enumerator against an exact-rational enumerator, and the rho
+factorizer against plain trial division.  ``invoke`` runs one CLI request
+in-process.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from hermcycles import (
 from hermcycles.cli import run
 from hermcycles.errors import (
     EnumerationLimitError,
+    FactorizationLimitError,
     NonIntegralLatticeError,
     PreconditionError,
     SingularMatrixError,
@@ -51,13 +53,16 @@ from hermcycles.lattice import (
 )
 from hermcycles.global_cycles import is_positive_definite
 from hermcycles.padic import (
+    _MR_LIMIT,
     DEFAULT_FACTOR_BOUND,
     INERT,
     INFINITY,
+    _count_factor,
     _mod,
     _val,
     check_quadratic_field,
     hilbert_symbol,
+    is_prime,
     is_square_unit,
     rational_factorization,
     splitting_type,
@@ -463,6 +468,54 @@ def positive_definite_oracle(T, delta: int) -> bool:
         if minor.a <= 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# trial-division factorization (differential oracle for padic.factorize,
+# which splits by Brent's rho)
+
+
+def factorize_oracle(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
+    """Factor by trial division by 2, 3 and every 6k +- 1 up to
+    min(sqrt(n), bound); a leftover is kept only when it is at most bound**2
+    or certified prime by Miller-Rabin below _MR_LIMIT."""
+    if bound < 0:
+        raise PreconditionError(f"factor bound must be nonnegative, got {bound}")
+    if n == 0:
+        raise PreconditionError("cannot factor 0")
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        k, n = _count_factor(n, p)
+        if k:
+            out[p] = k
+    f = 5
+    while f * f <= n and f <= bound:
+        for p in (f, f + 2):
+            if n % p == 0:
+                out[p], n = _count_factor(n, p)
+        f += 6
+    if n > 1:
+        if n <= bound * bound or (n < _MR_LIMIT and is_prime(n)):
+            out[n] = out.get(n, 0) + 1
+        else:
+            raise FactorizationLimitError(
+                f"unfactored remainder {n} beyond trial bound {bound}"
+            )
+    return dict(sorted(out.items()))
+
+
+def trial_limit(bound: int) -> int:
+    """The last divisor that factorize_oracle tries at ``bound``."""
+    return 3 if bound < 5 else bound - (bound - 5) % 6 + 2
+
+
+def factor_outcome(factor, n: int, bound: int):
+    """factor(n, bound), or the type and message of the error it raises."""
+    try:
+        return factor(n, bound)
+    except (PreconditionError, FactorizationLimitError) as exc:
+        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The enumeration family (all small diagonal and hyperbolic instances over
 p in {3, 5} and eps in {1, -1}, plus the designed-to-be-non-unique rank-4
-case) is computed once and shared by the first three criteria.
+case) is computed once and shared by criteria 1-3 and 11.
 """
 
 import json
@@ -237,4 +237,17 @@ def test_criterion_10_hyperbolic_census():
         "10. H(1) at p=3 supports exactly one type-2 vertex and four type-0",
         ok,
         f"census {counts}",
+    )
+
+
+def test_criterion_11_every_family_report_passes(family_reports):
+    # rep.passed adds even types and a transitive poset to criteria 1-3; the
+    # family holds H(1)+H(3) at p=5, eps 1, the non-unique case, under BOUNDS
+    reports, _ = family_reports
+    bad = [label for label, rep in reports if not rep.passed]
+    labels = {label for label, _ in reports}
+    _verdict(
+        "11. verify_structure_theorems passes on every case of the family",
+        not bad and "p5,eps1:H(1)+H(3)" in labels,
+        f"{len(reports)} cases" + (f"; failures: {bad}" if bad else ""),
     )

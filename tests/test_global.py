@@ -141,7 +141,7 @@ def test_diff0_examples():
 
 def test_each_request_factors_delta_once(monkeypatch):
     # the checked field is the only factorization of delta; det T adds one
-    # more when its numerator is not 1
+    # more, and one for its denominator when that is not 1
     import hermcycles.padic as padic
 
     calls = []
@@ -154,7 +154,7 @@ def test_each_request_factors_delta_once(monkeypatch):
     monkeypatch.setattr(padic, "factorize", counting)
     cases = (
         (lambda: global_report(diag(-3, [2, 5]), -3), [-3, 10]),
-        (lambda: global_report(diag(-15, [1, 1]), -15), [-15]),
+        (lambda: global_report(diag(-15, [1, 1]), -15), [-15, 1]),
         (lambda: diff0(diag(-3, [2, 5]), -3), [-3, 10]),
         (lambda: self_dual_exists(diag(-3, [2, 5]), -3), [-3, 10]),
     )

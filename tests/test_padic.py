@@ -1,8 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from support import conic_has_primitive_zero, squarefree_deltas
+from support import (
+    conic_has_primitive_zero,
+    factor_outcome,
+    factorize_oracle,
+    squarefree_deltas,
+    trial_limit,
+)
 
 from hermcycles import (
     FactorizationLimitError,
@@ -20,7 +27,13 @@ from hermcycles import (
     val_p,
 )
 from hermcycles.errors import InvalidFieldError, SchemaError
-from hermcycles.padic import _MR_LIMIT, _splitting, check_quadratic_field, is_prime
+from hermcycles.padic import (
+    _MR_LIMIT,
+    _MR_PREFIXES,
+    _splitting,
+    check_quadratic_field,
+    is_prime,
+)
 
 
 def test_val_examples():
@@ -161,6 +174,81 @@ def test_factorize_refuses_huge_remainder():
         factorize(2**89 - 1, bound=10**4)  # prime, but beyond certification
 
 
+def test_factorize_agrees_with_trial_division_on_a_grid():
+    # every n < 5000 (negated at odd bounds) at every bound 0..39: each
+    # residue of the bound mod 6 and every bound below 5, where the trial
+    # limit T is 3
+    for bound in range(40):
+        sign = -1 if bound % 2 else 1
+        for n in range(1, 5000):
+            expected = factor_outcome(factorize_oracle, sign * n, bound)
+            assert factor_outcome(factorize, sign * n, bound) == expected, (n, bound)
+
+
+def test_factorize_meets_its_contract_around_the_trial_limit():
+    # the contract read off sympy's factorization: primes up to T are found,
+    # the product R of the rest is kept when it is 1, at most bound**2 or a
+    # certified prime; bounds 0..4 and a run of each residue mod 6 pin T
+    sympy = pytest.importorskip("sympy")
+    assert [trial_limit(b) for b in range(12)] == [3, 3, 3, 3, 3, 7, 7, 7, 7, 7, 7, 13]
+    for bound in [0, 1, 2, 3, 4, *range(996, 1008), 10**6, 10**6 + 1]:
+        top = trial_limit(bound)
+        below = [sympy.prevprime(top + 1)]
+        if top > 5:
+            below.append(sympy.prevprime(below[0]))
+        above = [sympy.nextprime(top), sympy.nextprime(sympy.nextprime(top))]
+        pool = [2, 3, 5, *below, *above]
+        for i, p in enumerate(pool):
+            for q in pool[i:]:
+                for n in (p * q, -p * q * above[0], 4 * p * q * q):
+                    found = {r: k for r, k in sympy.factorint(abs(n)).items() if r <= top}
+                    rest = abs(n) // math.prod(r**k for r, k in found.items())
+                    if rest == 1:
+                        assert factorize(n, bound) == found
+                    elif rest <= bound * bound or (rest < _MR_LIMIT and sympy.isprime(rest)):
+                        assert factorize(n, bound) == dict(sorted({**found, rest: 1}.items()))
+                    else:
+                        with pytest.raises(FactorizationLimitError) as info:
+                            factorize(n, bound)
+                        assert str(info.value) == (
+                            f"unfactored remainder {rest} beyond trial bound {bound}"
+                        )
+
+
+# copied from the queries benchmark: primes just below the default bound
+NEAR_BOUND_PRIMES = (999953, 999959, 999961, 999979, 999983)
+
+
+def test_rho_never_trial_divides_the_near_bound_determinants(monkeypatch):
+    # a cost guard that reads no clock: trial division is the fallback for a
+    # piece rho cannot split, and none of these reaches it
+    import hermcycles.padic as padic
+
+    calls = []
+    trial = padic._trial_divide
+
+    def counting(n, bound, out):
+        calls.append(n)
+        return trial(n, bound, out)
+
+    monkeypatch.setattr(padic, "_trial_divide", counting)
+    for i, a in enumerate(NEAR_BOUND_PRIMES):
+        for b in NEAR_BOUND_PRIMES[i + 1 :]:
+            for d2 in (1, 2, 3, 5, 7, 11):
+                expected = dict(sorted({a: 1, b: 1, **({d2: 1} if d2 > 1 else {})}.items()))
+                assert factorize(a * b * d2) == expected
+    # a prime cofactor below _MR_LIMIT is certified, not trial divided
+    assert factorize(3 * (2**61 - 1)) == {3: 1, 2**61 - 1: 1}
+    assert calls == []
+    # 2**89 - 1 is prime, at or above _MR_LIMIT and too large for rho's
+    # budget: it is trial divided and refused with the same message
+    assert 2**89 - 1 >= _MR_LIMIT
+    with pytest.raises(FactorizationLimitError) as info:
+        factorize(2**89 - 1, bound=10**4)
+    assert str(info.value) == f"unfactored remainder {2**89 - 1} beyond trial bound 10000"
+    assert calls == [2**89 - 1]
+
+
 def test_is_prime_agrees_with_sympy_below_the_limit_and_refuses_from_it():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(21)
@@ -170,6 +258,15 @@ def test_is_prime_agrees_with_sympy_below_the_limit_and_refuses_from_it():
     below += [rng.randrange(10**20, _MR_LIMIT) for _ in range(500)]
     below += [399165290221, 798330580441]  # the two prime factors of twelve
     below += [1287836182261, 2575672364521]  # the two prime factors of _MR_LIMIT
+    # every n below 43**2 + 3000, and around each term of OEIS A014233 below
+    # _MR_LIMIT: the least strong pseudoprime to the first k primes, k = 1..12
+    below += list(range(43 * 43 + 3000))
+    a014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+               341550071728321, 3825123056546413051, twelve)
+    # A014233(8) = A014233(7) and A014233(11) = A014233(10) = A014233(9)
+    assert _MR_PREFIXES == tuple(zip((*a014233, _MR_LIMIT), (1, 2, 3, 4, 5, 6, 7, 9, 12, 13)))
+    for term in a014233:
+        below += list(range(term - 1000, term + 1000))
     for n in below:
         assert is_prime(n) == sympy.isprime(n), n
     assert twelve == 399165290221 * 798330580441

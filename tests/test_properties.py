@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 from support import (
     acceptance_family,
+    factor_outcome,
+    factorize_oracle,
     hnf_canonicalize,
     invoke,
     jordan_split_oracle,
     oracle_vertex_census,
     random_basis_change,
     transformed_gram,
+    trial_limit,
 )
 
 from hermcycles import (
@@ -22,12 +25,14 @@ from hermcycles import (
     SingularMatrixError,
     diagonal_gram,
     enumerate_vertices,
+    factorize,
     hyperbolic_gram,
     jordan_split,
     orthogonal_sum,
     smallest_nonresidue,
 )
 from hermcycles.lattice import mat_mul
+from hermcycles.padic import is_prime
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -94,6 +99,54 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1] * 8 + [3, 9]))
+
+
+def _prime_at_least(k):
+    k = max(k, 2)
+    while not is_prime(k):
+        k += 1
+    return k
+
+
+def _prime_at_most(k):
+    while not is_prime(k):
+        k -= 1
+    return k
+
+
+# primes of 14 to 27 digits; 2**89 - 1 is at or above _MR_LIMIT, and so is
+# the product of any two of the others
+_LARGE_PRIMES = (10**13 + 37, 10**13 + 51, 2**61 - 1, 2**89 - 1)
+
+
+@st.composite
+def _factor_cases(draw):
+    """(n, bound): a signed product of up to four primes drawn below, around
+    and above the trial limit T, squares of primes above T and primes beyond
+    _MR_LIMIT**(1/2), at a bound in 0..3000 or, one time in four, 10**6."""
+    bound = 10**6 if draw(st.integers(0, 3)) == 0 else draw(st.integers(0, 3000))
+    top = trial_limit(bound)
+    n = draw(st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("below", "around", "above", "square", "large")))
+        if kind == "below":
+            n *= _prime_at_most(draw(st.integers(2, top)))
+        elif kind == "around":
+            n *= _prime_at_least(top + draw(st.integers(-40, 40)))
+        elif kind == "above":
+            n *= _prime_at_least(draw(st.integers(top + 1, max(100 * top, 10**7))))
+        elif kind == "square":
+            n *= _prime_at_least(draw(st.integers(top + 1, 10 * top))) ** 2
+        else:
+            n *= draw(st.sampled_from(_LARGE_PRIMES))
+    return n, bound
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_factor_cases())
+def test_rho_factorization_is_trial_division(case):
+    n, bound = case
+    assert factor_outcome(factorize, n, bound) == factor_outcome(factorize_oracle, n, bound)
 
 
 @st.composite

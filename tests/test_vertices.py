@@ -360,14 +360,6 @@ def test_verify_non_unique_case():
     assert rep.max_type == 4
 
 
-def test_verify_non_unique_case_p5():
-    ctx = RamifiedContext(5, 1)
-    bounds = EnumerationBounds(max_rank=4, max_scale=4, max_candidates=10**7)
-    H13 = orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3))
-    rep = verify_structure_theorems(HermLattice.from_gram(H13), bounds)
-    assert rep.passed and rep.max_count >= 2
-
-
 def test_random_lattices_agree_with_formula():
     # beyond the fixed family: random integral Grams with off-diagonal
     # entries, so the splitting's folding and hyperbolic paths feed the
