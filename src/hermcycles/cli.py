@@ -91,8 +91,7 @@ def _parse_matrix(obj, ctx: QuadContext, where: str, keys=("a", "b"), noun="ring
 def _context(args) -> RamifiedContext:
     if args.p is None:
         raise SchemaError("--p is required")
-    delta_sq = parse_rational(args.delta_sq) if args.delta_sq is not None else None
-    return RamifiedContext(args.p, parse_rational(args.epsilon), delta_sq)
+    return RamifiedContext(args.p, parse_rational(args.epsilon))
 
 
 def _bounds(args) -> EnumerationBounds:
@@ -168,12 +167,6 @@ def build_parser() -> _Parser:
         if context:
             p.add_argument("--p", type=int, default=None, help="odd prime")
             p.add_argument("--epsilon", default="1", help="unit with pi^2 = eps*p")
-            p.add_argument(
-                "--delta-sq",
-                dest="delta_sq",
-                default=None,
-                help="non-square unit class (default: smallest non-residue)",
-            )
         if bounds:
             p.add_argument("--max-rank", type=int, default=3)
             p.add_argument("--max-scale", type=int, default=3)
@@ -189,7 +182,8 @@ def build_parser() -> _Parser:
         _cmd_cycle,
         "cycle invariants of a Hermitian matrix",
         context=True,
-        extra={"--raw": {"action": "store_true", "help": "input is the pre-scaled Gram"}},
+        extra={"--raw": {"action": "store_true", "help": "the matrix is the cycle-lattice Gram; "
+                         "a non-integral one is a precondition error (exit 2)"}},
     )
     add(
         "vertices",

@@ -1,10 +1,10 @@
 """Support and dimension invariants of the cycle attached to a Hermitian matrix.
 
-From an input matrix T the cycle lattice carries the form scaled by the unit
--eps**-1 * delta_sq.  Its Jordan data determines the maximal vertex type t,
-the dimension t/2, and the irreducibility / zero-dimensionality flags; all of
-them are invariant under scaling the form by any unit, in particular under a
-different choice of delta_sq.
+The cycle lattice of an input matrix T carries the form of T scaled by a
+unit.  Its Jordan data determines the maximal vertex type t, the dimension
+t/2, and the irreducibility / zero-dimensionality flags, and none of them
+changes when the form is scaled by a unit (cycle_report), so they are read
+off the Jordan splitting of T itself.
 """
 
 from __future__ import annotations
@@ -93,11 +93,16 @@ def cycle_invariants(G: HermGram) -> CycleInvariants:
 
 
 def cycle_report(T: HermGram, ctx: RamifiedContext) -> CycleInvariants:
-    """Full pipeline: scale T, handle the empty case, compute invariants; the
-    Jordan elimination of the scaled T is also the singularity test."""
+    """The empty-cycle marker for a non-integral T, else the invariants of
+    the cycle lattice, read off the Jordan splitting of T (also the
+    singularity test).  Scaling by a unit u keeps Jordan scales and ranks
+    and multiplies a rank-r block determinant by u**r (Jacobowitz 1962);
+    invariants_from_report reads unit classes only through is_split_sum on
+    an even total rank, where the blocks of odd rank are even in number, so
+    the parity of the non-square blocks is kept."""
     if T.ctx != ctx:
         raise PreconditionError("matrix context does not match")
-    report = jordan_split(T.scaled(ctx.unit_scale()))
+    report = jordan_split(T)
     if not T.is_integral():
         return CycleInvariants.empty()
     return invariants_from_report(report, ctx.p)

@@ -50,17 +50,13 @@ def _hermitian(T, delta: int) -> HermGram:
 
 
 def is_positive_definite(T, delta: int) -> bool:
-    """Whether every pivot of an elimination without row swaps is positive:
-    pivot k is leading minor k over leading minor k - 1, a rational."""
-    M = [list(row) for row in _hermitian(T, delta).entries]
-    for k in range(len(M)):
-        if M[k][k].a <= 0:
-            return False
-        inv = M[k][k].inverse()
-        for r in range(k + 1, len(M)):
-            f = M[r][k] * inv
-            M[r] = [x - f * y for x, y in zip(M[r], M[k])]
-    return True
+    """Whether the one forward elimination of T (HermGram.elimination)
+    swapped no rows and found n positive pivots: it swaps only at a zero
+    diagonal entry, so on a positive definite T it swaps none, and pivot k
+    is leading minor k over leading minor k - 1."""
+    G = _hermitian(T, delta)
+    pivots, swaps, _ = G.elimination()
+    return not swaps and len(pivots) == G.n and all(x.a > 0 for x in pivots)
 
 
 def _diff0(det: Fraction, delta: int, bound: int) -> tuple[int, ...]:

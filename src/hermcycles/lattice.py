@@ -61,19 +61,22 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_det(A, ctx: QuadContext) -> OHElement:
-    """Gaussian elimination; zero entries cost nothing, and a pivot is
-    inverted only when some row below it has to be cleared."""
-    n = len(A)
-    M = [row[:] for row in A]
-    det = ctx.one()
+def _forward_eliminate(M, n: int, ctx: QuadContext):
+    """Forward elimination of the first n columns of the n rows M, in place:
+    (pivots, row swaps, determinant).  A pivot is the diagonal entry, or when
+    that is zero the first nonzero entry below it, swapped up; the pivots stop
+    short of n, and the determinant is zero, exactly when M is singular.  Zero
+    entries cost nothing, and a pivot is inverted only when some row below it
+    has to be cleared."""
+    pivots, swaps, det = [], 0, ctx.one()
     for c in range(n):
         piv = next((r for r in range(c, n) if not M[r][c].is_zero()), None)
         if piv is None:
-            return ctx.zero()
+            return pivots, swaps, ctx.zero()
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            det = -det
+            swaps, det = swaps + 1, -det
+        pivots.append(M[c][c])
         det = det * M[c][c]
         below = [r for r in range(c + 1, n) if not M[r][c].is_zero()]
         if not below:
@@ -82,27 +85,32 @@ def mat_det(A, ctx: QuadContext) -> OHElement:
         for r in below:
             f = M[r][c] * inv
             M[r] = [x - f * y if y else x for x, y in zip(M[r], M[c])]
-    return det
+    return pivots, swaps, det
+
+
+def mat_det(A, ctx: QuadContext) -> OHElement:
+    """The signed product of the pivots of one forward elimination of A."""
+    return _forward_eliminate([row[:] for row in A], len(A), ctx)[2]
 
 
 def mat_inverse(A, ctx: RamifiedContext):
-    """Gauss-Jordan elimination on [A | I]; zero entries cost nothing."""
+    """A**-1 by forward elimination of [A | I], then back substitution;
+    SingularMatrixError when A has no inverse."""
     n = len(A)
-    M = [row[:] + ident_row[:] for row, ident_row in zip(A, mat_identity(n, ctx))]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not M[r][c].is_zero()), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-        inv = M[c][c].inverse()
-        M[c] = [x * inv if x else x for x in M[c]]
-        for r in range(n):
-            if r == c or M[r][c].is_zero():
-                continue
-            f = M[r][c]
-            M[r] = [x - f * y if y else x for x, y in zip(M[r], M[c])]
-    return [row[n:] for row in M]
+    M = [row[:] + ident_row for row, ident_row in zip(A, mat_identity(n, ctx))]
+    pivots, _, det = _forward_eliminate(M, n, ctx)
+    if det.is_zero():
+        raise SingularMatrixError("matrix is singular")
+    X = [None] * n
+    for c in range(n - 1, -1, -1):
+        row = M[c][n:]
+        for j in range(c + 1, n):
+            f = M[c][j]
+            if f:
+                row = [x - f * y if y else x for x, y in zip(row, X[j])]
+        inv = pivots[c].inverse()
+        X[c] = [x * inv if x else x for x in row]
+    return X
 
 
 def mat_is_integral(A) -> bool:
@@ -119,7 +127,7 @@ class HermGram:
     ``name`` is the request field that error locations point into.
     """
 
-    __slots__ = ("entries", "n", "ctx", "_det")
+    __slots__ = ("entries", "n", "ctx", "_elimination")
 
     def __init__(self, entries, ctx: QuadContext | None = None, name: str = "gram"):
         rows = [tuple(row) for row in entries]
@@ -143,12 +151,18 @@ class HermGram:
         self.entries = tuple(rows)
         self.n = n
         self.ctx = ctx
-        self._det = None
+        self._elimination = None
+
+    def elimination(self):
+        """(pivots, swaps, det) of one forward elimination (_forward_eliminate),
+        computed once; the determinant and positive definiteness read it."""
+        if self._elimination is None:
+            rows = [list(r) for r in self.entries]
+            self._elimination = _forward_eliminate(rows, self.n, self.ctx)
+        return self._elimination
 
     def det(self) -> OHElement:
-        if self._det is None:
-            self._det = mat_det([list(r) for r in self.entries], self.ctx)
-        return self._det
+        return self.elimination()[2]
 
     def det_rational(self) -> Fraction:
         d = self.det()
@@ -234,7 +248,7 @@ class HermLattice:
         """The lattice whose basis is the identity in the ambient ``gram``.
 
         Its Gram B^T * G * conj(B) is G itself, so ``gram`` seeds the cache
-        (with its determinant, when already computed).
+        (with its elimination, when already computed).
         """
         lat = cls(gram, mat_identity(gram.n, gram.ctx))
         lat._gram = gram

@@ -282,9 +282,10 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
 
     Pieces are split by Brent's rho, with a budget of about 1/16 of the
     time trial division would take; a piece it cannot split within that
-    budget is trial divided.  So the bound decides the answer, and the
-    running time follows the second-largest prime factor, not the bound,
-    except on pieces rho cannot split.
+    budget, or whose budget is below one batch of 128 steps, is trial
+    divided.  So the bound decides the answer, and the running time follows
+    the second-largest prime factor, not the bound, except on pieces rho
+    cannot split.
     """
     if bound < 0:
         raise PreconditionError(f"factor bound must be nonnegative, got {bound}")
@@ -303,9 +304,11 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
         m = pieces.pop()
         if not (m < _MR_LIMIT and is_prime(m)):
             # rho gets 1/16 of the trial divisions it may save; one of its
-            # steps costs about 2 + bits/64 of them
+            # steps costs about 2 + bits/64 of them, and a budget below one
+            # batch of 128 steps splits too little to be worth a call
             trial_steps = min(math.isqrt(m), bound) // 6
-            g = _rho(m, trial_steps // (16 * (2 + m.bit_length() // 64)))
+            budget = trial_steps // (16 * (2 + m.bit_length() // 64))
+            g = _rho(m, budget) if budget >= 128 else None
             if g:
                 pieces += (g, m // g)
                 continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, UnsupportedPrimeError
-from .padic import INFINITY, _val, is_prime, is_square_unit, smallest_nonresidue
+from .padic import INFINITY, _val, is_prime, is_square_unit
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,17 +48,15 @@ class QuadContext:
 
 @dataclass(frozen=True)
 class RamifiedContext(QuadContext):
-    """Fixes the prime p, the unit eps with pi**2 = pi0 = eps*p, and delta_sq.
+    """Fixes the odd prime p and the p-adic unit eps with pi**2 = pi0 = eps*p.
 
-    ``delta_sq`` is a non-square unit class; only its square class ever enters
-    a formula, so it is stored directly.  Defaults to the smallest positive
-    non-residue mod p.
+    No other choice enters: the cycle invariants of a matrix do not change
+    when its form is scaled by a unit (cycles.cycle_report).
     """
 
     pi0: Fraction = field(init=False, compare=False, repr=False)
     p: int
     eps: Fraction = _ONE
-    delta_sq: Fraction = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.p == 2:
@@ -68,19 +66,7 @@ class RamifiedContext(QuadContext):
         object.__setattr__(self, "eps", Fraction(self.eps))
         if _val(self.eps, self.p) != 0:
             raise PreconditionError(f"eps = {self.eps} must be a unit at {self.p}")
-        if self.delta_sq is None:
-            object.__setattr__(self, "delta_sq", Fraction(smallest_nonresidue(self.p)))
-        else:
-            object.__setattr__(self, "delta_sq", Fraction(self.delta_sq))
-            if _val(self.delta_sq, self.p) != 0 or is_square_unit(self.delta_sq, self.p):
-                raise PreconditionError(
-                    f"delta_sq = {self.delta_sq} must be a non-square unit at {self.p}"
-                )
         object.__setattr__(self, "pi0", self.eps * self.p)
-
-    def unit_scale(self) -> Fraction:
-        """The unit -eps**-1 * delta_sq that scales an input Hermitian matrix."""
-        return -self.delta_sq / self.eps
 
 
 class OHElement:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -8,10 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from support import invoke
+from support import invoke, random_basis_change, transformed_gram
 
 import hermcycles
-from hermcycles import cli
+from hermcycles import OHElement, RamifiedContext, cli, smallest_nonresidue
+from hermcycles.lattice import diagonal_gram, hyperbolic_gram, orthogonal_sum
 from hermcycles.padic import parse_rational
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -215,22 +217,25 @@ def test_determinism_byte_for_byte():
 
 
 def test_round_trip_scaled_gram():
-    # feeding the derived scaled Gram through --raw reproduces the invariants
+    # the matrix scaled by a unit of either square class (2 is not a square
+    # at 3, -1/2 is) and fed through --raw gives the invariants of the matrix
     from fractions import Fraction as F
 
-    from hermcycles import HermGram, RamifiedContext
+    from hermcycles import HermGram
 
     ctx = RamifiedContext(3, F(-1))
     T = HermGram([[ctx.element(1), ctx.pi()], [-ctx.pi(), ctx.element(2)]], ctx)
-    G = T.scaled(ctx.unit_scale())
-    request = json.dumps({"matrix": [[e.to_json() for e in row] for row in G.entries]})
     code1, out1 = invoke(
         ["cycle", "--p", "3", "--epsilon", "-1"],
         stdin_text=json.dumps({"matrix": [[e.to_json() for e in row] for row in T.entries]}),
     )
-    code2, out2 = invoke(["cycle", "--p", "3", "--epsilon", "-1", "--raw"], stdin_text=request)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    assert code1 == 0
+    for unit in (F(2), F(-1, 2)):
+        G = T.scaled(unit)
+        request = json.dumps({"matrix": [[e.to_json() for e in row] for row in G.entries]})
+        code2, out2 = invoke(["cycle", "--p", "3", "--epsilon", "-1", "--raw"], stdin_text=request)
+        assert code2 == 0
+        assert out1 == out2
 
 
 def test_console_script_entry_point():
@@ -368,14 +373,15 @@ def test_singular_error_documents():
 
 
 def test_cycle_and_global_compute_no_redundant_determinant(monkeypatch):
-    # cycle finds singularity by its Jordan elimination; global computes the
-    # determinant of the matrix once, and neither positivity nor the local
-    # cycle at an odd ramified prime computes another
+    # cycle finds singularity by its Jordan elimination and runs no Fraction
+    # elimination; global runs one, which gives both the determinant and
+    # positive definiteness, and the local cycle at an odd ramified prime
+    # runs none
     from hermcycles import lattice
 
     calls = []
-    real = lattice.mat_det
-    monkeypatch.setattr(lattice, "mat_det", lambda *args: calls.append(args) or real(*args))
+    real = lattice._forward_eliminate
+    monkeypatch.setattr(lattice, "_forward_eliminate", lambda *args: calls.append(args) or real(*args))
     # (request, exit code of cycle, exit code of cycle --raw)
     matrices = (
         ('{"matrix": [[1, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 3]]}', 0, 0),
@@ -387,23 +393,47 @@ def test_cycle_and_global_compute_no_redundant_determinant(monkeypatch):
         assert invoke(["cycle", "--p", "3"], stdin_text=text)[0] == code
         assert invoke(["cycle", "--p", "3", "--raw"], stdin_text=text)[0] == raw_code
     assert calls == []
-    code, out = invoke(["global"], stdin_text='{"delta": -3, "matrix": [[1, 0], [0, 1]]}')
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["status"] == "ramified-supported" and list(doc["per_prime"]) == ["3"]
-    assert len(calls) == 1
+    dense = [[2, {"x": "1/2", "y": "1/2"}, 1], [{"x": "1/2", "y": "-1/2"}, 3, 1], [1, 1, 4]]
+    for matrix in ([[1, 0], [0, 1]], dense):
+        calls.clear()
+        code, out = invoke(["global"], stdin_text=json.dumps({"delta": -3, "matrix": matrix}))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["positive_definite"] and list(doc["per_prime"]) == ["3"]
+        assert len(calls) == 1
+
+
+def test_cycle_scales_no_matrix(monkeypatch):
+    # a cost guard that reads no clock: the invariants are read off the
+    # Jordan splitting of the request's matrix itself, so a rank-16 cycle
+    # request multiplies no two ring elements
+    ctx = RamifiedContext(5, -1)
+    r = smallest_nonresidue(5)
+    parts = [hyperbolic_gram(ctx, i) for i in (0, 1, 1, 2, 3)]
+    parts.append(diagonal_gram(ctx, [1, r, ctx.pi0, ctx.pi0 * r, ctx.pi0**2, 7]))
+    G = transformed_gram(orthogonal_sum(*parts), random_basis_change(random.Random(16), ctx, 16))
+    assert G.n == 16 and any(x.b for row in G.entries for x in row)
+    request = json.dumps({"matrix": [[x.to_json() for x in row] for row in G.entries]})
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(OHElement, name)
+        monkeypatch.setattr(OHElement, name, lambda *args, _f=real: calls.append(args) or _f(*args))
+    for flags in ([], ["--raw"]):
+        code, out = invoke(["cycle", "--p", "5", "--epsilon", "-1", *flags], stdin_text=request)
+        assert code == 0 and json.loads(out)["status"] == "nonempty"
+    assert calls == []
 
 
 def test_vertices_and_verify_check_integrality_and_rank_before_singularity(monkeypatch):
     # The enumerator's Jordan elimination is the singularity test of vertices
     # and verify, so a singular request that is also over rank or not integral
     # gets the error of the earlier check; none of these requests computes a
-    # determinant.
+    # determinant (runs no Fraction elimination).
     from hermcycles import lattice
 
     calls = []
-    real = lattice.mat_det
-    monkeypatch.setattr(lattice, "mat_det", lambda *args: calls.append(args) or real(*args))
+    real = lattice._forward_eliminate
+    monkeypatch.setattr(lattice, "_forward_eliminate", lambda *args: calls.append(args) or real(*args))
     singular = '{"gram": [[1, 1], [1, 1]]}'
     cases = (
         (

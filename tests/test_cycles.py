@@ -30,14 +30,15 @@ def test_build_cycle_lattice_nonintegral_is_empty():
 
 
 def test_build_cycle_lattice_scaling():
-    ctx = RamifiedContext(3, -1)  # unit scale -eps^-1 delta^2 = 2
-    assert ctx.unit_scale() == 2
+    # 2 is not a square at 3 and 4 is: scaling by either leaves the report
+    ctx = RamifiedContext(3, -1)
     T = diagonal_gram(ctx, [1, 1])
-    assert T.scaled(ctx.unit_scale()).entries[0][0] == ctx.element(2)
-    assert cycle_report(T, ctx) == cycle_invariants(T.scaled(2))
+    assert T.scaled(2).entries[0][0] == ctx.element(2)
     T2 = diagonal_gram(ctx, [ctx.pi0])
-    assert T2.scaled(ctx.unit_scale()).entries[0][0] == ctx.element(2 * ctx.pi0)
-    assert cycle_report(T2, ctx) == cycle_invariants(T2.scaled(2))
+    assert T2.scaled(2).entries[0][0] == ctx.element(2 * ctx.pi0)
+    for G in (T, T2):
+        for unit in (2, 4):
+            assert cycle_report(G, ctx) == cycle_invariants(G.scaled(unit))
 
 
 def test_unimodular_single_point():
@@ -97,12 +98,10 @@ def test_unit_scaling_and_delta_independence():
             [F(u) for u in range(1, 3 * p) if u % p] + [F(1, q) for q in (2, p + 1)]
         )
         assert cycle_invariants(G.scaled(unit)) == base
-        # a different non-square class for delta^2 never changes anything
+        # units of both square classes, one with a denominator prime to p
         r = smallest_nonresidue(p)
-        other = RamifiedContext(p, eps, F(r) * F(p + 1) ** 2)
-        assert other.delta_sq != ctx.delta_sq
-        scale_ratio = other.unit_scale() / ctx.unit_scale()
-        assert cycle_invariants(G.scaled(scale_ratio)) == base
+        for unit in (F(p + 1, 2) ** 2, r * F(p + 1, 2) ** 2):
+            assert cycle_invariants(G.scaled(unit)) == base
 
 
 def test_parity_invariants():

@@ -18,7 +18,6 @@ from hermcycles import (
     IntegralityError,
     InvalidFieldError,
     QuadContext,
-    RamifiedContext,
     SingularMatrixError,
     diff0,
     embed_matrix,
@@ -354,8 +353,9 @@ def test_status_transitions_on_random_positive_matrices():
 
 
 def test_dimension_depends_only_on_p_and_matrix():
-    # swapping the delta-square class or applying a unimodular integral basis
-    # change leaves every local dimension unchanged
+    # scaling the local matrix by a unit of either square class (2 is not a
+    # square at 3, 4 is) or applying a unimodular integral basis change
+    # leaves every local dimension unchanged
     from hermcycles.cycles import cycle_report
 
     rng = random.Random(17)
@@ -365,9 +365,9 @@ def test_dimension_depends_only_on_p_and_matrix():
         [qfe(delta, 0, -1), qfe(delta, 4)],
     ]
     base = global_report(T, delta).per_prime[3]
-    ctx_other = RamifiedContext(3, F(delta, 3), F(2) * F(4))
-    inv_other = cycle_report(embed_matrix(T, delta, ctx_other), ctx_other)
-    assert inv_other == base
+    ctx = local_context(delta, 3)
+    for unit in (2, 4):
+        assert cycle_report(embed_matrix(T, delta, ctx).scaled(unit), ctx) == base
     # unimodular change over the maximal order: T -> U^dagger T U
     U = [[qfe(delta, 1), qfe(delta, 1, 1)], [qfe(delta, 0), qfe(delta, 1)]]
     moved = [[qfe(delta, 0)] * 2 for _ in range(2)]

@@ -1,10 +1,13 @@
-"""Every name a package module imports is used in it, and every function or
-class a package module defines is used somewhere.
+"""Every name a package module imports is used in it, and every function,
+class or method a package module defines is used somewhere.
 
 ``__future__`` imports are exempt, and so is ``__init__.py``, which
 re-exports.  A module-level function or class counts as used when a
 ``Name`` or ``Attribute`` node in the package or the tests refers to it; a
-re-export in ``__init__.py`` is an import, not a use.
+re-export in ``__init__.py`` is an import, not a use.  A method of a
+module-level class, dunder methods apart, counts as used when an
+``Attribute`` node names it; a class with a base from outside the package
+may override what that base calls, so its methods are not checked.
 """
 
 import ast
@@ -32,19 +35,32 @@ def unused_imports(source: str) -> list[str]:
 
 def dead_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
     """Module-level functions and classes of ``modules`` (name -> source)
-    that no Name or Attribute node in ``modules`` or ``users`` refers to."""
-    used = set()
+    that no Name or Attribute node in ``modules`` or ``users`` refers to, and
+    non-dunder methods of those classes that no Attribute node names."""
+    names, attributes = set(), set()
     for source in [*modules.values(), *users]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
     dead = []
-    for module, source in modules.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names | attributes:
                 dead.append(f"{module}:{node.lineno}: {node.name}")
+            if isinstance(node, ast.ClassDef) and all(
+                isinstance(base, ast.Name) and base.id in classes for base in node.bases
+            ):
+                for item in node.body:
+                    if (
+                        isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and item.name not in attributes
+                    ):
+                        dead.append(f"{module}:{item.lineno}: {node.name}.{item.name}")
     return dead
 
 
@@ -70,9 +86,23 @@ def test_the_checker_sees_a_dead_definition():
     modules = {
         "a.py": "def used():\n    return helper()\n\ndef helper():\n    pass\n\nclass Dead:\n    pass\n",
         "b.py": "import a\n\ndef called_by_attribute():\n    pass\n\ndef dead():\n    pass\n",
+        "c.py": (
+            "class Box:\n"
+            "    def __init__(self):\n        self.kept()\n"
+            "    def kept(self):\n        pass\n"
+            "    def dead_method(self):\n        pass\n"
+            "    def named_only(self):\n        pass\n"
+            "class Parser(argparse.ArgumentParser):\n"
+            "    def error(self, message):\n        pass\n"
+        ),
     }
-    users = ["from a import Dead\nimport b\na.used()\nb.called_by_attribute()\n"]
-    assert dead_definitions(modules, users) == ["a.py:7: Dead", "b.py:6: dead"]
+    users = ["from a import Dead\nimport b\na.used()\nb.called_by_attribute()\nc.Box()\nc.Parser\nnamed_only\n"]
+    assert dead_definitions(modules, users) == [
+        "a.py:7: Dead",
+        "b.py:6: dead",
+        "c.py:6: Box.dead_method",
+        "c.py:8: Box.named_only",
+    ]
 
 
 def test_no_dead_definitions_in_the_package():

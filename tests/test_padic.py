@@ -249,6 +249,31 @@ def test_rho_never_trial_divides_the_near_bound_determinants(monkeypatch):
     assert calls == [2**89 - 1]
 
 
+def test_small_determinants_make_no_rho_call(monkeypatch):
+    # a cost guard that reads no clock: below a rho budget of one 128-step
+    # batch a piece goes straight to trial division; these are the global
+    # determinants and fields of a queries round apart from the near-bound ones
+    import itertools
+
+    import hermcycles.padic as padic
+
+    calls = []
+    rho = padic._rho
+    monkeypatch.setattr(padic, "_rho", lambda n, budget: calls.append(n) or rho(n, budget))
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 101, 997)
+    for k in (1, 2, 3):
+        for chosen in itertools.combinations(primes, k):
+            for d2 in (1, 2, 3, 5, 7, 11):
+                n = math.prod(chosen) * d2
+                assert factorize(n) == factorize_oracle(n)
+    for delta in (-3, -7, -11, -15, -19, -23):
+        assert check_quadratic_field(delta) == tuple(factorize(delta))
+    assert calls == []
+    # 16007 * 16033 has a budget of 83 squarings: trial division splits it
+    assert factorize(16007 * 16033) == {16007: 1, 16033: 1}
+    assert calls == []
+
+
 def test_is_prime_agrees_with_sympy_below_the_limit_and_refuses_from_it():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(21)

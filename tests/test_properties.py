@@ -19,10 +19,14 @@ from support import (
 )
 
 from hermcycles import (
+    CycleInvariants,
     EnumerationBounds,
     HermLattice,
+    PreconditionError,
     RamifiedContext,
     SingularMatrixError,
+    cycle_invariants,
+    cycle_report,
     diagonal_gram,
     enumerate_vertices,
     factorize,
@@ -80,17 +84,34 @@ def _disguised_block_sums(draw):
     return transformed_gram(orthogonal_sum(*blocks), U)
 
 
-def _jordan_outcome(split, G):
+def _outcome(f, *args):
     try:
-        return split(G)
-    except SingularMatrixError as exc:
+        return f(*args)
+    except (PreconditionError, SingularMatrixError) as exc:
         return str(exc)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(_disguised_block_sums())
 def test_modular_jordan_split_is_the_exact_one(G):
-    assert _jordan_outcome(jordan_split, G) == _jordan_outcome(jordan_split_oracle, G)
+    assert _outcome(jordan_split, G) == _outcome(jordan_split_oracle, G)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_disguised_block_sums(), st.data())
+def test_cycle_report_is_the_invariants_of_every_unit_scaling(G, data):
+    # Jacobowitz: a unit scaling keeps Jordan scales and ranks and the split
+    # class of every even-rank space, so cycle_report, which reads T's own
+    # Jordan data, agrees with the invariants of T scaled by any unit; u is
+    # drawn with a denominator prime to p, and u * r is in the other class
+    p = G.ctx.p
+    unit = st.integers(1, 10**4).filter(lambda k: k % p)
+    u = Fraction(data.draw(st.sampled_from([1, -1])) * data.draw(unit), data.draw(unit))
+    report = _outcome(cycle_report, G, G.ctx)
+    if report == CycleInvariants.empty():
+        report = "cycle lattice Gram must be integral"
+    for v in (u, u * smallest_nonresidue(p)):
+        assert _outcome(cycle_invariants, G.scaled(v)) == report
 
 
 _JSON = st.recursive(

@@ -26,12 +26,11 @@ def test_context_validation():
         RamifiedContext(9)
     with pytest.raises(PreconditionError):
         RamifiedContext(3, F(3))  # eps not a unit
-    with pytest.raises(PreconditionError):
-        RamifiedContext(3, 1, F(4))  # delta_sq a square
+    with pytest.raises(TypeError):
+        RamifiedContext(3, 1, F(2))  # p and eps are the whole context
     ctx = RamifiedContext(3, -1)
     assert ctx.pi0 == -3
-    assert ctx.delta_sq == smallest_nonresidue(3) == 2
-    assert ctx.unit_scale() == 2  # -(-1)^-1 * 2
+    assert ctx == RamifiedContext(3, F(-1))
 
 
 def test_defining_relation_and_products():
