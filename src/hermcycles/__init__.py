@@ -8,7 +8,6 @@ enumerator modulo powers of p at which every result they keep is exact.
 
 from .cycles import (
     CycleInvariants,
-    cycle_invariants,
     cycle_report,
     invariants_from_report,
 )

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
-from .cycles import cycle_invariants, cycle_report
+from .cycles import cycle_report
 from .errors import DomainError, ResourceError, SchemaError
 from .global_cycles import global_report
 from .lattice import HermGram, HermLattice, jordan_split
@@ -95,35 +96,27 @@ def _context(args) -> RamifiedContext:
 
 
 def _bounds(args) -> EnumerationBounds:
-    return EnumerationBounds(
-        max_rank=args.max_rank,
-        max_scale=args.max_scale,
-        max_candidates=args.max_candidates,
-    )
+    return EnumerationBounds(**{f.name: getattr(args, f.name) for f in fields(EnumerationBounds)})
 
 
-def _local_request(args, key: str) -> tuple[RamifiedContext, HermGram]:
-    """The context of a local command and the Hermitian matrix under ``key``."""
+def _local_request(args, key: str) -> HermGram:
+    """The Hermitian matrix under ``key``, in the context of a local command."""
     ctx = _context(args)
     doc = _load_document(args)
     _require_keys(doc, {key})
-    return ctx, HermGram(_parse_matrix(doc[key], ctx, key), ctx)
+    return HermGram(_parse_matrix(doc[key], ctx, key), ctx)
 
 
 def _cmd_jordan(args):
-    _, G = _local_request(args, "gram")
-    return {"blocks": jordan_split(G).to_json()}
+    return {"blocks": jordan_split(_local_request(args, "gram")).to_json()}
 
 
 def _cmd_cycle(args):
-    ctx, T = _local_request(args, "matrix")
-    if args.raw:
-        return cycle_invariants(T).to_json()
-    return cycle_report(T, ctx).to_json()
+    return cycle_report(_local_request(args, "matrix")).to_json()
 
 
 def _cmd_vertices(args):
-    _, G = _local_request(args, "gram")
+    G = _local_request(args, "gram")
     vs = enumerate_vertices(HermLattice.from_gram(G), _bounds(args))
     if args.dot:
         return poset_dot(vs)
@@ -131,7 +124,7 @@ def _cmd_vertices(args):
 
 
 def _cmd_verify(args):
-    _, G = _local_request(args, "gram")
+    G = _local_request(args, "gram")
     return verify_structure_theorems(HermLattice.from_gram(G), _bounds(args)).to_json()
 
 
@@ -166,25 +159,17 @@ def build_parser() -> _Parser:
         p.add_argument("input", nargs="?", help="request file (default: stdin)")
         if context:
             p.add_argument("--p", type=int, default=None, help="odd prime")
-            p.add_argument("--epsilon", default="1", help="unit with pi^2 = eps*p")
+            p.add_argument("--epsilon", default=RamifiedContext.eps, help="unit with pi^2 = eps*p")
         if bounds:
-            p.add_argument("--max-rank", type=int, default=3)
-            p.add_argument("--max-scale", type=int, default=3)
-            p.add_argument("--max-candidates", type=int, default=10_000_000)
+            for f in fields(EnumerationBounds):
+                p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
         for flag, kwargs in (extra or {}).items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
         return p
 
     add("jordan", _cmd_jordan, "Jordan block data of a Hermitian Gram matrix", context=True)
-    add(
-        "cycle",
-        _cmd_cycle,
-        "cycle invariants of a Hermitian matrix",
-        context=True,
-        extra={"--raw": {"action": "store_true", "help": "the matrix is the cycle-lattice Gram; "
-                         "a non-integral one is a precondition error (exit 2)"}},
-    )
+    add("cycle", _cmd_cycle, "cycle invariants of a Hermitian matrix", context=True)
     add(
         "vertices",
         _cmd_vertices,

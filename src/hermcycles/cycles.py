@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 
 from .errors import PreconditionError
 from .lattice import HermGram, JordanReport, is_split_sum, jordan_split
-from .ramified import RamifiedContext
 
 STATUS_NONEMPTY = "nonempty"
 STATUS_EMPTY = "empty-nonintegral"
@@ -83,16 +82,7 @@ def invariants_from_report(report: JordanReport, p: int) -> CycleInvariants:
     )
 
 
-def cycle_invariants(G: HermGram) -> CycleInvariants:
-    """Invariants of an integral cycle-lattice Gram matrix (a singular G is
-    reported by the Jordan elimination before integrality is checked)."""
-    report = jordan_split(G)
-    if not G.is_integral():
-        raise PreconditionError("cycle lattice Gram must be integral")
-    return invariants_from_report(report, G.ctx.p)
-
-
-def cycle_report(T: HermGram, ctx: RamifiedContext) -> CycleInvariants:
+def cycle_report(T: HermGram) -> CycleInvariants:
     """The empty-cycle marker for a non-integral T, else the invariants of
     the cycle lattice, read off the Jordan splitting of T (also the
     singularity test).  Scaling by a unit u keeps Jordan scales and ranks
@@ -100,9 +90,7 @@ def cycle_report(T: HermGram, ctx: RamifiedContext) -> CycleInvariants:
     invariants_from_report reads unit classes only through is_split_sum on
     an even total rank, where the blocks of odd rank are even in number, so
     the parity of the non-square blocks is kept."""
-    if T.ctx != ctx:
-        raise PreconditionError("matrix context does not match")
     report = jordan_split(T)
     if not T.is_integral():
         return CycleInvariants.empty()
-    return invariants_from_report(report, ctx.p)
+    return invariants_from_report(report, T.ctx.p)

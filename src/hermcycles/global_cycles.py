@@ -167,8 +167,7 @@ def global_report(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> GlobalRep
     else:
         status = STATUS_RAMIFIED
         for p in ramified_odd:
-            ctx = local_context(delta, p)
-            per_prime[p] = cycle_report(embed_matrix(G, delta, ctx), ctx)
+            per_prime[p] = cycle_report(embed_matrix(G, delta, local_context(delta, p)))
     return GlobalReport(
         positive_definite=positive,
         det=det,

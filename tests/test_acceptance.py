@@ -26,7 +26,7 @@ from hermcycles import (
     HermLattice,
     QuadContext,
     RamifiedContext,
-    cycle_invariants,
+    cycle_report,
     det_class,
     factorize,
     global_report,
@@ -120,14 +120,14 @@ def test_criterion_5_unit_scaling_and_delta_independence():
         eps = F(rng.choice([1, -1]))
         ctx = RamifiedContext(p, eps)
         G = random_hermitian_gram(rng, ctx, rng.randint(1, 3))
-        base = cycle_invariants(G)
+        base = cycle_report(G)
         unit = rng.choice([F(u) for u in range(1, 3 * p) if u % p])
-        if cycle_invariants(G.scaled(unit)) != base:
+        if cycle_report(G.scaled(unit)) != base:
             mismatches += 1
         # a unit of each square class
         r = smallest_nonresidue(p)
         for unit in (F((p + 1) ** 2), F(r * (p + 1) ** 2)):
-            if cycle_invariants(G.scaled(unit)) != base:
+            if cycle_report(G.scaled(unit)) != base:
                 mismatches += 1
     _verdict(
         "5. invariants unchanged under unit scaling of both square classes",

@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -58,6 +60,7 @@ def test_schema_violations_exit_1(tmp_path):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"matrix": [["\xe9"]]}')
     cases = (
+        (["cycle", "--p", "3", "--raw"], '{"matrix": [[1]]}', "unrecognized arguments: --raw"),
         (
             ["cycle", "--p", "3"],
             "[" * 100_000,
@@ -218,7 +221,7 @@ def test_determinism_byte_for_byte():
 
 def test_round_trip_scaled_gram():
     # the matrix scaled by a unit of either square class (2 is not a square
-    # at 3, -1/2 is) and fed through --raw gives the invariants of the matrix
+    # at 3, -1/2 is) gives the invariants of the matrix
     from fractions import Fraction as F
 
     from hermcycles import HermGram
@@ -233,7 +236,7 @@ def test_round_trip_scaled_gram():
     for unit in (F(2), F(-1, 2)):
         G = T.scaled(unit)
         request = json.dumps({"matrix": [[e.to_json() for e in row] for row in G.entries]})
-        code2, out2 = invoke(["cycle", "--p", "3", "--epsilon", "-1", "--raw"], stdin_text=request)
+        code2, out2 = invoke(["cycle", "--p", "3", "--epsilon", "-1"], stdin_text=request)
         assert code2 == 0
         assert out1 == out2
 
@@ -351,15 +354,14 @@ def test_global_factor_bound_error_documents():
 
 
 def test_singular_error_documents():
-    # a singular matrix is reported before it is found non-integral (empty
-    # cycle, or the --raw precondition), and jordan finds it by elimination
+    # a singular matrix is reported before it is found non-integral (an
+    # empty cycle), and jordan finds it by elimination
     singular = {"code": "singular-matrix", "message": "Gram matrix is singular"}
     cases = (
         (["jordan", "--p", "5"], '{"gram": [[1, 1], [1, 1]]}', singular),
         (["jordan", "--p", "5"], '{"gram": [[0]]}', singular),
         (["cycle", "--p", "3"], '{"matrix": [[1, 1], [1, 1]]}', singular),
         (["cycle", "--p", "3"], '{"matrix": [["1/3", "1/3"], ["1/3", "1/3"]]}', singular),
-        (["cycle", "--p", "3", "--raw"], '{"matrix": [["1/3", "1/3"], ["1/3", "1/3"]]}', singular),
         (
             ["global"],
             '{"delta": -3, "matrix": [[1, 1], [1, 1]]}',
@@ -382,16 +384,15 @@ def test_cycle_and_global_compute_no_redundant_determinant(monkeypatch):
     calls = []
     real = lattice._forward_eliminate
     monkeypatch.setattr(lattice, "_forward_eliminate", lambda *args: calls.append(args) or real(*args))
-    # (request, exit code of cycle, exit code of cycle --raw)
+    # (request, exit code)
     matrices = (
-        ('{"matrix": [[1, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 3]]}', 0, 0),
-        ('{"matrix": [["1/3", 0], [0, 1]]}', 0, 2),
-        ('{"matrix": [[1, 1], [1, 1]]}', 2, 2),
-        ('{"matrix": [["1/3", "1/3"], ["1/3", "1/3"]]}', 2, 2),
+        ('{"matrix": [[1, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 3]]}', 0),
+        ('{"matrix": [["1/3", 0], [0, 1]]}', 0),
+        ('{"matrix": [[1, 1], [1, 1]]}', 2),
+        ('{"matrix": [["1/3", "1/3"], ["1/3", "1/3"]]}', 2),
     )
-    for text, code, raw_code in matrices:
+    for text, code in matrices:
         assert invoke(["cycle", "--p", "3"], stdin_text=text)[0] == code
-        assert invoke(["cycle", "--p", "3", "--raw"], stdin_text=text)[0] == raw_code
     assert calls == []
     dense = [[2, {"x": "1/2", "y": "1/2"}, 1], [{"x": "1/2", "y": "-1/2"}, 3, 1], [1, 1, 4]]
     for matrix in ([[1, 0], [0, 1]], dense):
@@ -418,9 +419,8 @@ def test_cycle_scales_no_matrix(monkeypatch):
     for name in ("__mul__", "__rmul__"):
         real = getattr(OHElement, name)
         monkeypatch.setattr(OHElement, name, lambda *args, _f=real: calls.append(args) or _f(*args))
-    for flags in ([], ["--raw"]):
-        code, out = invoke(["cycle", "--p", "5", "--epsilon", "-1", *flags], stdin_text=request)
-        assert code == 0 and json.loads(out)["status"] == "nonempty"
+    code, out = invoke(["cycle", "--p", "5", "--epsilon", "-1"], stdin_text=request)
+    assert code == 0 and json.loads(out)["status"] == "nonempty"
     assert calls == []
 
 
@@ -535,12 +535,10 @@ def test_negative_enumeration_bounds_are_refused():
 
 def test_one_parser_serves_a_sequence_of_requests(monkeypatch):
     plane = json.dumps({"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]})
-    # non-integral: empty without --raw, a precondition error with it
-    matrix = '{"matrix": [["1/3", 0], [0, 1]]}'
+    matrix = '{"matrix": [["1/3", 0], [0, 1]]}'  # non-integral: an empty cycle
     sequence = [
         (["vertices", "--p", "3", "--dot"], plane),
         (["vertices", "--p", "3"], plane),
-        (["cycle", "--p", "3", "--raw"], matrix),
         (["cycle", "--p", "3"], matrix),
         (["cycle", "--p", "3", "--no-such-flag"], matrix),
         (["cycle", "--p", "3"], matrix),
@@ -557,7 +555,7 @@ def test_one_parser_serves_a_sequence_of_requests(monkeypatch):
     monkeypatch.setattr(cli, "_PARSER", None)
     assert [invoke(argv, text) for argv, text in sequence] == fresh
     assert len(builds) == 1
-    assert [code for code, _ in fresh] == [0, 0, 2, 0, 1, 0, 3, 0]
+    assert [code for code, _ in fresh] == [0, 0, 0, 1, 0, 3, 0]
     assert fresh[0][1] != fresh[1][1] and fresh[2][1] != fresh[3][1]
 
 
@@ -582,10 +580,13 @@ def test_decimal_exponent_past_the_digit_limit_is_refused_before_the_work():
         assert peak < 5 * 2**20
 
 
-def test_readme_cli_examples_run():
+def _readme_cli_section() -> str:
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_run():
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
     assert len(commands) == 4
     for line in commands:
@@ -594,3 +595,12 @@ def test_readme_cli_examples_run():
         code, out = invoke(argv, stdin_text=text)
         assert code == 0, line
         assert isinstance(json.loads(out), dict), line
+
+
+def test_readme_cli_flags_are_the_parser_options():
+    # every flag the CLI section names is an option of some subcommand, and
+    # every subcommand option is named there
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    assert named == options - {"-h", "--help"}

@@ -367,7 +367,7 @@ def test_dimension_depends_only_on_p_and_matrix():
     base = global_report(T, delta).per_prime[3]
     ctx = local_context(delta, 3)
     for unit in (2, 4):
-        assert cycle_report(embed_matrix(T, delta, ctx).scaled(unit), ctx) == base
+        assert cycle_report(embed_matrix(T, delta, ctx).scaled(unit)) == base
     # unimodular change over the maximal order: T -> U^dagger T U
     U = [[qfe(delta, 1), qfe(delta, 1, 1)], [qfe(delta, 0), qfe(delta, 1)]]
     moved = [[qfe(delta, 0)] * 2 for _ in range(2)]

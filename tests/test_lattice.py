@@ -427,6 +427,22 @@ def test_is_split_sum():
     assert not is_split_sum(blocks, 3)
 
 
+def test_split_block_rule_agrees_with_is_split_sum():
+    # Jacobowitz's split criterion is stated twice: per block when the Jordan
+    # report is built, and for a set of blocks in is_split_sum (which decides
+    # t and irreducibility); on one block they must agree
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        p = rng.choice([3, 5, 7])
+        ctx = RamifiedContext(p, rng.choice([1, smallest_nonresidue(p)]))
+        G = random_hermitian_gram(rng, ctx, rng.randint(1, 5), max_val=rng.randint(1, 3))
+        for b in jordan_split(G).blocks:
+            assert b.is_split_block == is_split_sum((b,), p), (G.entries, b)
+            seen[b.is_split_block] += 1
+    assert min(seen.values()) > 100  # both answers are exercised
+
+
 def test_det_class_examples():
     ctx = RamifiedContext(3, 1)
     assert det_class(diagonal_gram(ctx, [1, 1])) == (0, True)

@@ -19,13 +19,11 @@ from support import (
 )
 
 from hermcycles import (
-    CycleInvariants,
     EnumerationBounds,
     HermLattice,
     PreconditionError,
     RamifiedContext,
     SingularMatrixError,
-    cycle_invariants,
     cycle_report,
     diagonal_gram,
     enumerate_vertices,
@@ -101,17 +99,16 @@ def test_modular_jordan_split_is_the_exact_one(G):
 @given(_disguised_block_sums(), st.data())
 def test_cycle_report_is_the_invariants_of_every_unit_scaling(G, data):
     # Jacobowitz: a unit scaling keeps Jordan scales and ranks and the split
-    # class of every even-rank space, so cycle_report, which reads T's own
-    # Jordan data, agrees with the invariants of T scaled by any unit; u is
-    # drawn with a denominator prime to p, and u * r is in the other class
+    # class of every even-rank space, and it keeps integrality, so
+    # cycle_report, which reads T's own Jordan data, gives T and T scaled by
+    # any unit the same answer, the empty one included; u is drawn with a
+    # denominator prime to p, and u * r is in the other class
     p = G.ctx.p
     unit = st.integers(1, 10**4).filter(lambda k: k % p)
     u = Fraction(data.draw(st.sampled_from([1, -1])) * data.draw(unit), data.draw(unit))
-    report = _outcome(cycle_report, G, G.ctx)
-    if report == CycleInvariants.empty():
-        report = "cycle lattice Gram must be integral"
+    report = _outcome(cycle_report, G)
     for v in (u, u * smallest_nonresidue(p)):
-        assert _outcome(cycle_invariants, G.scaled(v)) == report
+        assert _outcome(cycle_report, G.scaled(v)) == report
 
 
 _JSON = st.recursive(
@@ -198,7 +195,6 @@ _MATRIX = st.fixed_dictionaries({"matrix": _near_hermitian(("a", "b"))})
 _REQUESTS = {
     "jordan": (_LOCAL_FLAGS, _LOCAL),
     "cycle": (_LOCAL_FLAGS, _MATRIX),
-    "cycle --raw": (_LOCAL_FLAGS, _MATRIX),
     "global --factor-bound 1000": (
         st.just(()),
         st.fixed_dictionaries({"delta": st.integers(-40, 5), "matrix": _near_hermitian(("x", "y"))}),
