@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from support import random_hermitian_gram
 
 from hermcycles import (
     CycleInvariants,
     HermGram,
+    PreconditionError,
     RamifiedContext,
     cycle_report,
     diagonal_gram,
     hyperbolic_gram,
+    invariants_from_report,
+    jordan_split,
     orthogonal_sum,
     pi_power,
     smallest_nonresidue,
@@ -117,6 +121,15 @@ def test_parity_invariants():
         assert inv.single_point == inv.zero_dimensional
         if inv.zero_dimensional:
             assert inv.irreducible
+
+
+def test_nonintegral_gram_rejected():
+    # the invariants are read only off the Jordan data of an integral
+    # lattice; cycle_report answers empty before it gets there
+    ctx = RamifiedContext(3, 1)
+    G = HermGram([[ctx.element(F(1, 3))]], ctx)
+    with pytest.raises(PreconditionError):
+        invariants_from_report(jordan_split(G), ctx.p)
 
 
 def test_invariants_json_round_trip_fields():
