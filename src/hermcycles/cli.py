@@ -27,6 +27,8 @@ from .vertices import (
     verify_structure_theorems,
 )
 
+_ZERO = Fraction(0)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -68,11 +70,10 @@ def _parse_entry(obj, ctx: QuadContext, where: str, keys=("a", "b"), noun="ring"
         unknown = obj.keys() - keys
         if unknown:
             raise SchemaError(f"unknown fields {sorted(unknown)}", location=where)
-        a = parse_rational(obj.get(keys[0], 0))
-        b = parse_rational(obj.get(keys[1], 0))
-        return OHElement(a, b, ctx)
+        a, b = (parse_rational(obj[k]) if k in obj else _ZERO for k in keys)
+        return OHElement._raw(a, b, ctx)
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return OHElement(parse_rational(obj), Fraction(0), ctx)
+        return OHElement._raw(parse_rational(obj), _ZERO, ctx)
     raise SchemaError(f"not a {noun} element: {obj!r}", location=where)
 
 

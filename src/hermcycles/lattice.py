@@ -139,11 +139,12 @@ class HermGram:
         for i in range(n):
             for j in range(n):
                 x = rows[i][j]
-                if not isinstance(x, OHElement) or x.ctx != ctx:
+                if not isinstance(x, OHElement) or (x.ctx is not ctx and x.ctx != ctx):
                     raise PreconditionError(f"entry ({i},{j}) is not in the given ring")
         for i in range(n):
             for j in range(i, n):
-                if rows[j][i] != rows[i][j].conjugate():
+                x, y = rows[i][j], rows[j][i]
+                if y.a != x.a or y.b != -x.b:
                     raise HermitianViolationError(
                         f"entry ({j},{i}) must be the conjugate of entry ({i},{j})",
                         location=f"{name}[{j}][{i}]",
@@ -443,7 +444,13 @@ def _eliminate(M, q: _Quotient):
     while M:
         n = len(M)
         # the least order; among its entries a diagonal one, then the first
-        s, is_off, i, j = min((q.ord(M[i][j]), i != j, i, j) for i in range(n) for j in range(i, n))
+        i = next((i for i in range(n) if M[i][i][0] % p), None)
+        if i is not None:  # order 0 on the diagonal: the first is the scan's pick
+            s, is_off = 0, False
+        else:
+            s, is_off, i, j = min(
+                (q.ord(M[i][j]), i != j, i, j) for i in range(n) for j in range(i, n)
+            )
         if s >= 2 * q.k - 1:
             return None
         if is_off and s % 2 == 0:
@@ -531,7 +538,7 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
     k, cap = 8, None
     while True:
         q = _Quotient(ctx, k)
-        res = iter([_mod(y, q.m) if y else 0 for y in comps])
+        res = iter([y.numerator % q.m if y.denominator == 1 else _mod(y, q.m) for y in comps])
         chunks = _eliminate([[(next(res), next(res)) for _ in range(n)] + row for row in eye], q)
         if chunks is None:
             cap = cap or _precision_cap(G, v, j)

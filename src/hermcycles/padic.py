@@ -54,10 +54,21 @@ _MR_PREFIXES = (
 def parse_rational(value) -> Fraction:
     """Parse "n" or "n/d" (also accepts int/Fraction) into an exact Fraction.
 
-    Decimal strings such as "2.5e2" parse too, but an exponent beyond the
-    interpreter's integer digit limit is refused before it is expanded: the
-    power of ten it asks for would have that many digits.
+    Canonical literals, ASCII digits with an optional leading "-", take an
+    integer path; every other form goes through the Fraction string parser,
+    with the same values and the same errors.  Decimal strings such as
+    "2.5e2" parse too, but an exponent beyond the interpreter's integer digit
+    limit is refused before it is expanded: the power of ten it asks for
+    would have that many digits.
     """
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            try:  # int() refuses a digit string past the limit, as Fraction() does
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SchemaError(f"not a rational: {value!r}") from exc
     if isinstance(value, bool):
         raise SchemaError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):

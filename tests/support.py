@@ -41,6 +41,7 @@ from hermcycles.errors import (
     FactorizationLimitError,
     NonIntegralLatticeError,
     PreconditionError,
+    SchemaError,
     SingularMatrixError,
 )
 from hermcycles.lattice import (
@@ -86,6 +87,30 @@ def invoke(argv, stdin_text=None):
         with redirect_stdout(buf):
             code = run(argv)
     return code, buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# rational literal oracle
+
+
+def parse_rational_oracle(value) -> Fraction:
+    """parse_rational with every string through the Fraction string parser."""
+    if isinstance(value, bool):
+        raise SchemaError(f"not a rational: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        e = max(value.rfind("e"), value.rfind("E"))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if e >= 0 and limit:
+            digits = value[e + 1 :].strip().lstrip("+-").replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or (digits.isdecimal() and int(digits) > limit):
+                raise SchemaError(f"not a rational: {value!r} (exponent beyond {limit})")
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"not a rational: {value!r}") from exc
+    raise SchemaError(f"not a rational: {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,50 @@ def test_cycle_and_global_compute_no_redundant_determinant(monkeypatch):
         assert len(calls) == 1
 
 
+def test_closed_form_requests_skip_the_string_parser_conjugates_and_order_scans(monkeypatch):
+    # canonical literals take parse_rational's integer path, HermGram checks
+    # conjugate symmetry on components, and _eliminate takes a unit diagonal
+    # entry as the pivot without reading any order
+    from hermcycles import lattice
+
+    ctx = RamifiedContext(5, -1)
+    units = (1, 2, 3, 4, 6, 7, 8, 9)
+    blocks = [diagonal_gram(ctx, [u * ctx.pi0 ** (u % 3)]) for u in units]
+    blocks += [hyperbolic_gram(ctx, i) for i in (0, 1, 1, 2)]
+    G = transformed_gram(orthogonal_sum(*blocks), random_basis_change(random.Random(15), ctx, 16))
+    gram = [[str(x.a) if i == j else x.to_json() for j, x in enumerate(row)]
+            for i, row in enumerate(G.entries)]
+    argv = ["jordan", "--p", "5", "--epsilon", "-1"]
+    expected = {"blocks": lattice.jordan_split(G).to_json()}
+
+    strings, conjugates, orders = [], [], []
+    new = Fraction.__new__
+
+    def fraction(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(numerator, str):
+            strings.append(numerator)
+        return new(cls, numerator, denominator, **kwargs)
+
+    conjugate, order = OHElement.conjugate, lattice._Quotient.ord
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(fraction))
+    monkeypatch.setattr(OHElement, "conjugate", lambda x: conjugates.append(x) or conjugate(x))
+    monkeypatch.setattr(lattice._Quotient, "ord", lambda q, x: orders.append(x) or order(q, x))
+    code, out = invoke(argv, stdin_text=json.dumps({"gram": gram}))
+    assert (code, json.loads(out)) == (0, expected)
+    assert strings == [] and conjugates == []
+    assert orders  # the scales above 0 are found by order scans
+    gram[3][3] = " " + gram[3][3]  # not canonical: the Fraction string parser reads it
+    assert invoke(argv, stdin_text=json.dumps({"gram": gram})) == (code, out)
+    assert strings == [gram[3][3].strip()]
+
+    orders.clear()
+    report = lattice.jordan_split(diagonal_gram(RamifiedContext(17), range(1, 17)))
+    assert report.to_json() == [
+        {"scale": 0, "rank": 16, "det_val": 0, "det_unit_is_square": True, "split": True}
+    ]
+    assert orders == []
+
+
 def test_cycle_scales_no_matrix(monkeypatch):
     # a cost guard that reads no clock: the invariants are read off the
     # Jordan splitting of the request's matrix itself, so a rank-16 cycle

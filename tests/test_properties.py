@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from support import (
     invoke,
     jordan_split_oracle,
     oracle_vertex_census,
+    parse_rational_oracle,
     random_basis_change,
     transformed_gram,
     trial_limit,
@@ -23,6 +25,7 @@ from hermcycles import (
     HermLattice,
     PreconditionError,
     RamifiedContext,
+    SchemaError,
     SingularMatrixError,
     cycle_report,
     diagonal_gram,
@@ -34,7 +37,7 @@ from hermcycles import (
     smallest_nonresidue,
 )
 from hermcycles.lattice import mat_mul
-from hermcycles.padic import is_prime
+from hermcycles.padic import is_prime, parse_rational
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -225,3 +228,44 @@ def test_the_cli_answers_every_request_with_one_document(command, data):
     assert code in (0, 1, 2, 3)
     assert out.endswith("\n")
     json.loads(out)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@st.composite
+def _literals(draw):
+    """A rational as a request may spell it: an int or a bool one time in
+    ten, else a string of a sign, digits (ASCII, or with "_", "٣" and "²"
+    mixed in, or one below or past the digit limit), a denominator (zero
+    too), a decimal part and an exponent, each optional, in whitespace."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.booleans() | st.integers(-(10**30), 10**30))
+    ascii_digits = st.text("0123456789", min_size=1, max_size=5)
+    digits = ascii_digits | st.text("0123456789_٣²", max_size=5)
+    if _DIGIT_LIMIT and draw(st.integers(0, 9)) == 0:
+        digits = st.sampled_from([_DIGIT_LIMIT - 1, _DIGIT_LIMIT + 1]).map(lambda k: "7" * k)
+    spelled = draw(st.sampled_from(["", "-", "+"])) + draw(digits)
+    if draw(st.booleans()):
+        spelled += "/" + draw(st.sampled_from(["0", "00"]) | digits)
+    if draw(st.integers(0, 4)) == 0:
+        spelled += "." + draw(st.text("0123456789", max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        spelled += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "-", "+"]))
+        spelled += draw(st.text("0123456789", min_size=1, max_size=3))
+    space = st.sampled_from(["", "", " ", "\t", "\n "])
+    return draw(space) + spelled + draw(space)
+
+
+def _parsed(parse, value):
+    try:
+        q = parse(value)
+    except SchemaError as exc:
+        return "error", str(exc)
+    return type(q), q
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_literals())
+def test_parse_rational_is_the_fraction_string_parser(value):
+    assert _parsed(parse_rational, value) == _parsed(parse_rational_oracle, value)
