@@ -215,14 +215,21 @@ class OHElement:
         return {"a": str(self.a), "b": str(self.b)}
 
 
+def _pi0_power(ctx: QuadContext, e: int) -> tuple[int, int]:
+    """pi0**h, h = floor(e/2), as the int pair (numerator, denominator) of int
+    powers of pi0's; the denominator may be negative when h < 0."""
+    u, v, h = ctx.pi0.numerator, ctx.pi0.denominator, e // 2
+    if h < 0:
+        u, v, h = v, u, -h
+    return u**h, v**h
+
+
 def pi_power(ctx: QuadContext, e: int) -> OHElement:
     """pi**e as an exact element, for any integer e: pi0**h or pi0**h * pi,
     h = floor(e/2), from int powers of pi0's numerator and denominator (a
     power of the Fraction pi0 costs twice as much)."""
-    u, v, h = ctx.pi0.numerator, ctx.pi0.denominator, e // 2
-    if h < 0:
-        u, v, h = v, u, -h
-    c = Fraction(u**h) if v == 1 else Fraction(u**h, v**h)
+    u, v = _pi0_power(ctx, e)
+    c = Fraction(u) if v == 1 else Fraction(u, v)
     return OHElement._raw(_ZERO, c, ctx) if e % 2 else OHElement._raw(c, _ZERO, ctx)
 
 

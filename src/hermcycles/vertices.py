@@ -12,22 +12,25 @@ Everything runs on pairs of Python ints modulo powers of p, where the
 arithmetic is exact (lattice._Quotient): the Jordan elimination of Gram(L),
 shared with jordan_split, gives a Jordan basis C of L^# with C * diag(pi^f)
 spanning L (_dual_jordan_basis), and the work in the finite module L^#/L
-runs modulo one p^K.  tests/support.py keeps the exact-rational enumerator
-as an oracle, with its own dual basis from a Smith form.
+runs modulo one p^K.  The one rational step is the exact inverse of the
+block-diagonal Jordan Gram; from there to the census JSON no Fraction is
+built: canonical bases come as ints over p^a and are printed from ints.
+tests/support.py keeps the exact-rational enumerator as an oracle, with its
+own dual basis from a Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from math import gcd
 
 from . import lattice
 from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
-from .lattice import HermLattice, JordanReport, _jordan_chunks, _jordan_report, _Quotient
-from .lattice import mat_conj, mat_inverse, mat_mul
+from .lattice import HermGram, HermLattice, JordanReport, _int_val, _jordan_chunks, _jordan_report
+from .lattice import _Quotient, mat_conj, mat_inverse
 from .padic import _mod, _val
-from .ramified import OHElement, RamifiedContext, pi_power
+from .ramified import OHElement, RamifiedContext, _pi0_power
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,22 @@ class EnumerationBounds:
 
 @dataclass(frozen=True)
 class Vertex:
-    lattice: HermLattice
+    """A vertex lattice: its type and its canonical basis (columns in the
+    coordinates of ``ambient``) as the (a, b) strings of each entry, which is
+    what the census sorts, compares and prints.  ``lattice`` builds the
+    HermLattice on demand."""
+
     type: int
+    basis: tuple[tuple[tuple[str, str], ...], ...]
+    ambient: HermGram = field(compare=False, repr=False)
+
+    @property
+    def lattice(self) -> HermLattice:
+        ctx = self.ambient.ctx
+        return HermLattice(self.ambient, [[OHElement(x, y, ctx) for x, y in row] for row in self.basis])
 
     def to_json(self):
-        return {"basis": self.lattice.to_json()["basis"], "type": self.type}
+        return {"basis": [[{"a": x, "b": y} for x, y in row] for row in self.basis], "type": self.type}
 
 
 @dataclass(frozen=True)
@@ -72,43 +86,88 @@ class VertexSet:
         }
 
 
-def _dual_jordan_basis(L: HermLattice, need):
-    """A matrix whose columns C_j are a Jordan basis of L^#, their Gram G#,
-    ascending f with L = span(C_j * pi^f_j), and the JordanReport of L.
+def _dual_jordan_basis(L: HermLattice, h: int, need):
+    """The ascending scales f, a, H = p^c * G# and D = p^a * C as int pairs,
+    and the JordanReport of L, for a Jordan basis C of L^# with C *
+    diag(pi^f) spanning L and Gram G#; c = max(1, ceil(F/2)), F = max f, a
+    the least exponent making p^a * C integral, p^h * L.basis integral.
 
-    The elimination of jordan_split on Gram(L), modulo the p^K ``need`` asks
+    The elimination of jordan_split on Gram(L), modulo the p^k ``need`` asks
     for, gives U in GL_n(O_H) (each step adds O_H-multiples of pivot vectors
     to the others, as the pivot has least order) and B = L.basis * U with
     B^T G conj(B) = J + E: J block diagonal, scales ascending, E = 0 modulo
-    pi^(2K).  A block J_b of scale s is pi^s-modular (Jacobowitz): a rank-1
+    pi^(2k).  A block J_b of scale s is pi^s-modular (Jacobowitz): a rank-1
     pivot is pi^s times a unit; a rank-2 pivot has off-diagonal entries of
     order s, diagonal ones above s and det of order 2s.  So ord det J = d =
-    ord det G + 2 * ord det(L.basis), and W = conj(J)^-1 has order >= -F.
-    C = B * W (see HermLattice.dual) has C^T G conj(B) = W^T (J + E) = I +
-    W^T E in GL_n(O_H), as J^T = conj(J), so C spans L^#; B_b = C_b *
-    conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the Gram of C
-    up to W^T E conj(W), of order >= 2K - 2F.
+    ord det G + 2 * ord det(L.basis), and W = conj(J)^-1 is block diagonal
+    of order >= -F.  C = B * W (see HermLattice.dual) has C^T G conj(B) =
+    W^T (J + E) = I + W^T E in GL_n(O_H), as J^T = conj(J), so C spans L^#;
+    B_b = C_b * conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the
+    Gram of C up to W^T E conj(W), of order >= 2k - 2F.
+
+    W is the one exact inverse, of J lifted from its residues; past it the
+    work runs on int pairs modulo p^k.  With w = ceil(F/2), p^w * W is
+    integral, and H = p^(c - w) * conj(p^w * W).  The tracked vectors are
+    the columns of U, so E = p^h * L.basis * U * p^w * W = p^(h + w) * C is
+    integral.  Against the exact elimination, U is off by order >= 2k - F
+    and W by order >= 2k - 2F, so E is off by order >= 2k - 2F + 2w, and H
+    (modulo p^k) by order >= 2k - 2F + 2c.  So E is known modulo p^(k - F +
+    w), which reaches past p^(h + w) as k >= F + h: that fixes a = h + w -
+    v, v the least p-order of E's components capped at h + w (a zero reads
+    as h + w).  D = E / p^v is then off by order >= 2k - 2F - 2h + 2a.
+    enumerate_vertices asks for k = K' + F + h, K' its modulus computed
+    with a <= ceil(F/2) + h (so K' >= K, its modulus for the actual a), and
+    D and H modulo p^K are those of the exact elimination.
+
+    H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
+    entries of W, which lie in the block of i.
     """
-    n, ctx = L.n, L.ctx
+    n, ctx, p = L.n, L.ctx, L.ctx.p
     k, chunks = _jordan_chunks(L.gram(), True, need)
-    m = ctx.p**k
-
-    def lift(x):
-        return OHElement(*(c - m if 2 * c > m else c for c in x), ctx)
-
+    m, pi0 = p**k, _mod(ctx.pi0, p**k)
     J = [[ctx.zero()] * n for _ in range(n)]
     vecs, fs = [], []
     for scale, _, block, pivots in chunks:
         i = len(vecs)
         for r, row in enumerate(block):
-            J[i + r][i : i + len(row)] = [lift(x) for x in row]
+            J[i + r][i : i + len(row)] = [OHElement(x, y, ctx) for x, y in row]
         vecs.extend(pivots)
         fs.extend([scale] * len(pivots))
-    B = [[lift(v[i]) for v in vecs] for i in range(n)]
-    if any(x != (i == j) for i, row in enumerate(L.basis) for j, x in enumerate(row)):
-        B = mat_mul(L.basis_rows(), B)
     W = mat_inverse(mat_conj(J), ctx)
-    return mat_mul(B, W), fs, mat_conj(W), _jordan_report(chunks, ctx.p)
+    w = (max(fs) + 1) // 2
+    pw, ph, pcw = p**w, p**h, p ** (max(1, w) - w)
+    R = [  # p^w * W
+        [(j, (_residue(x.a, pw, m), _residue(x.b, pw, m))) for j, x in enumerate(row) if x]
+        for row in W
+    ]
+    H = [[(j, (ra * pcw % m, -rb * pcw % m)) for j, (ra, rb) in row] for row in R]
+    E = []
+    for row in L.basis:
+        P = [(_residue(x.a, ph, m), _residue(x.b, ph, m)) for x in row]
+        acc = [[0, 0] for _ in range(n)]
+        for vec, R_r in zip(vecs, R):  # (p^h * L.basis * U)[i][r] times row r of p^w * W
+            ba = bb = 0
+            for (xa, xb), (ua, ub) in zip(P, vec):
+                ba += xa * ua + xb * ub * pi0
+                bb += xa * ub + xb * ua
+            for j, (ra, rb) in R_r:
+                acc[j][0] += ba * ra + bb * rb * pi0
+                acc[j][1] += ba * rb + bb * ra
+        E.append([(x % m, y % m) for x, y in acc])
+    v = min(_int_val(y, p, h + w) for row in E for pair in row for y in pair)
+    t = p**v
+    D = [[(x // t, y // t) for x, y in row] for row in E]
+    return fs, h + w - v, H, D, _jordan_report(chunks, p)
+
+
+def _residue(y, s: int, m: int) -> int:
+    """The residue modulo m of s * y, for a Fraction y and a power s of p with
+    s * y p-integral, read off y's numerator and denominator: no Fraction is
+    built."""
+    if not y:
+        return 0
+    g = gcd(y.denominator, s)
+    return y.numerator * (s // g) * pow(y.denominator // g, -1, m) % m
 
 
 def _modulus(fs, a: int, ord_det_basis: int) -> int:
@@ -116,15 +175,6 @@ def _modulus(fs, a: int, ord_det_basis: int) -> int:
     n, d = len(fs), sum(fs)
     c = max(1, (max(fs) + 1) // 2)
     return max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
-
-
-def _scaled_residues(A, s: int, m: int):
-    """The entries of s * A, which must be integral, as int pairs modulo m;
-    zero components cost no Fraction work."""
-    return [
-        [(_mod(x.a * s, m) if x.a else 0, _mod(x.b * s, m) if x.b else 0) for x in row]
-        for row in A
-    ]
 
 
 def _iter_candidates(fs, q: _Quotient, max_candidates: int):
@@ -229,28 +279,41 @@ def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
     equality only when none exceeds 1: V is a vertex exactly when r = t.
     N modulo pi is alternating (N^T = -conj(N), and the diagonal of N is pi
     times a rational), so r is even and an odd t is never accepted.
+
+    The checks run cheapest-first: the diagonal of S from the last column
+    (S[b][b] needs column b of P = H * conj(Z) only, and most candidates
+    fail there), then the entries above it (S is Hermitian, so its upper
+    half decides), then the rank.  H comes as sparse rows of (column,
+    entry), as G# is block diagonal (_dual_jordan_basis).
     """
     n = len(Z)
     p, m, pi0 = q.p, q.m, q.pi0
     pc, pc1 = p**c, p ** (c - 1)
-    eps = q.eps % p
-    P = [[None] * n for _ in range(n)]  # H * conj(Z), row a filled at step a
-    R = [[0] * n for _ in range(n)]  # N modulo pi
-    for a in range(n):
-        Ha, Pa = H[a], P[a]
-        for b in range(a, n):  # column b of Z vanishes below row b
+    P = [None] * n  # P[b][k] = (H * conj(Z))[k][b] for k <= b
+    for b in range(n - 1, -1, -1):
+        Pb = []
+        for k in range(b + 1):  # column b of Z vanishes below row b
             sa = sb = 0
-            for k in range(b + 1):
-                ha, hb = Ha[k]
-                za, zb = Z[k][b]
+            for j, (ha, hb) in H[k]:
+                za, zb = Z[j][b]
                 sa += ha * za - hb * zb * pi0
                 sb += hb * za - ha * zb
-            Pa[b] = (sa % m, sb % m)
-        for b in range(a, n):  # S is Hermitian, so its upper half decides
+            Pb.append((sa % m, sb % m))
+        P[b] = Pb
+        sa = 0
+        for k in range(b + 1):
+            (za, zb), (xa, xb) = Z[k][b], Pb[k]
+            sa += za * xa + zb * xb * pi0
+        if sa % pc:  # S[b][b] is rational, its pi-component vanishes
+            return False
+    eps = q.eps % p
+    R = [[0] * n for _ in range(n)]  # N modulo pi, alternating
+    for b in range(n - 1, 0, -1):
+        Pb = P[b]
+        for a in range(b - 1, -1, -1):
             sa = sb = 0
             for k in range(a + 1):
-                za, zb = Z[k][a]
-                xa, xb = P[k][b]
+                (za, zb), (xa, xb) = Z[k][a], Pb[k]
                 sa += za * xa + zb * xb * pi0
                 sb += za * xb + zb * xa
             if sa % pc or sb % pc1:
@@ -303,10 +366,12 @@ def _contains(Zb, eb, Za, ea, q: _Quotient) -> bool:
     return True
 
 
-def _canonical_basis(D, Z, a: int, q: _Quotient, ctx: RamifiedContext):
+def _canonical_basis(D, Z, a: int, q: _Quotient):
     """The canonical triangular basis of span(dual * Z) (the Fraction HNF of
     tests/support.py), computed from M = D * Z over O_H / p^K, where
-    D = p^a * dual is integral.
+    D = p^a * dual is integral, as ints over p^a: (es, N), V's pivot at
+    (i, i) being pi^es[i] and its entry at (i, j), j > i, N[i][j] / p^a for
+    the int pair N[i][j] (_basis_text prints it).
 
     M spans p^a * V, and its canonical basis is p^a times that of V: the
     pivot of V's column i is pi^e, so the pivot of M's is p^a * pi^e, of
@@ -318,8 +383,8 @@ def _canonical_basis(D, Z, a: int, q: _Quotient, ctx: RamifiedContext):
     pi^e': the two differ by a unit, and for eps != 1 the other choice is
     another triangular basis.  Rows are processed bottom-up, each taking a
     column of least order as pivot as the Fraction HNF does; the canonical
-    basis is unique, so ties may break differently.  The result divides M
-    by p^a, with the pivots the exact pi^e.
+    basis is unique, so ties may break differently.  The result is M over
+    p^a, with the pivots the exact pi^e.
 
     Precision: M is exact modulo pi^(2K).  Normalising the pivot of row i
     and clearing or reducing its row divide by pi^(e'_i), so the rows above
@@ -343,9 +408,7 @@ def _canonical_basis(D, Z, a: int, q: _Quotient, ctx: RamifiedContext):
         cols.append(col)
     eps_a = (pow(q.eps, a, m), 0)  # pi^(2a) / p^a
     inv_eps_a = pow(q.inv_eps, a, m)
-    den = p**a
-    zero = ctx.zero()
-    basis = [[zero] * n for _ in range(n)]
+    es, N = [0] * n, [[(0, 0)] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
         orders = [q.ord(cols[j][i]) for j in range(i + 1)]
         e = min(orders)
@@ -366,7 +429,7 @@ def _canonical_basis(D, Z, a: int, q: _Quotient, ctx: RamifiedContext):
             x = cols[j][i]
             if j > i:
                 ra, rb = x[0] % mod_a, x[1] % mod_b
-                basis[i][j] = OHElement(Fraction(ra, den), Fraction(rb, den), ctx)
+                N[i][j] = (ra, rb)
                 x = (x[0] - ra, x[1] - rb)
             if x == (0, 0):
                 continue
@@ -375,8 +438,28 @@ def _canonical_basis(D, Z, a: int, q: _Quotient, ctx: RamifiedContext):
             for r in range(i):
                 fa, fb = q.mul(f, piv[r])
                 col[r] = ((col[r][0] - fa) % m, (col[r][1] - fb) % m)
-        basis[i][i] = pi_power(ctx, e - 2 * a)
-    return basis
+        es[i] = e - 2 * a
+    return es, N
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for ints, den nonzero, without the Fraction."""
+    g = gcd(num, den)
+    num, den = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _basis_text(es, N, a: int, ctx: RamifiedContext):
+    """The (a, b) component strings, as str(Fraction) prints them, of the
+    basis _canonical_basis returns: pi^e_i at (i, i), N[i][j] / p^a right of
+    it and 0 left of it."""
+    den, rows = ctx.p**a, []
+    for i, (e, row) in enumerate(zip(es, N)):
+        pivot = _fraction_text(*_pi0_power(ctx, e))
+        text = [("0", "0")] * i + [("0", pivot) if e % 2 else (pivot, "0")]
+        text += [(_fraction_text(x, den), _fraction_text(y, den)) for x, y in row[i + 1 :]]
+        rows.append(tuple(text))
+    return tuple(rows)
 
 
 def enumerate_vertices(
@@ -389,9 +472,11 @@ def enumerate_vertices(
     which L was presented.
 
     The dual columns are a Jordan basis of L^#, times pi^f spanning L, with
-    G# their Gram (_dual_jordan_basis).  From there through the canonical
-    bases of the vertices found, the work runs on pairs of ints modulo one
-    p^K (see _Quotient), K the least meeting three needs:
+    G# their Gram (_dual_jordan_basis).  Past the one exact inverse there,
+    through the canonical bases of the vertices found, the work runs on
+    pairs of ints modulo one p^K (see _Quotient), and each vertex keeps its
+    basis as the strings the census prints (_basis_text); K is the least
+    meeting three needs:
 
     - the vertex test needs K >= c.  With F = max f, pi^F kills L^#/L, so
       pi^F * G# is integral, and so is p^c * G# for c = max(1, ceil(F/2));
@@ -426,25 +511,24 @@ def enumerate_vertices(
         ord_det_basis.append(lattice.mat_det(L.basis_rows(), ctx).ord())
         return _modulus(fs, (max(fs) + 1) // 2 + h, ord_det_basis[0]) + max(fs) + h
 
-    dual_mat, fs, gram_dual, report = _dual_jordan_basis(L, need)
+    fs, a, H, D, report = _dual_jordan_basis(L, h, need)
     if max(fs) > bounds.max_scale:
         raise EnumerationLimitError(
             f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
         )
     d = sum(fs)
     c = max(1, (max(fs) + 1) // 2)
-    a = max([0] + [-_val(y, p) for row in dual_mat for x in row for y in (x.a, x.b) if y])
     q = _Quotient(ctx, _modulus(fs, a, ord_det_basis[0]))
-    H = _scaled_residues(gram_dual, ctx.p**c, q.m)
-    D = _scaled_residues(dual_mat, ctx.p**a, q.m)
+    m = q.m
+    H = [[(j, (x % m, y % m)) for j, (x, y) in row] for row in H]
+    D = [[(x % m, y % m) for x, y in row] for row in D]
     decorated = []
     for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
         t = d - 2 * sum(es)
         if not _is_vertex(Z, H, c, t, q):
             continue
-        lat = HermLattice(L.ambient, _canonical_basis(D, Z, a, q, ctx))
-        key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
-        decorated.append(((t, key), Vertex(lat, t), es, Z))
+        basis = _basis_text(*_canonical_basis(D, Z, a, q), a, ctx)
+        decorated.append(((t, basis), Vertex(t, basis, L.ambient), es, Z))
     decorated.sort(key=lambda item: item[0])
     vertices = tuple(item[1] for item in decorated)
     exps = [item[2] for item in decorated]

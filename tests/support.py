@@ -804,8 +804,8 @@ def oracle_vertex_census(L: HermLattice, bounds: EnumerationBounds):
         if t is None:
             continue
         lat = hnf_canonicalize(HermLattice(L.ambient, mat_mul(dual_mat, Z)))
-        key = tuple((str(x.a), str(x.b)) for row in lat.basis for x in row)
-        decorated.append(((t, key), Vertex(lat, t), Z))
+        basis = tuple(tuple((str(x.a), str(x.b)) for x in row) for row in lat.basis)
+        decorated.append(((t, basis), Vertex(t, basis, L.ambient), Z))
     decorated.sort(key=lambda item: item[0])
     vertices = [item[1] for item in decorated]
     mats = [item[2] for item in decorated]

@@ -504,8 +504,9 @@ def test_vertices_and_verify_check_integrality_and_rank_before_singularity(monke
 
 def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # The dual basis comes from one Jordan elimination of Gram(L): no dual
-    # lattice, one inverse (of the block-diagonal Jordan Gram), one product,
-    # and one determinant, of the lattice basis (the identity for a request
+    # lattice, one inverse (of the block-diagonal Jordan Gram), no product
+    # (the rest runs on int pairs), and one determinant, of the lattice
+    # basis (the identity for a request
     # from the command line), which with the Jordan scales gives the
     # enumerator its ord det of the dual; no determinant of a Gram.  verify
     # reads the closed-form invariants off the same elimination, so
@@ -530,7 +531,7 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     for name in ("mat_inverse", "mat_mul"):
         wrapped = counting(name, getattr(lattice, name))
         monkeypatch.setattr(lattice, name, wrapped)
-        monkeypatch.setattr(vertices, name, wrapped)
+        monkeypatch.setattr(vertices, name, wrapped, raising=False)  # vertices imports no mat_mul
     monkeypatch.setattr(lattice, "mat_det", counting("mat_det", lattice.mat_det))
     monkeypatch.setattr(vertices, "_jordan_chunks", counting("_jordan_chunks", vertices._jordan_chunks))
     monkeypatch.setattr(lattice, "_jordan_chunks", counting("_jordan_chunks", lattice._jordan_chunks))
@@ -551,11 +552,53 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         determinants.clear()
         code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
         assert code == 0
-        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 1, "mat_det": 1, "_jordan_chunks": 1}
+        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 0, "mat_det": 1, "_jordan_chunks": 1}
         (J,) = inverted
         assert all(J[i][j].is_zero() for i in range(4) for j in range(4) if i // 2 != j // 2)
         (basis,) = determinants
         assert basis == [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def test_enumeration_builds_no_fraction_past_the_jordan_block_inverse(monkeypatch):
+    # a cost guard that reads no clock: past the one exact inverse, of the
+    # block-diagonal Jordan Gram, the setup, the walk, the vertex test, the
+    # canonical bases, the poset and the census JSON run on ints, so the
+    # Fractions of a vertices or verify request do not grow with the
+    # candidates or the vertices
+    from hermcycles import vertices
+
+    built, at_inverse = [], []
+    new, inverse = Fraction.__new__, vertices.mat_inverse
+
+    def fraction(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def marked_inverse(*args):
+        result = inverse(*args)
+        at_inverse.append(len(built))
+        return result
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(fraction))
+    monkeypatch.setattr(vertices, "mat_inverse", marked_inverse)
+    h1 = [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]
+    h13 = [[0] * 4 for _ in range(4)]
+    h13[0][1], h13[1][0] = {"a": "0", "b": "1"}, {"a": "0", "b": "-1"}
+    h13[2][3], h13[3][2] = {"a": "0", "b": "3"}, {"a": "0", "b": "-3"}
+    for gram, count in ((h1, 5), (h13, 385)):
+        for command in ("vertices", "verify"):
+            built.clear()
+            at_inverse.clear()
+            argv = [command, "--p", "3", "--max-rank", "4"]
+            code, out = invoke(argv, stdin_text=json.dumps({"gram": gram}))
+            assert code == 0
+            doc = json.loads(out)
+            if command == "vertices":
+                assert len(doc["vertices"]) == count
+            else:
+                assert doc["passed"]
+            (before,) = at_inverse
+            assert before > 0 and len(built) == before, (command, count, built[before:][:5])
 
 
 def test_negative_enumeration_bounds_are_refused():

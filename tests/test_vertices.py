@@ -35,6 +35,8 @@ from hermcycles import (
 )
 from hermcycles import vertices
 from hermcycles.lattice import mat_conj, mat_det, mat_inverse, mat_mul
+from hermcycles.padic import _mod
+from hermcycles.ramified import OHElement
 
 
 def test_unimodular_has_single_vertex():
@@ -110,15 +112,22 @@ def test_types_match_quotient_lengths():
 
 
 def test_enumeration_is_basis_independent():
+    # equal censuses compare equal as VertexSets too: a Vertex compares its
+    # type and canonical basis, not the identity of a lattice object
     rng = random.Random(14)
     ctx = RamifiedContext(3, 1)
     G = orthogonal_sum(hyperbolic_gram(ctx, 1), diagonal_gram(ctx, [1]))
     L = HermLattice.from_gram(G)
-    reference = enumerate_vertices(L).to_json()
+    census = enumerate_vertices(L)
+    reference = census.to_json()
+    assert enumerate_vertices(L) == census
     for _ in range(5):
         U = random_basis_change(rng, ctx, 3)
         moved = HermLattice(G, mat_mul(L.basis_rows(), U))
-        assert enumerate_vertices(moved).to_json() == reference
+        vs = enumerate_vertices(moved)
+        assert vs.to_json() == reference
+        assert vs == census and vs.vertices == census.vertices
+    assert census != replace(census, vertices=census.vertices[::-1])
 
 
 def test_bounds_and_preconditions():
@@ -196,31 +205,69 @@ def _exact_dual_jordan_basis(L):
     return mat_mul([[v[i] for v in vecs] for i in range(n)], W), fs, mat_conj(W)
 
 
+def _denominator_exponent(A, p):
+    """The least e >= 0 making p^e * A integral."""
+    return max([0] + [(1 - x.ord()) // 2 for row in A for x in row if not x.is_zero()])
+
+
+def _lift(residues, ctx, scale):
+    """The matrix of int pairs as elements, divided by the int ``scale``."""
+    return [[OHElement(F(x, scale), F(y, scale), ctx) for x, y in row] for row in residues]
+
+
+def _dense(sparse_rows):
+    """A matrix given as rows of (column, entry), with (0, 0) elsewhere."""
+    n = len(sparse_rows)
+    rows = [[(0, 0)] * n for _ in range(n)]
+    for row, entries in zip(rows, sparse_rows):
+        for j, x in entries:
+            row[j] = x
+    return rows
+
+
+def _residues(A, scale, m):
+    """The entries of the integral scale * A as int pairs modulo m."""
+    return [[(_mod(x.a * scale, m), _mod(x.b * scale, m)) for x in row] for row in A]
+
+
 def test_dual_basis_is_a_jordan_basis_of_the_dual():
     # the dual columns span L^#, dual * diag(pi^f) spans L, f ascends as the
     # oracle's Smith form says, and G# is the Gram of the dual columns: exactly
     # when built on the exact elimination, and modulo pi^(2K - 2F) on the
     # modular one, K the precision asked of it (its lifted Jordan basis is
-    # orthogonal modulo pi^(2K) only); the report is that of jordan_split
+    # orthogonal modulo pi^(2K) only); the int residues D = p^a * dual and
+    # H = p^c * G# modulo p^K are those of the exact elimination modulo
+    # pi^(2K - 2F + 2a) and pi^(2K - 2F + 2c); the report is that of
+    # jordan_split
     rng = random.Random(42)
     for label, ctx, G in block_sum_family():
         L = HermLattice(G, random_basis_change(rng, ctx, G.n))
         exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
         assert exact_gram_dual == [list(r) for r in HermLattice(G, exact_dual).gram().entries], label
-        dual, fs, gram_dual, report = vertices._dual_jordan_basis(L, lambda fs: 10)
+        fs, a, H, D, report = vertices._dual_jordan_basis(L, 0, lambda fs: 10)
+        p, F = ctx.p, max(fs)
+        c = max(1, (F + 1) // 2)
         assert fs == snf_dual_basis(L)[1], label
+        assert a == _denominator_exponent(exact_dual, p), label
+        for residues, exact, e in ((D, exact_dual, a), (_dense(H), exact_gram_dual, c)):
+            assert all(
+                (x - y * p**e).ord() >= min(20, 20 - 2 * F + 2 * e)
+                for r, t in zip(_lift(residues, ctx, 1), exact)
+                for x, y in zip(r, t)
+            ), label
+        dual, gram_dual = _lift(D, ctx, p**a), _lift(_dense(H), ctx, p**c)
         assert same_lattice(HermLattice(G, dual), L.dual()), label
         scaled = [[x * pi_power(ctx, f) for x, f in zip(row, fs)] for row in dual]
         assert same_lattice(HermLattice(G, scaled), L), label
         gram = HermLattice(G, dual).gram().entries
-        assert all(
-            (x - y).ord() >= 20 - 2 * max(fs) for r, t in zip(gram_dual, gram) for x, y in zip(r, t)
+        assert all(  # H is read modulo p^K, so G# = H / p^c modulo pi^(2K - 2c) at most
+            (x - y).ord() >= 20 - 2 * max(F, c) for r, t in zip(gram_dual, gram) for x, y in zip(r, t)
         ), label
         assert report == jordan_split(L.gram()), label
         assert _det_bookkeeping_holds(L, fs), label
     for label, G, B in _off_identity_cases():
         L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
-        _, fs, _, _ = vertices._dual_jordan_basis(L, lambda fs: 0)
+        fs, *_ = vertices._dual_jordan_basis(L, _denominator_exponent(L.basis, G.ctx.p), lambda fs: 0)
         assert _det_bookkeeping_holds(L, fs), label
 
 
@@ -234,17 +281,17 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
     # pivots) gives; so the modular elimination changes no residue the walk,
     # the vertex test or the canonical bases see
     seen = {}
-    real = vertices._scaled_residues
+    real = vertices._dual_jordan_basis
 
-    def residues(A, scale, m):
-        seen.setdefault("residues", []).append((scale, m, real(A, scale, m)))
-        return seen["residues"][-1][2]
+    def setup(L, h, need):
+        seen["setup"] = real(L, h, need)
+        return seen["setup"]
 
     def candidates(fs, q, max_candidates):
-        seen["fs"] = fs
+        seen["fs"], seen["m"] = fs, q.m
         raise _SetupSeen
 
-    monkeypatch.setattr(vertices, "_scaled_residues", residues)
+    monkeypatch.setattr(vertices, "_dual_jordan_basis", setup)
     monkeypatch.setattr(vertices, "_iter_candidates", candidates)
     rng = random.Random(43)
     cases = [(label, HermLattice.from_gram(G)) for label, _, G in acceptance_family()]
@@ -260,12 +307,14 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
         dual, fs, gram_dual = _exact_dual_jordan_basis(L)
         p = L.ctx.p
         c = max(1, (max(fs) + 1) // 2)
-        a = max([0] + [(1 - x.ord()) // 2 for row in dual for x in row if not x.is_zero()])
+        a = _denominator_exponent(dual, p)
         m = p ** vertices._modulus(fs, a, mat_det(L.basis_rows(), L.ctx).ord())
         assert seen["fs"] == fs, label
-        (H_seen, D_seen) = seen["residues"]
-        assert H_seen == (p**c, m, vertices._scaled_residues(gram_dual, p**c, m)), label
-        assert D_seen == (p**a, m, vertices._scaled_residues(dual, p**a, m)), label
+        assert seen["m"] == m, label
+        fs_seen, a_seen, H_seen, D_seen, _ = seen["setup"]
+        assert (fs_seen, a_seen) == (fs, a), label
+        assert [[(x % m, y % m) for x, y in row] for row in _dense(H_seen)] == _residues(gram_dual, p**c, m), label
+        assert [[(x % m, y % m) for x, y in row] for row in D_seen] == _residues(dual, p**a, m), label
 
 
 def _off_identity_cases():
