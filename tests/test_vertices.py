@@ -10,6 +10,7 @@ from support import (
     contains,
     elementary_divisor_exponents,
     jordan_chunks_oracle,
+    _oracle_vertex_type,
     oracle_vertex_census,
     random_basis_change,
     random_hermitian_gram,
@@ -34,7 +35,7 @@ from hermcycles import (
     verify_structure_theorems,
 )
 from hermcycles import vertices
-from hermcycles.lattice import mat_conj, mat_det, mat_inverse, mat_mul
+from hermcycles.lattice import _Quotient, mat_conj, mat_det, mat_inverse, mat_mul
 from hermcycles.padic import _mod
 from hermcycles.ramified import OHElement
 
@@ -181,6 +182,28 @@ def test_integer_kernel_agrees_with_the_fraction_oracle():
     assert checked == 164 + 12
 
 
+
+def test_vertex_test_rejects_at_an_entry_above_the_diagonal():
+    # A Gram M whose diagonal passes and whose entries above it have order
+    # >= -1 but one, (1 + pi)/3 of order -2, at each of S[1][2], S[0][2] and
+    # S[0][1] in turn.  M has type 2 and its F_p residue rank 2, so only that
+    # entry's integrality check rejects it, as the exact test does.  The
+    # Jordan-basis candidates of the census families rarely or never reject
+    # there, so the Gram is built by hand (Z = I, H = p^c * M with c = 1).
+    ctx = RamifiedContext(3, 1)
+    q = _Quotient(ctx, 4)
+    zero, one, x = ctx.zero(), ctx.one(), OHElement(F(1, 3), F(1, 3), ctx)
+    identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    Z = [[q.pi_power(0) if i == j else (0, 0) for j in range(3)] for i in range(3)]
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        M = [[zero, one, one], [one, zero, one], [one, one, zero]]
+        M[i][j], M[j][i] = x, x.conjugate()
+        t = -mat_det(M, ctx).ord()
+        assert t == 2
+        H = [[(k, (_mod(3 * y.a, q.m), _mod(3 * y.b, q.m))) for k, y in enumerate(row) if y] for row in M]
+        assert not vertices._is_vertex(Z, H, 1, t, q), (i, j)
+        assert _oracle_vertex_type(identity, M, ctx) is None, (i, j)
+
 def _det_bookkeeping_holds(L, fs):
     # the Jordan basis is L.basis times a matrix in GL_n(O_H), so the scales
     # add up to ord det Gram(L) = ord det G + 2 * ord det(L.basis); the
@@ -233,25 +256,27 @@ def _residues(A, scale, m):
 def test_dual_basis_is_a_jordan_basis_of_the_dual():
     # the dual columns span L^#, dual * diag(pi^f) spans L, f ascends as the
     # oracle's Smith form says, and G# is the Gram of the dual columns: exactly
-    # when built on the exact elimination, and modulo pi^(2K - 2F) on the
-    # modular one, K the precision asked of it (its lifted Jordan basis is
-    # orthogonal modulo pi^(2K) only); the int residues D = p^a * dual and
+    # when built on the exact elimination, and modulo pi^(20 - 2F) on the
+    # modular one asked for K = 11 digits (its lifted Jordan basis is
+    # orthogonal modulo pi^(2K) only, and G# = H / p^c is read modulo
+    # pi^(2K - 2c), c <= F + 1); the int residues D = p^a * dual and
     # H = p^c * G# modulo p^K are those of the exact elimination modulo
     # pi^(2K - 2F + 2a) and pi^(2K - 2F + 2c); the report is that of
     # jordan_split
     rng = random.Random(42)
+    K = 11
     for label, ctx, G in block_sum_family():
         L = HermLattice(G, random_basis_change(rng, ctx, G.n))
         exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
         assert exact_gram_dual == [list(r) for r in HermLattice(G, exact_dual).gram().entries], label
-        fs, a, H, D, report = vertices._dual_jordan_basis(L, 0, lambda fs: 10)
+        fs, a, H, D, report = vertices._dual_jordan_basis(L, 0, lambda fs: K)
         p, F = ctx.p, max(fs)
         c = max(1, (F + 1) // 2)
         assert fs == snf_dual_basis(L)[1], label
         assert a == _denominator_exponent(exact_dual, p), label
         for residues, exact, e in ((D, exact_dual, a), (_dense(H), exact_gram_dual, c)):
             assert all(
-                (x - y * p**e).ord() >= min(20, 20 - 2 * F + 2 * e)
+                (x - y * p**e).ord() >= min(2 * K, 2 * K - 2 * F + 2 * e)
                 for r, t in zip(_lift(residues, ctx, 1), exact)
                 for x, y in zip(r, t)
             ), label
@@ -260,8 +285,8 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual():
         scaled = [[x * pi_power(ctx, f) for x, f in zip(row, fs)] for row in dual]
         assert same_lattice(HermLattice(G, scaled), L), label
         gram = HermLattice(G, dual).gram().entries
-        assert all(  # H is read modulo p^K, so G# = H / p^c modulo pi^(2K - 2c) at most
-            (x - y).ord() >= 20 - 2 * max(F, c) for r, t in zip(gram_dual, gram) for x, y in zip(r, t)
+        assert all(
+            (x - y).ord() >= 20 - 2 * max(fs) for r, t in zip(gram_dual, gram) for x, y in zip(r, t)
         ), label
         assert report == jordan_split(L.gram()), label
         assert _det_bookkeeping_holds(L, fs), label
