@@ -4,13 +4,11 @@ Jordan splittings, vertex-lattice enumeration, and the support and dimension
 invariants of the special cycles attached to Hermitian matrices, computed
 exactly: in rational arithmetic, and in the Jordan elimination and the vertex
 enumerator modulo powers of p at which every result they keep is exact.
+
+The names imported here are the library API; the README lists them.
 """
 
-from .cycles import (
-    CycleInvariants,
-    cycle_report,
-    invariants_from_report,
-)
+from .cycles import CycleInvariants, cycle_report
 from .errors import (
     DomainError,
     EnumerationLimitError,
@@ -26,45 +24,20 @@ from .errors import (
     SingularMatrixError,
     UnsupportedPrimeError,
 )
-from .global_cycles import (
-    GlobalReport,
-    diff0,
-    embed_matrix,
-    global_report,
-    is_positive_definite,
-    local_context,
-    self_dual_exists,
-)
+from .global_cycles import GlobalReport, global_report
 from .lattice import (
     HermGram,
     HermLattice,
     JordanBlock,
     JordanReport,
-    det_class,
     diagonal_gram,
     hyperbolic_gram,
-    is_split_sum,
     jordan_split,
+    mat_inverse,
     orthogonal_sum,
 )
-from .padic import (
-    INERT,
-    INFINITY,
-    RAMIFIED,
-    REAL_PLACE,
-    SPLIT,
-    factorize,
-    format_rational,
-    hilbert_symbol,
-    is_square_unit,
-    legendre,
-    parse_rational,
-    smallest_nonresidue,
-    splitting_type,
-    unit_part,
-    val_p,
-)
-from .ramified import OHElement, QuadContext, RamifiedContext, is_norm, pi_power
+from .padic import REAL_PLACE, factorize, format_rational, hilbert_symbol, parse_rational
+from .ramified import OHElement, QuadContext, RamifiedContext, pi_power
 from .vertices import (
     EnumerationBounds,
     VerificationReport,

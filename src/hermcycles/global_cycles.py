@@ -67,39 +67,17 @@ def _diff0(det: Fraction, delta: int, bound: int) -> tuple[int, ...]:
     )
 
 
-def diff0(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, ...]:
-    """Inert primes at which the determinant has odd valuation.
-
-    More than one of these forces the global cycle to be empty.  The field is
-    checked once and each prime of det T is then tested against delta itself.
-    """
-    check_quadratic_field(delta, bound)
-    det = _hermitian(T, delta).det_rational()
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    return _diff0(det, delta, bound)
-
-
-def self_dual_exists(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
-    """Whether the Hermitian space of T contains a self-dual lattice.
-
-    At split and ramified primes the condition is automatic; at an inert
-    prime p it reads (det T, delta)_p = 1, i.e. det T is a norm from the
-    unramified extension, i.e. v_p(det T) is even.  Directly: write
-    det T = p**k * u with u a unit; at odd p, delta is a unit non-residue,
-    so (det T, delta)_p = (delta/p)**k = (-1)**k; at p = 2, delta = 5 mod 8,
-    so (u, delta)_2 = 1 and (2, delta)_2 = -1, again (-1)**k.  Hence a
-    self-dual lattice exists exactly when diff0 is empty.
-    """
-    check_quadratic_field(delta, bound)
-    G = _hermitian(T, delta)
-    if not is_positive_definite(G, delta):
-        raise PreconditionError("matrix must be positive definite")
-    return not _diff0(G.det_rational(), delta, bound)
-
-
 @dataclass(frozen=True)
 class GlobalReport:
+    """``diff0`` holds the inert primes at which det T has odd valuation;
+    more than one of them makes the cycle empty.  ``self_dual_exists`` is
+    None when T is not positive definite.  Split and ramified primes never
+    obstruct a self-dual lattice; at an inert p the condition is
+    (det T, delta)_p = 1, and with det T = p**k * u, u a unit, the symbol is
+    (-1)**k: at odd p, delta is a unit non-residue, and at p = 2,
+    delta = 5 mod 8, so (u, delta)_2 = 1 and (2, delta)_2 = -1.  Hence a
+    self-dual lattice exists exactly when diff0 is empty."""
+
     positive_definite: bool
     det: Fraction
     diff0: tuple[int, ...]

@@ -19,10 +19,8 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .padic import _mod, _val, is_square_unit, legendre
+from .padic import _mod, _val, legendre
 from .ramified import OHElement, QuadContext, RamifiedContext, pi_power
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,9 @@ class HermGram:
                 x, y = rows[i][j], rows[j][i]
                 if y.a != x.a or y.b != -x.b:
                     raise HermitianViolationError(
-                        f"entry ({j},{i}) must be the conjugate of entry ({i},{j})",
+                        f"diagonal entry ({i},{i}) must be rational"
+                        if i == j
+                        else f"entry ({j},{i}) must be the conjugate of entry ({i},{j})",
                         location=f"{name}[{j}][{i}]",
                     )
         self.entries = tuple(rows)
@@ -179,12 +179,6 @@ class HermGram:
     def is_integral(self) -> bool:
         return mat_is_integral(self.entries)
 
-    def scaled(self, u) -> "HermGram":
-        """Gram of the same basis with the form scaled by a rational unit."""
-        u = Fraction(u)
-        s = OHElement._raw(u, _ZERO, self.ctx)
-        return HermGram([[x * s for x in row] for row in self.entries], self.ctx)
-
     def __eq__(self, other):
         if not isinstance(other, HermGram):
             return NotImplemented
@@ -195,9 +189,6 @@ class HermGram:
 
     def __repr__(self):
         return f"HermGram({self.entries!r})"
-
-    def to_json(self):
-        return [[x.to_json() for x in row] for row in self.entries]
 
 
 def diagonal_gram(ctx: RamifiedContext, values) -> HermGram:
@@ -288,9 +279,6 @@ class HermLattice:
 
     def __repr__(self):
         return f"HermLattice(basis={self.basis!r})"
-
-    def to_json(self):
-        return {"basis": [[x.to_json() for x in row] for row in self.basis]}
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +376,6 @@ class JordanReport:
     """Canonical Jordan data: blocks with strictly increasing scales."""
 
     blocks: tuple[JordanBlock, ...]
-
-    def total_rank(self) -> int:
-        return sum(b.rank for b in self.blocks)
-
-    def det_ord(self) -> int:
-        return sum(b.scale * b.rank for b in self.blocks)
 
     def filtered(self, min_scale: int) -> tuple[JordanBlock, ...]:
         return tuple(b for b in self.blocks if b.scale >= min_scale)
@@ -585,10 +567,3 @@ def jordan_split(G: HermGram) -> JordanReport:
     """
     return _jordan_report(_jordan_chunks(G)[1], G.ctx.p)
 
-
-def det_class(G: HermGram) -> tuple[int, bool]:
-    """(pi-order of det, whether the pi0-normalized unit part is a square)."""
-    d = G.check_nonsingular().det_rational()
-    v = 2 * _val(d, G.ctx.p)
-    unit = d / G.ctx.pi0 ** (v // 2)
-    return v, is_square_unit(unit, G.ctx.p)

@@ -1,7 +1,7 @@
 """Exact arithmetic over Q viewed inside Q_p.
 
-Valuations, square classes, Legendre/Kronecker and Hilbert symbols, and prime
-splitting in an imaginary quadratic field.  Everything here works on exact
+Valuations, Legendre and Hilbert symbols, factorization, and prime splitting
+in an imaginary quadratic field.  Everything here works on exact
 arbitrary-precision rationals, with no truncated p-adic precision; the Jordan
 elimination and the vertex enumerator run modulo certified powers of p.
 Rationals are parsed and printed as decimal strings "n" or "n/d".
@@ -18,7 +18,6 @@ from .errors import (
     InvalidFieldError,
     PreconditionError,
     SchemaError,
-    UnsupportedPrimeError,
 )
 
 INFINITY = math.inf
@@ -136,7 +135,7 @@ def _count_factor(n: int, p: int) -> tuple[int, int]:
 
 
 def _val(q: Fraction, p: int):
-    # Fast path without primality re-checks; q must be a Fraction.
+    """Exact p-adic valuation of a Fraction, +inf for 0; p is not checked."""
     if not q:
         return INFINITY
     k, _ = _count_factor(q.numerator, p)
@@ -149,21 +148,6 @@ def _val(q: Fraction, p: int):
 def _mod(q: Fraction, m: int) -> int:
     """The residue modulo m of a rational whose denominator is prime to m."""
     return q.numerator * pow(q.denominator, -1, m) % m
-
-
-def val_p(q, p: int):
-    """Exact p-adic valuation of a rational; +inf for 0."""
-    _check_prime(p)
-    return _val(Fraction(q), p)
-
-
-def unit_part(q, p: int) -> Fraction:
-    """q * p**(-val_p(q)), the unit cofactor of a nonzero rational."""
-    q = Fraction(q)
-    if q == 0:
-        raise PreconditionError("0 has no unit part")
-    _check_prime(p)
-    return q / Fraction(p) ** _val(q, p)
 
 
 def residue(q, p: int) -> int:
@@ -180,25 +164,6 @@ def legendre(n: int, p: int) -> int:
     if n == 0:
         return 0
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
-
-
-def is_square_unit(q, p: int) -> bool:
-    """Whether a unit of Z_p is a square; p odd (Hensel lifts the residue)."""
-    if p == 2:
-        raise UnsupportedPrimeError("square classes at p = 2 are not supported")
-    _check_prime(p)
-    q = Fraction(q)
-    if q == 0 or _val(q, p) != 0:
-        raise PreconditionError(f"{q} is not a unit at {p}")
-    return legendre(residue(q, p), p) == 1
-
-
-def smallest_nonresidue(p: int) -> int:
-    """Smallest positive quadratic non-residue mod an odd prime."""
-    for r in range(2, p):
-        if legendre(r, p) == -1:
-            return r
-    raise PreconditionError(f"no quadratic non-residue mod {p}")
 
 
 def hilbert_symbol(a, b, place) -> int:
@@ -376,9 +341,3 @@ def _splitting(delta: int, p: int) -> str:
         return RAMIFIED
     return SPLIT if legendre(disc % p, p) == 1 else INERT
 
-
-def splitting_type(delta: int, p: int, bound: int = DEFAULT_FACTOR_BOUND) -> str:
-    """How the prime p behaves in Q(sqrt(delta)): split, inert or ramified."""
-    _check_prime(p)
-    check_quadratic_field(delta, bound)
-    return _splitting(delta, p)

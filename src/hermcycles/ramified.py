@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, UnsupportedPrimeError
-from .padic import INFINITY, _val, is_prime, is_square_unit
+from .padic import INFINITY, _val, is_prime
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -41,9 +41,6 @@ class QuadContext:
 
     def one(self) -> "OHElement":
         return OHElement._raw(_ONE, _ZERO, self)
-
-    def pi(self) -> "OHElement":
-        return OHElement._raw(_ZERO, _ONE, self)
 
 
 @dataclass(frozen=True)
@@ -232,17 +229,3 @@ def pi_power(ctx: QuadContext, e: int) -> OHElement:
     c = Fraction(u) if v == 1 else Fraction(u, v)
     return OHElement._raw(_ZERO, c, ctx) if e % 2 else OHElement._raw(c, _ZERO, ctx)
 
-
-def is_norm(q, ctx: RamifiedContext) -> bool:
-    """Whether a nonzero rational is a norm from H.
-
-    The norm group is generated by Nm(pi) = -pi0 together with the unit norms,
-    which are exactly the squares of Z_p: write q = (-pi0)**k * u and test the
-    square class of the unit u.
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise PreconditionError("0 is not in the multiplicative group")
-    v = _val(q, ctx.p)
-    u = q / (-ctx.pi0) ** v
-    return is_square_unit(u, ctx.p)

@@ -74,9 +74,6 @@ class VertexSet:
     max_count: int
     jordan: JordanReport | None = field(default=None, compare=False, repr=False)  # of L
 
-    def types(self) -> list[int]:
-        return [v.type for v in self.vertices]
-
     def to_json(self):
         return {
             "vertices": [v.to_json() for v in self.vertices],

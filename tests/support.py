@@ -2,15 +2,18 @@
 
 The oracles here deliberately avoid the code paths they check: the Hilbert
 symbol is compared against a primitive-solution search for the conic
-a x^2 + b y^2 = z^2 over Z/p^4, norm membership against an enumeration of
-norm residues, self-duality against the Hilbert symbols at the inert primes,
-positivity against the signs of the leading principal minors, the
-modular Jordan elimination against the exact-rational one, module
-lengths and the vertex oracle's dual basis against a standalone Smith
-form, the enumerator's modular canonical bases against a Fraction HNF,
-the vertex enumerator against an exact-rational enumerator, and the rho
-factorizer against plain trial division.  ``invoke`` runs one CLI request
-in-process.
+a x^2 + b y^2 = z^2 over Z/p^4, norm membership (the index-two norm group)
+against an enumeration of norm residues, the self-dual field of
+``global_report`` against the Hilbert symbols at the inert primes,
+positivity against the signs of the leading principal minors, the Jordan
+block data against the class of the rational determinant (``det_class``,
+on unit square classes by Euler's criterion), the modular Jordan
+elimination against the exact-rational one, module lengths and the vertex
+oracle's dual basis against a standalone Smith form, the enumerator's
+modular canonical bases against a Fraction HNF, the vertex enumerator
+against an exact-rational enumerator, and the rho factorizer against plain
+trial division.  ``scaled_gram`` scales a form by a unit, and ``invoke``
+runs one CLI request in-process.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from hermcycles import (
     diagonal_gram,
     hyperbolic_gram,
     orthogonal_sum,
-    smallest_nonresidue,
 )
 from hermcycles.cli import run
 from hermcycles.errors import (
@@ -43,6 +45,7 @@ from hermcycles.errors import (
     PreconditionError,
     SchemaError,
     SingularMatrixError,
+    UnsupportedPrimeError,
 )
 from hermcycles.lattice import (
     mat_conj,
@@ -52,21 +55,22 @@ from hermcycles.lattice import (
     mat_mul,
     mat_transpose,
 )
-from hermcycles.global_cycles import is_positive_definite
 from hermcycles.padic import (
     _MR_LIMIT,
     DEFAULT_FACTOR_BOUND,
     INERT,
     INFINITY,
+    _check_prime,
     _count_factor,
     _mod,
+    _splitting,
     _val,
     check_quadratic_field,
     hilbert_symbol,
     is_prime,
-    is_square_unit,
+    legendre,
     rational_factorization,
-    splitting_type,
+    residue,
 )
 from hermcycles.ramified import pi_power
 from hermcycles.vertices import EnumerationBounds, Vertex, VertexSet
@@ -114,6 +118,40 @@ def parse_rational_oracle(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# square classes
+
+
+def is_square_unit(q, p: int) -> bool:
+    """Whether a unit of Z_p is a square; p odd (Hensel lifts the residue)."""
+    if p == 2:
+        raise UnsupportedPrimeError("square classes at p = 2 are not supported")
+    _check_prime(p)
+    q = Fraction(q)
+    if q == 0 or _val(q, p) != 0:
+        raise PreconditionError(f"{q} is not a unit at {p}")
+    return legendre(residue(q, p), p) == 1
+
+
+def smallest_nonresidue(p: int) -> int:
+    """Smallest positive quadratic non-residue mod an odd prime."""
+    return next(r for r in range(2, p) if legendre(r, p) == -1)
+
+
+def det_class(G: HermGram) -> tuple[int, bool]:
+    """(pi-order of det, whether the pi0-normalized unit part is a square),
+    from the rational determinant (oracle for the Jordan block data)."""
+    d = G.check_nonsingular().det_rational()
+    v = 2 * _val(d, G.ctx.p)
+    return v, is_square_unit(d / G.ctx.pi0 ** (v // 2), G.ctx.p)
+
+
+def scaled_gram(G: HermGram, u) -> HermGram:
+    """Gram of the same basis with the form scaled by a rational unit u."""
+    s = G.ctx.element(u)
+    return HermGram([[x * s for x in row] for row in G.entries], G.ctx)
+
+
+# ---------------------------------------------------------------------------
 # Hilbert symbol oracle
 
 
@@ -157,26 +195,23 @@ def conic_has_primitive_zero(a, b, p: int) -> bool:
 # self-dual lattice oracle
 
 
-def self_dual_oracle(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
-    """Whether the Hermitian space of T has a self-dual lattice, by symbols.
+def self_dual_oracle(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool | None:
+    """Whether the Hermitian space of T has a self-dual lattice, by symbols;
+    None when T is not positive definite (by its leading minors).
 
     At split and ramified primes the condition is automatic; at an inert prime
     p it reads (det T, delta)_p = 1, and only primes dividing 2 * det * delta
-    can obstruct.  Raises what ``self_dual_exists`` raises, in the same order.
+    can obstruct.  det T is factored before positivity is tested, as
+    ``global_report`` does, so a factor bound fails the same matrices.
     """
     check_quadratic_field(delta, bound)
-    if not is_positive_definite(T, delta):
-        raise PreconditionError("matrix must be positive definite")
     det = HermGram(T).det_rational()
-    primes = {2}
-    primes.update(rational_factorization(det, bound))
-    primes.update(rational_factorization(delta, bound))
-    for p in sorted(primes):
-        if splitting_type(delta, p, bound) != INERT:
-            continue
-        if hilbert_symbol(det, delta, p) != 1:
-            return False
-    return True
+    primes = {2, *rational_factorization(det, bound), *rational_factorization(delta, bound)}
+    if not positive_definite_oracle(T, delta):
+        return None
+    return all(
+        _splitting(delta, p) != INERT or hilbert_symbol(det, delta, p) == 1 for p in primes
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from support import (
     conic_has_primitive_zero,
     positive_definite_oracle,
+    scaled_gram,
     self_dual_oracle,
     squarefree_deltas,
 )
@@ -19,21 +20,21 @@ from hermcycles import (
     InvalidFieldError,
     QuadContext,
     SingularMatrixError,
-    diff0,
-    embed_matrix,
     global_report,
+)
+from hermcycles.global_cycles import (
+    _is_algebraic_integer,
+    embed_matrix,
     is_positive_definite,
     local_context,
-    self_dual_exists,
 )
-from hermcycles.global_cycles import _is_algebraic_integer
 from hermcycles.lattice import mat_conj, mat_det, mat_mul, mat_transpose
 from hermcycles.padic import (
     INERT,
     RAMIFIED,
     SPLIT,
+    _splitting,
     rational_factorization,
-    splitting_type,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,11 +132,11 @@ def test_hermitian_validation():
 
 
 def test_diff0_examples():
-    assert diff0(diag(-3, [1, 1]), -3) == ()
-    assert diff0(diag(-3, [2, 5]), -3) == (2, 5)
-    assert diff0(diag(-3, [1, 3]), -3) == ()  # 3 ramifies, excluded
+    assert global_report(diag(-3, [1, 1]), -3).diff0 == ()
+    assert global_report(diag(-3, [2, 5]), -3).diff0 == (2, 5)
+    assert global_report(diag(-3, [1, 3]), -3).diff0 == ()  # 3 ramifies, excluded
     with pytest.raises(SingularMatrixError):
-        diff0(diag(-3, [1, 0]), -3)
+        global_report(diag(-3, [1, 0]), -3)
 
 
 def test_each_request_factors_delta_once(monkeypatch):
@@ -154,8 +155,6 @@ def test_each_request_factors_delta_once(monkeypatch):
     cases = (
         (lambda: global_report(diag(-3, [2, 5]), -3), [-3, 10]),
         (lambda: global_report(diag(-15, [1, 1]), -15), [-15, 1]),
-        (lambda: diff0(diag(-3, [2, 5]), -3), [-3, 10]),
-        (lambda: self_dual_exists(diag(-3, [2, 5]), -3), [-3, 10]),
     )
     for request, factored in cases:
         calls.clear()
@@ -164,9 +163,9 @@ def test_each_request_factors_delta_once(monkeypatch):
 
 
 def test_self_dual_exists_examples():
-    assert self_dual_exists(diag(-3, [1, 1]), -3)
-    assert not self_dual_exists(diag(-3, [2, 5]), -3)
-    assert self_dual_exists(diag(-3, [1, 3]), -3)
+    assert global_report(diag(-3, [1, 1]), -3).self_dual_exists is True
+    assert global_report(diag(-3, [2, 5]), -3).self_dual_exists is False
+    assert global_report(diag(-3, [1, 3]), -3).self_dual_exists is True
     # both inert primes obstruct diag(2, 5); the one at 5 is confirmed by the
     # independent conic search, and the product formula accounts for 2
     from hermcycles import hilbert_symbol
@@ -185,49 +184,51 @@ def _outcome(f, *args):
 
 
 def _oracle_matrices(delta, rng):
-    """Diagonal and off-diagonal Hermitian 2x2 matrices over Q(sqrt(delta)).
+    """Integral diagonal and off-diagonal Hermitian 2x2 matrices over
+    Q(sqrt(delta)).
 
-    Determinants carry powers of the inert primes below 24 with exponents -1
-    to 3, so both parities and non-integral determinants occur; one matrix
-    per delta is indefinite.
+    Determinants carry powers of the inert primes below 24 with exponents 0
+    to 3, so both parities occur; one matrix per delta is indefinite.
     """
-    inert = [q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23) if splitting_type(delta, q) == INERT]
+    inert = [q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23) if _splitting(delta, q) == INERT]
 
     def det_value():
-        k = F(rng.choice((1, 1, 2, 3, 5, 7)), rng.choice((1, 1, 1, 2, 3)))
+        k = rng.choice((1, 1, 2, 3, 5, 7))
         for q in rng.sample(inert, min(2, len(inert))):
-            k *= F(q) ** rng.randint(-1, 3)
+            k *= q ** rng.randint(0, 3)
         return k
 
     for _ in range(4):
         yield diag(delta, [det_value(), det_value()])
     for _ in range(3):
-        a = F(rng.randint(1, 6), rng.choice((1, 1, 2)))
         z = qfe(delta, rng.randint(-3, 3), rng.randint(-2, 2))
-        b = (z.norm() + det_value()) / a
-        yield [[qfe(delta, a), z], [z.conjugate(), qfe(delta, b)]]
+        c = z.norm() + det_value()  # a * b, for the determinant a * b - N(z)
+        a = rng.choice([a for a in range(1, 7) if c % a == 0])
+        yield [[qfe(delta, a), z], [z.conjugate(), qfe(delta, c / a)]]
     yield diag(delta, [det_value(), -det_value()])
 
 
 def test_self_dual_exists_matches_the_hilbert_symbol_oracle():
+    # global_report refuses non-integral entries, so the matrices are
+    # integral; an indefinite one reports None, and a factor bound of 10
+    # fails both sides on the same matrices
     deltas = squarefree_deltas()
-    assert {splitting_type(d, 2) for d in deltas} == {SPLIT, INERT, RAMIFIED}
-    answers, inert_parities, nonintegral = set(), set(), 0
+    assert {_splitting(d, 2) for d in deltas} == {SPLIT, INERT, RAMIFIED}
+    answers, inert_parities = set(), set()
     for delta in deltas:
         rng = random.Random(delta)
         for T in _oracle_matrices(delta, rng):
             for bound in (10**6, 10):
-                got = _outcome(self_dual_exists, T, delta, bound)
+                report = _outcome(global_report, T, delta, bound)
+                got = report if isinstance(report, tuple) else report.self_dual_exists
                 assert got == _outcome(self_dual_oracle, T, delta, bound), (delta, T, bound)
-                answers.add(got if isinstance(got, bool) else got[0])
+                answers.add(got[0] if isinstance(got, tuple) else got)
             det = HermGram(T).det_rational()
-            nonintegral += det.denominator != 1
             for q, k in rational_factorization(det).items():
-                if splitting_type(delta, q) == INERT:
+                if _splitting(delta, q) == INERT:
                     inert_parities.add((q == 2, k % 2))
-    assert answers == {True, False, "PreconditionError", "FactorizationLimitError"}
+    assert answers == {True, False, None, "FactorizationLimitError"}
     assert inert_parities == {(True, 0), (True, 1), (False, 0), (False, 1)}
-    assert nonintegral > 0
 
 
 def test_global_fixtures_match_goldens():
@@ -367,7 +368,7 @@ def test_dimension_depends_only_on_p_and_matrix():
     base = global_report(T, delta).per_prime[3]
     ctx = local_context(delta, 3)
     for unit in (2, 4):
-        assert cycle_report(embed_matrix(T, delta, ctx).scaled(unit)) == base
+        assert cycle_report(scaled_gram(embed_matrix(T, delta, ctx), unit)) == base
     # unimodular change over the maximal order: T -> U^dagger T U
     U = [[qfe(delta, 1), qfe(delta, 1, 1)], [qfe(delta, 0), qfe(delta, 1)]]
     moved = [[qfe(delta, 0)] * 2 for _ in range(2)]

@@ -1,13 +1,21 @@
 """Every name a package module imports is used in it, and every function,
-class or method a package module defines is used somewhere.
+class or method a package module defines is used somewhere; the same holds
+for the test helpers in ``tests/support.py``.
 
 ``__future__`` imports are exempt, and so is ``__init__.py``, which
-re-exports.  A module-level function or class counts as used when a
-``Name`` or ``Attribute`` node in the package or the tests refers to it; a
-re-export in ``__init__.py`` is an import, not a use.  A method of a
-module-level class, dunder methods apart, counts as used when an
-``Attribute`` node names it; a class with a base from outside the package
-may override what that base calls, so its methods are not checked.
+re-exports exactly the names of the README's "Library API" list.  A
+module-level function or class of the package counts as used when a
+``Name`` or ``Attribute`` node in the package, in ``bench/*.py`` or in that
+list refers to it; the tests do not count.  A re-export in ``__init__.py``
+is an import, not a use.  A method of a module-level class, dunder methods
+apart, counts as used when an ``Attribute`` node names it; a class with a
+base from outside the package may override what that base calls, so its
+methods are not checked.  A helper in ``tests/support.py`` counts as used
+when ``support.py`` itself or a ``tests/test_*.py`` module refers to it.
+
+The check goes by name, so a definition whose name something else also
+has (a dataclass field, another class's method, a function of ``bench/``)
+passes it unused.
 """
 
 import ast
@@ -17,6 +25,7 @@ import hermcycles
 
 PACKAGE = Path(hermcycles.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,6 +91,10 @@ def test_no_unused_imports_in_the_package():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def test_no_unused_imports_in_the_test_support():
+    assert unused_imports((TESTS / "support.py").read_text()) == []
+
+
 def test_the_checker_sees_a_dead_definition():
     modules = {
         "a.py": "def used():\n    return helper()\n\ndef helper():\n    pass\n\nclass Dead:\n    pass\n",
@@ -105,9 +118,44 @@ def test_the_checker_sees_a_dead_definition():
     ]
 
 
+def readme_api() -> str:
+    """The Python block of the README's "Library API" section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def imported_names(source: str) -> set[str]:
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_the_readme_api_is_what_the_package_imports():
+    api = readme_api()
+    names = imported_names(api)
+    assert names == imported_names((PACKAGE / "__init__.py").read_text())
+    attributes = [node for node in ast.walk(ast.parse(api)) if isinstance(node, ast.Attribute)]
+    assert attributes
+    for node in attributes:
+        assert node.value.id in names and hasattr(getattr(hermcycles, node.value.id), node.attr)
+
+
 def test_no_dead_definitions_in_the_package():
     modules = {
         p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
     }
-    users = [p.read_text() for p in sorted(TESTS.rglob("*.py"))]
+    api = readme_api()
+    # what the list imports is what a caller may use: write each name out as a use
+    users = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    users.append(api + "\n".join(sorted(imported_names(api))))
+    assert dead_definitions(modules, users) == []
+
+
+def test_no_dead_definitions_in_the_test_support():
+    modules = {"support.py": (TESTS / "support.py").read_text()}
+    users = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
     assert dead_definitions(modules, users) == []

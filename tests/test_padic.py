@@ -7,39 +7,37 @@ from support import (
     conic_has_primitive_zero,
     factor_outcome,
     factorize_oracle,
+    is_square_unit,
+    smallest_nonresidue,
     squarefree_deltas,
     trial_limit,
 )
 
 from hermcycles import (
     FactorizationLimitError,
-    INFINITY,
     PreconditionError,
     UnsupportedPrimeError,
     factorize,
     hilbert_symbol,
-    is_square_unit,
     parse_rational,
     format_rational,
-    smallest_nonresidue,
-    splitting_type,
-    unit_part,
-    val_p,
 )
 from hermcycles.errors import InvalidFieldError, SchemaError
 from hermcycles.padic import (
     _MR_LIMIT,
     _MR_PREFIXES,
+    INFINITY,
     _splitting,
+    _val,
     check_quadratic_field,
     is_prime,
 )
 
 
 def test_val_examples():
-    assert val_p(F(9, 2), 3) == 2
-    assert val_p(0, 5) == INFINITY
-    assert val_p(F(2, 3), 3) == -1
+    assert _val(F(9, 2), 3) == 2
+    assert _val(F(0), 5) == INFINITY
+    assert _val(F(2, 3), 3) == -1
 
 
 def test_val_is_valuation():
@@ -50,20 +48,13 @@ def test_val_is_valuation():
         y = F(rng.randint(-40, 40), rng.randint(1, 40))
         if x == 0 or y == 0:
             continue
-        assert val_p(x * y, p) == val_p(x, p) + val_p(y, p)
-        vx, vy = val_p(x, p), val_p(y, p)
+        assert _val(x * y, p) == _val(x, p) + _val(y, p)
+        vx, vy = _val(x, p), _val(y, p)
         if x + y != 0:
-            vsum = val_p(x + y, p)
+            vsum = _val(x + y, p)
             assert vsum >= min(vx, vy)
             if vx != vy:
                 assert vsum == min(vx, vy)
-
-
-def test_unit_part():
-    assert unit_part(F(9, 2), 3) == F(1, 2)
-    assert unit_part(F(2, 3), 3) == 2
-    with pytest.raises(PreconditionError):
-        unit_part(0, 3)
 
 
 def test_is_square_unit_examples():
@@ -305,10 +296,16 @@ def test_is_prime_agrees_with_sympy_below_the_limit_and_refuses_from_it():
     assert not is_prime(_MR_LIMIT + 1) and not is_prime(3 * 10**25)
 
 
+def _checked_splitting(delta, p):
+    """The splitting of p once the field is checked, as global_report reads it."""
+    check_quadratic_field(delta)
+    return _splitting(delta, p)
+
+
 def test_splitting_examples():
-    assert splitting_type(-3, 3) == "ramified"
-    assert splitting_type(-3, 2) == "inert"
-    assert splitting_type(-3, 7) == "split"
+    assert _checked_splitting(-3, 3) == "ramified"
+    assert _checked_splitting(-3, 2) == "inert"
+    assert _checked_splitting(-3, 7) == "split"
     # direct checks behind the derived examples
     assert pow(2, (7 - 1) // 2, 7) == 1 and (-3) % 7 == 4  # square residue
     f = lambda t: (t * t - t + 1) % 2  # minimal polynomial of (1+sqrt(-3))/2
@@ -333,10 +330,10 @@ def _minpoly_splitting(delta, p):
 def test_splitting_vs_minpoly_oracle():
     for delta in (-1, -2, -3, -5, -7, -11, -15, -19):
         for p in (2, 3, 5, 7, 11, 13):
-            assert splitting_type(delta, p) == _minpoly_splitting(delta, p), (delta, p)
+            assert _checked_splitting(delta, p) == _minpoly_splitting(delta, p), (delta, p)
 
 
-def test_checked_field_primes_and_unchecked_splitting_agree_with_splitting_type():
+def test_checked_field_primes_and_unchecked_splitting_agree_with_the_minpoly_oracle():
     assert check_quadratic_field(-1) == ()
     assert check_quadratic_field(-30) == (2, 3, 5)
     primes = [q for q in range(2, 51) if is_prime(q)]
@@ -349,16 +346,13 @@ def test_checked_field_primes_and_unchecked_splitting_agree_with_splitting_type(
         assert check_quadratic_field(delta) == tuple(factorize(delta))
         for q in primes:
             expected = _minpoly_splitting(delta, q)
-            assert _splitting(delta, q) == splitting_type(delta, q) == expected, (delta, q)
+            assert _splitting(delta, q) == expected, (delta, q)
 
 
 def test_splitting_invalid_field():
-    with pytest.raises(InvalidFieldError):
-        splitting_type(3, 5)
-    with pytest.raises(InvalidFieldError):
-        splitting_type(-12, 5)
-    with pytest.raises(InvalidFieldError):
-        splitting_type(0, 5)
+    for delta in (3, -12, 0):
+        with pytest.raises(InvalidFieldError):
+            _checked_splitting(delta, 5)
 
 
 def test_rational_parsing():

@@ -16,6 +16,8 @@ from support import (
     oracle_vertex_census,
     parse_rational_oracle,
     random_basis_change,
+    scaled_gram,
+    smallest_nonresidue,
     transformed_gram,
     trial_limit,
 )
@@ -34,7 +36,6 @@ from hermcycles import (
     hyperbolic_gram,
     jordan_split,
     orthogonal_sum,
-    smallest_nonresidue,
 )
 from hermcycles.lattice import mat_mul
 from hermcycles.padic import is_prime, parse_rational
@@ -79,7 +80,7 @@ def _disguised_block_sums(draw):
             blocks.append(diagonal_gram(ctx, [u * ctx.pi0 ** draw(st.integers(-2, 4))]))
             rank += 1
         else:
-            blocks.append(hyperbolic_gram(ctx, draw(st.integers(-3, 6))).scaled(u))
+            blocks.append(scaled_gram(hyperbolic_gram(ctx, draw(st.integers(-3, 6))), u))
             rank += 2
     U = random_basis_change(random.Random(draw(st.integers(0, 2**32 - 1))), ctx, rank)
     return transformed_gram(orthogonal_sum(*blocks), U)
@@ -111,7 +112,7 @@ def test_cycle_report_is_the_invariants_of_every_unit_scaling(G, data):
     u = Fraction(data.draw(st.sampled_from([1, -1])) * data.draw(unit), data.draw(unit))
     report = _outcome(cycle_report, G)
     for v in (u, u * smallest_nonresidue(p)):
-        assert _outcome(cycle_report, G.scaled(v)) == report
+        assert _outcome(cycle_report, scaled_gram(G, v)) == report
 
 
 _JSON = st.recursive(

@@ -15,6 +15,7 @@ from support import (
     random_basis_change,
     random_hermitian_gram,
     same_lattice,
+    smallest_nonresidue,
     snf_dual_basis,
 )
 
@@ -31,7 +32,6 @@ from hermcycles import (
     orthogonal_sum,
     pi_power,
     poset_dot,
-    smallest_nonresidue,
     verify_structure_theorems,
 )
 from hermcycles import vertices
@@ -44,7 +44,7 @@ def test_unimodular_has_single_vertex():
     ctx = RamifiedContext(3, 1)
     L = HermLattice.from_gram(diagonal_gram(ctx, [1, 1]))
     vs = enumerate_vertices(L)
-    assert vs.types() == [0]
+    assert [v.type for v in vs.vertices] == [0]
     assert vs.max_type == 0 and vs.max_count == 1
     assert same_lattice(vs.vertices[0].lattice, L)
     assert vs.poset_edges == ()
@@ -54,7 +54,7 @@ def test_hyperbolic_plane_census_p3():
     ctx = RamifiedContext(3, 1)
     L = HermLattice.from_gram(hyperbolic_gram(ctx, 1))
     vs = enumerate_vertices(L)
-    assert sorted(vs.types()) == [0, 0, 0, 0, 2]
+    assert sorted(v.type for v in vs.vertices) == [0, 0, 0, 0, 2]
     assert vs.max_type == 2 and vs.max_count == 1
     # the type-2 vertex is the dual lattice, and all lines sit inside it
     top = [i for i, v in enumerate(vs.vertices) if v.type == 2][0]
@@ -412,7 +412,7 @@ def test_verify_reports_a_vertex_outside_every_maximal_vertex(monkeypatch):
     ctx = RamifiedContext(3, 1)
     L = HermLattice.from_gram(hyperbolic_gram(ctx, 1))
     vs = enumerate_vertices(L)
-    assert vs.types() == [0, 0, 0, 0, 2]
+    assert [v.type for v in vs.vertices] == [0, 0, 0, 0, 2]
     assert vs.poset_edges == ((0, 4), (1, 4), (2, 4), (3, 4))
     cut = replace(vs, poset_edges=((0, 4), (1, 4), (3, 4)))
     monkeypatch.setattr(vertices, "enumerate_vertices", lambda L, bounds: cut)
