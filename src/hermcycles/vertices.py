@@ -6,7 +6,9 @@ all intermediate lattices through their canonical triangular bases (pivot
 exponents bounded by the elementary divisors of L inside its dual), filters by
 the exact vertex conditions, and reports types, counts and the full inclusion
 poset.  It exists to double-check the closed-form invariants on small
-instances, so correctness beats speed throughout.
+instances, so correctness beats speed throughout.  The census keeps the
+order of the walk until something reads it as printed: only then does each
+vertex get its canonical basis, and the census its sorted order (VertexSet).
 
 Everything runs on pairs of Python ints modulo powers of p, where the
 arithmetic is exact (lattice._Quotient): the Jordan elimination of Gram(L),
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from math import gcd
+from typing import Callable
 
 from . import lattice
 from .cycles import CycleInvariants, invariants_from_report
@@ -66,13 +69,58 @@ class Vertex:
         return {"basis": [[{"a": x, "b": y} for x, y in row] for row in self.basis], "type": self.type}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSet:
-    vertices: tuple[Vertex, ...]
-    poset_edges: tuple[tuple[int, int], ...]
+    """The census of enumerate_vertices, held in the order the candidate
+    walk found the vertices: their types, the inclusion poset as pairs of
+    walk positions, max_type, max_count and the JordanReport of L.
+
+    ``vertices`` and ``poset_edges`` are the census as printed: vertices
+    sorted by type and canonical basis, edges relabelled to that order and
+    sorted.  They are named on first read (through them, ``to_json`` or
+    equality), as naming computes and prints every canonical basis, which
+    verify_structure_theorems does without.  Equality and hashing go by the
+    named census, so the censuses of one lattice in two bases are equal.
+    Only enumerate_vertices builds one.
+    """
+
+    _types: tuple[int, ...]
+    _edges: tuple[tuple[int, int], ...]
     max_type: int
     max_count: int
-    jordan: JordanReport | None = field(default=None, compare=False, repr=False)  # of L
+    jordan: JordanReport = field(repr=False)  # of L
+    _name_walk: Callable[[], list[Vertex]] = field(repr=False)  # the vertices in walk order
+    _named: tuple | None = field(default=None, init=False, repr=False)
+
+    def _census(self):
+        if self._named is None:
+            walk = self._name_walk()
+            order = sorted(range(len(walk)), key=lambda i: (walk[i].type, walk[i].basis))
+            index = [0] * len(order)
+            for i, w in enumerate(order):
+                index[w] = i
+            edges = tuple(sorted((index[a], index[b]) for a, b in self._edges))
+            object.__setattr__(self, "_named", (tuple(walk[w] for w in order), edges))
+        return self._named
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return self._census()[0]
+
+    @property
+    def poset_edges(self) -> tuple[tuple[int, int], ...]:
+        return self._census()[1]
+
+    def _key(self):
+        return (*self._census(), self.max_type, self.max_count)
+
+    def __eq__(self, other):
+        if not isinstance(other, VertexSet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json(self):
         return {
@@ -464,16 +512,19 @@ def enumerate_vertices(
 ) -> VertexSet:
     """All vertex lattices V with L <= V_dual, with types and inclusion poset.
 
-    Requires L integral for the form.  Results are deterministic: vertices are
-    sorted by type and canonical basis, and do not depend on the basis in
-    which L was presented.
+    Requires L integral for the form.  The VertexSet holds the vertices in
+    the order the walk found them, with the poset on walk positions; read
+    through ``vertices``, ``poset_edges``, ``to_json`` or equality, it is
+    named: each vertex gets the strings of its canonical basis
+    (_canonical_basis, _basis_text), and the vertices are sorted by type and
+    basis, so the census does not depend on the basis in which L was
+    presented.
 
     The dual columns are a Jordan basis of L^#, times pi^f spanning L, with
     G# their Gram (_dual_jordan_basis).  Past the one exact inverse there,
     through the canonical bases of the vertices found, the work runs on
-    pairs of ints modulo one p^K (see _Quotient), and each vertex keeps its
-    basis as the strings the census prints (_basis_text); K is the least
-    meeting three needs:
+    pairs of ints modulo one p^K (see _Quotient); K is the least meeting
+    three needs:
 
     - the vertex test needs K >= c.  With F = max f, pi^F kills L^#/L, so
       pi^F * G# is integral, and so is p^c * G# for c = max(1, ceil(F/2));
@@ -519,40 +570,37 @@ def enumerate_vertices(
     m = q.m
     H = [[(j, (x % m, y % m)) for j, (x, y) in row] for row in H]
     D = [[(x % m, y % m) for x, y in row] for row in D]
-    decorated = []
+    found = []  # (type, pivot exponents, Z) in walk order
     for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
         t = d - 2 * sum(es)
-        if not _is_vertex(Z, H, c, t, q):
-            continue
-        basis = _basis_text(*_canonical_basis(D, Z, a, q), a, ctx)
-        decorated.append(((t, basis), Vertex(t, basis, L.ambient), es, Z))
-    decorated.sort(key=lambda item: item[0])
-    vertices = tuple(item[1] for item in decorated)
-    exps = [item[2] for item in decorated]
-    mats = [item[3] for item in decorated]
-    # Containment a < b needs the pivot exponents of a to dominate those of
-    # b and to differ from them, as equal exponents mean equal covolumes.
+        if _is_vertex(Z, H, c, t, q):
+            found.append((t, es, Z))
+    # Containment i < j needs the pivot exponents of i to dominate those of
+    # j and to differ from them, as equal exponents mean equal covolumes.
     # Vertices are grouped by exponents, and only pairs of groups that pass
     # meet the back-substitution.
     groups: dict[tuple, list[int]] = {}
-    for a, es in enumerate(exps):
-        groups.setdefault(es, []).append(a)
+    for i, (_, es, _) in enumerate(found):
+        groups.setdefault(es, []).append(i)
     edges = []
-    for ea, members_a in groups.items():
-        for eb, members_b in groups.items():
-            if ea == eb or any(x < y for x, y in zip(ea, eb)):
+    for ei, members_i in groups.items():
+        for ej, members_j in groups.items():
+            if ei == ej or any(x < y for x, y in zip(ei, ej)):
                 continue
-            for a in members_a:
-                for b in members_b:
-                    if _contains(mats[b], eb, mats[a], ea, q):
-                        edges.append((a, b))
-    edges.sort()
-    if vertices:
-        max_type = max(v.type for v in vertices)
-        max_count = sum(1 for v in vertices if v.type == max_type)
-    else:
-        max_type, max_count = -1, 0
-    return VertexSet(vertices, tuple(edges), max_type, max_count, report)
+            for i in members_i:
+                for j in members_j:
+                    if _contains(found[j][2], ej, found[i][2], ei, q):
+                        edges.append((i, j))
+    types = tuple(t for t, _, _ in found)
+    max_type = max(types, default=-1)
+
+    def name_walk():
+        return [
+            Vertex(t, _basis_text(*_canonical_basis(D, Z, a, q), a, ctx), L.ambient)
+            for t, _, Z in found
+        ]
+
+    return VertexSet(types, tuple(edges), max_type, types.count(max_type), report, name_walk)
 
 
 @dataclass(frozen=True)
@@ -596,6 +644,28 @@ class VerificationReport:
         }
 
 
+def _poset_faults(types, edges, max_type: int):
+    """The vertices (index, type) below no vertex of type ``max_type``, and
+    the edges (a, d) missing from ``edges`` though (a, b) and (b, d) are in
+    it, once per such b, in the order of ``edges``."""
+    above: dict[int, list[int]] = {}
+    for a, b in edges:
+        above.setdefault(a, []).append(b)
+    lonely = [
+        (i, t)
+        for i, t in enumerate(types)
+        if t != max_type and not any(types[j] == max_type for j in above.get(i, ()))
+    ]
+    edge_set = set(edges)
+    missing = [
+        (a, d)
+        for a, b in edges
+        for d in above.get(b, ())
+        if a != d and (a, d) not in edge_set
+    ]
+    return lonely, missing
+
+
 def verify_structure_theorems(
     L: HermLattice, bounds: EnumerationBounds = EnumerationBounds()
 ) -> VerificationReport:
@@ -605,9 +675,17 @@ def verify_structure_theorems(
     contained in one of maximal type; the maximal vertex is unique exactly
     when the irreducibility conditions hold; all types are even; and the
     recorded inclusion poset is transitively closed.
+
+    The checks read the census in walk order, so a passing report names no
+    vertex and builds no canonical basis.  When saturation or transitivity
+    fails, the census is named and the counterexamples give the indices of
+    the printed census (``enumerate_vertices(L).vertices``).
     """
     vs = enumerate_vertices(L, bounds)
     inv: CycleInvariants = invariants_from_report(vs.jordan, L.ctx.p)
+    lonely, missing = _poset_faults(vs._types, vs._edges, vs.max_type)
+    if lonely or missing:
+        lonely, missing = _poset_faults([v.type for v in vs.vertices], vs.poset_edges, vs.max_type)
     counterexamples = []
 
     max_type_matches = vs.max_type == inv.t
@@ -616,19 +694,8 @@ def verify_structure_theorems(
             f"formula t = {inv.t} but enumeration found max type {vs.max_type}"
         )
 
-    edge_set = set(vs.poset_edges)
-    above: dict[int, list[int]] = {}
-    for a, b in vs.poset_edges:
-        above.setdefault(a, []).append(b)
-    saturation = True
-    for i, v in enumerate(vs.vertices):
-        if v.type == vs.max_type:
-            continue
-        if not any(vs.vertices[j].type == vs.max_type for j in above.get(i, ())):
-            saturation = False
-            counterexamples.append(
-                f"vertex {i} (type {v.type}) lies in no maximal-type vertex"
-            )
+    for i, t in lonely:
+        counterexamples.append(f"vertex {i} (type {t}) lies in no maximal-type vertex")
 
     predicted_unique = bool(inv.irreducible)
     uniqueness_matches = (vs.max_count == 1) == predicted_unique
@@ -637,16 +704,12 @@ def verify_structure_theorems(
             f"predicted unique={predicted_unique} but {vs.max_count} maximal vertices"
         )
 
-    all_types_even = all(v.type % 2 == 0 for v in vs.vertices)
+    all_types_even = all(t % 2 == 0 for t in vs._types)
     if not all_types_even:
         counterexamples.append("odd vertex type found")
 
-    poset_transitive = True
-    for a, b in vs.poset_edges:
-        for d in above.get(b, ()):
-            if a != d and (a, d) not in edge_set:
-                poset_transitive = False
-                counterexamples.append(f"missing transitive edge ({a},{d})")
+    for a, d in missing:
+        counterexamples.append(f"missing transitive edge ({a},{d})")
 
     return VerificationReport(
         formula_t=inv.t,
@@ -654,10 +717,10 @@ def verify_structure_theorems(
         max_count=vs.max_count,
         predicted_unique=predicted_unique,
         max_type_matches=max_type_matches,
-        saturation=saturation,
+        saturation=not lonely,
         uniqueness_matches=uniqueness_matches,
         all_types_even=all_types_even,
-        poset_transitive=poset_transitive,
+        poset_transitive=not missing,
         counterexamples=tuple(counterexamples),
     )
 

@@ -11,9 +11,10 @@ on unit square classes by Euler's criterion), the modular Jordan
 elimination against the exact-rational one, module lengths and the vertex
 oracle's dual basis against a standalone Smith form, the enumerator's
 modular canonical bases against a Fraction HNF, the vertex enumerator
-against an exact-rational enumerator, and the rho factorizer against plain
-trial division.  ``scaled_gram`` scales a form by a unit, and ``invoke``
-runs one CLI request in-process.
+against an exact-rational enumerator, the walk-order checks of ``verify``
+against the same checks on the printed census, and the rho factorizer
+against plain trial division.  ``scaled_gram`` scales a form by a unit,
+and ``invoke`` runs one CLI request in-process.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from hermcycles import (
     orthogonal_sum,
 )
 from hermcycles.cli import run
+from hermcycles.cycles import invariants_from_report
 from hermcycles.errors import (
     EnumerationLimitError,
     FactorizationLimitError,
@@ -73,7 +75,7 @@ from hermcycles.padic import (
     residue,
 )
 from hermcycles.ramified import pi_power
-from hermcycles.vertices import EnumerationBounds, Vertex, VertexSet
+from hermcycles.vertices import EnumerationBounds, Vertex
 
 
 def invoke(argv, stdin_text=None):
@@ -853,6 +855,74 @@ def oracle_vertex_census(L: HermLattice, bounds: EnumerationBounds):
         and mat_is_integral(mat_mul(inverses[b], mats[a]))
     ]
     max_type = max((v.type for v in vertices), default=-1)
-    max_count = sum(1 for v in vertices if v.type == max_type)
-    census = VertexSet(tuple(vertices), tuple(edges), max_type, max_count)
-    return census.to_json(), tally[0]
+    census = {
+        "vertices": [v.to_json() for v in vertices],
+        "poset_edges": [list(e) for e in edges],
+        "max_type": max_type,
+        "max_count": sum(1 for v in vertices if v.type == max_type),
+    }
+    return census, tally[0]
+
+
+def verify_report_oracle(vs, p: int) -> dict:
+    """``verify_structure_theorems(L).to_json()`` for the census ``vs`` of L,
+    with every check loop run on the census as printed (``vs.vertices`` and
+    ``vs.poset_edges``), where the package checks the walk order and names
+    the census only to word a failure."""
+    inv = invariants_from_report(vs.jordan, p)
+    counterexamples = []
+
+    max_type_matches = vs.max_type == inv.t
+    if not max_type_matches:
+        counterexamples.append(
+            f"formula t = {inv.t} but enumeration found max type {vs.max_type}"
+        )
+
+    edge_set = set(vs.poset_edges)
+    above: dict[int, list[int]] = {}
+    for a, b in vs.poset_edges:
+        above.setdefault(a, []).append(b)
+    saturation = True
+    for i, v in enumerate(vs.vertices):
+        if v.type == vs.max_type:
+            continue
+        if not any(vs.vertices[j].type == vs.max_type for j in above.get(i, ())):
+            saturation = False
+            counterexamples.append(
+                f"vertex {i} (type {v.type}) lies in no maximal-type vertex"
+            )
+
+    predicted_unique = bool(inv.irreducible)
+    uniqueness_matches = (vs.max_count == 1) == predicted_unique
+    if not uniqueness_matches:
+        counterexamples.append(
+            f"predicted unique={predicted_unique} but {vs.max_count} maximal vertices"
+        )
+
+    all_types_even = all(v.type % 2 == 0 for v in vs.vertices)
+    if not all_types_even:
+        counterexamples.append("odd vertex type found")
+
+    poset_transitive = True
+    for a, b in vs.poset_edges:
+        for d in above.get(b, ()):
+            if a != d and (a, d) not in edge_set:
+                poset_transitive = False
+                counterexamples.append(f"missing transitive edge ({a},{d})")
+
+    passed = (
+        max_type_matches and saturation and uniqueness_matches and all_types_even and poset_transitive
+    )
+    return {
+        "formula_t": inv.t,
+        "max_type": vs.max_type,
+        "max_count": vs.max_count,
+        "predicted_unique": predicted_unique,
+        "max_type_matches": max_type_matches,
+        "saturation": saturation,
+        "uniqueness_matches": uniqueness_matches,
+        "all_types_even": all_types_even,
+        "poset_transitive": poset_transitive,
+        "passed": passed,
+        "counterexamples": counterexamples,
+    }

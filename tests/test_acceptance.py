@@ -2,7 +2,8 @@
 
 The enumeration family (all small diagonal and hyperbolic instances over
 p in {3, 5} and eps in {1, -1}, plus the designed-to-be-non-unique rank-4
-case) is computed once and shared by criteria 1-3 and 11.
+case) is computed once and shared by criteria 1-3 and 11, and by the check
+of the verify report against the oracle's on the same censuses.
 """
 
 import json
@@ -23,6 +24,7 @@ from support import (
     scaled_gram,
     smallest_nonresidue,
     transformed_gram,
+    verify_report_oracle,
 )
 
 from hermcycles import (
@@ -37,6 +39,7 @@ from hermcycles import (
     jordan_split,
     verify_structure_theorems,
 )
+from hermcycles import vertices
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BOUNDS = EnumerationBounds(max_rank=4, max_scale=4, max_candidates=10**7)
@@ -51,13 +54,28 @@ def _verdict(criterion: str, passed: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def family_reports():
+def family_runs():
+    """(label, p, report, the census the report read) per case, and the time taken."""
     started = time.monotonic()
-    reports = []
-    for label, ctx, gram in acceptance_family(include_h13_primes=(3, 5)):
-        lattice = HermLattice.from_gram(gram)
-        reports.append((label, verify_structure_theorems(lattice, BOUNDS)))
-    return reports, time.monotonic() - started
+    runs, censuses = [], []
+    enumerate_vertices = vertices.enumerate_vertices
+
+    def keep(L, bounds):
+        censuses.append(enumerate_vertices(L, bounds))
+        return censuses[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vertices, "enumerate_vertices", keep)
+        for label, ctx, gram in acceptance_family(include_h13_primes=(3, 5)):
+            lattice = HermLattice.from_gram(gram)
+            runs.append((label, ctx.p, verify_structure_theorems(lattice, BOUNDS), censuses.pop()))
+    return runs, time.monotonic() - started
+
+
+@pytest.fixture(scope="module")
+def family_reports(family_runs):
+    runs, elapsed = family_runs
+    return [(label, rep) for label, _, rep, _ in runs], elapsed
 
 
 def test_criterion_1_formula_matches_max_type(family_reports):
@@ -253,3 +271,9 @@ def test_criterion_11_every_family_report_passes(family_reports):
         not bad and "p5,eps1:H(1)+H(3)" in labels,
         f"{len(reports)} cases" + (f"; failures: {bad}" if bad else ""),
     )
+
+
+def test_every_family_report_is_the_oracle_report_on_its_census(family_runs):
+    runs, _ = family_runs
+    for label, p, rep, census in runs:
+        assert rep.to_json() == verify_report_oracle(census, p), label

@@ -55,4 +55,5 @@ def test_the_benchmark_tracer_patches_the_package_in_process():
     assert lattice.mat_inverse is original
     summary = tracer.summary()
     assert summary["lattice.mat_inverse"][0] >= 1
+    assert tracer.counts["vertices.vertex_count"] > 0
     assert summary["global_cycles.global_report"][0] == 1

@@ -606,6 +606,43 @@ def test_enumeration_builds_no_fraction_past_the_jordan_block_inverse(monkeypatc
             assert before > 0 and len(built) == before, (command, count, built[before:][:5])
 
 
+def test_verify_builds_no_canonical_basis_and_no_output_goes_through_json_dumps(monkeypatch):
+    # a cost guard that reads no clock: verify checks the census in the order
+    # of the walk, so a passing report names no vertex, and vertices names
+    # each vertex once; every document, error documents too, is written
+    # without json.dumps and reads back as what json.dumps would write
+    from hermcycles import vertices
+
+    named = []
+    canonical, dumps = vertices._canonical_basis, json.dumps
+
+    def counted(*args):
+        named.append(args)
+        return canonical(*args)
+
+    h1 = [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]
+    h13 = [[0] * 4 for _ in range(4)]
+    h13[0][1], h13[1][0] = {"a": "0", "b": "1"}, {"a": "0", "b": "-1"}
+    h13[2][3], h13[3][2] = {"a": "0", "b": "3"}, {"a": "0", "b": "-3"}
+    requests = [(h1, 5), (h13, 385)]
+    requests = [(dumps({"gram": gram}), count) for gram, count in requests]
+    monkeypatch.setattr(vertices, "_canonical_basis", counted)
+    monkeypatch.setattr(json, "dumps", None)
+    for text, count in requests:
+        for command in ("vertices", "verify"):
+            named.clear()
+            code, out = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=text)
+            assert code == 0
+            doc = json.loads(out)
+            assert out == dumps(doc, indent=2, sort_keys=True) + "\n"
+            if command == "vertices":
+                assert len(doc["vertices"]) == len(named) == count
+            else:
+                assert doc["passed"] and named == []
+    code, out = invoke(["verify", "--p", "3"], stdin_text=requests[1][0])
+    assert code == 3 and out == dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_negative_enumeration_bounds_are_refused():
     # --max-candidates -5 on H(1) used to report a limit error with count -4,
     # and -7 on [[1]] a full census

@@ -37,6 +37,7 @@ from hermcycles import (
     jordan_split,
     orthogonal_sum,
 )
+from hermcycles import cli
 from hermcycles.lattice import mat_mul
 from hermcycles.padic import is_prime, parse_rational
 
@@ -270,3 +271,48 @@ def _parsed(parse, value):
 @given(_literals())
 def test_parse_rational_is_the_fraction_string_parser(value):
     assert _parsed(parse_rational, value) == _parsed(parse_rational_oracle, value)
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII past the BMP, the
+# JSON-hostile line separators and lone surrogates of both halves
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7fé \ud800􏰀\udfff\U0001f600')
+    | st.characters(exclude_categories=())
+    | st.characters(max_codepoint=0x7F),
+    max_size=8,
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**300), 2**300)
+    | st.sampled_from([0, -1, 2**64, -(2**63)])
+    | _TEXT
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_DOCUMENTS)
+def test_the_cli_writer_writes_what_json_dumps_writes(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(
+    _DOCUMENTS,
+    st.sampled_from([0.0, 1.5, float("nan"), Fraction(1, 2), b"x", {1}, object()]),
+    st.sampled_from([0, True, None, 1.5, (1,)]),
+)
+def test_the_cli_writer_refuses_every_other_type(doc, bad, key):
+    # json.dumps writes floats and turns int, bool and None keys into
+    # strings; no command returns them, and the writer refuses them
+    for wrapped in ([doc, bad], (bad, doc), {"k": doc, "z": bad}, {key: doc}):
+        with pytest.raises(TypeError):
+            cli._json(wrapped)

@@ -17,6 +17,7 @@ from support import (
     same_lattice,
     smallest_nonresidue,
     snf_dual_basis,
+    verify_report_oracle,
 )
 
 from hermcycles import (
@@ -114,7 +115,8 @@ def test_types_match_quotient_lengths():
 
 def test_enumeration_is_basis_independent():
     # equal censuses compare equal as VertexSets too: a Vertex compares its
-    # type and canonical basis, not the identity of a lattice object
+    # type and canonical basis, not the identity of a lattice object, and a
+    # census its printed poset, not the order of the walk
     rng = random.Random(14)
     ctx = RamifiedContext(3, 1)
     G = orthogonal_sum(hyperbolic_gram(ctx, 1), diagonal_gram(ctx, [1]))
@@ -128,7 +130,7 @@ def test_enumeration_is_basis_independent():
         vs = enumerate_vertices(moved)
         assert vs.to_json() == reference
         assert vs == census and vs.vertices == census.vertices
-    assert census != replace(census, vertices=census.vertices[::-1])
+    assert census != replace(census, _edges=census._edges[1:])
 
 
 def test_bounds_and_preconditions():
@@ -407,6 +409,15 @@ def test_verify_hyperbolic_plane():
     assert rep.max_count == 1 and rep.predicted_unique
 
 
+def _cut(vs, *printed):
+    """``vs`` without the walk edges that name to the ``printed`` edges, and
+    those walk edges."""
+    index = [vs.vertices.index(v) for v in vs._name_walk()]  # printed index by walk position
+    walk = [(a, b) for a, b in vs._edges if (index[a], index[b]) in printed]
+    assert len(walk) == len(printed)
+    return replace(vs, _edges=tuple(e for e in vs._edges if e not in walk)), walk
+
+
 def test_verify_reports_a_vertex_outside_every_maximal_vertex(monkeypatch):
     # H(1) at p=3: four type-0 vertices, each inside the one vertex of type 2
     ctx = RamifiedContext(3, 1)
@@ -414,13 +425,64 @@ def test_verify_reports_a_vertex_outside_every_maximal_vertex(monkeypatch):
     vs = enumerate_vertices(L)
     assert [v.type for v in vs.vertices] == [0, 0, 0, 0, 2]
     assert vs.poset_edges == ((0, 4), (1, 4), (2, 4), (3, 4))
-    cut = replace(vs, poset_edges=((0, 4), (1, 4), (3, 4)))
+    cut, [(a, _)] = _cut(vs, (2, 4))
+    assert a != 2  # the message numbers the vertex as printed, not as walked
     monkeypatch.setattr(vertices, "enumerate_vertices", lambda L, bounds: cut)
     rep = verify_structure_theorems(L)
     assert rep.saturation is False and not rep.passed
     assert rep.max_type_matches and rep.uniqueness_matches
     assert rep.all_types_even and rep.poset_transitive
     assert rep.counterexamples == ("vertex 2 (type 0) lies in no maximal-type vertex",)
+    assert cut.poset_edges == ((0, 4), (1, 4), (3, 4))
+
+
+def test_verify_reports_missing_transitive_edges_in_poset_order(monkeypatch):
+    # H(1) + H(1) at p=3: types 0, 2 and 4, one vertex of type 4 above all
+    ctx = RamifiedContext(3, 1)
+    L = HermLattice.from_gram(orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 1)))
+    bounds = EnumerationBounds(max_rank=4)
+    vs = enumerate_vertices(L, bounds)
+    types = [v.type for v in vs.vertices]
+    assert (types[:2], types[-1], types.count(4), len(types)) == ([0, 0], 4, 1, 81)
+    cut, walk = _cut(vs, (0, 80), (1, 80))
+    assert sorted(a for a, _ in walk) != [0, 1]
+    mids = [  # the type-2 vertices between each cut end and the top
+        [b for a, b in vs.poset_edges if a == x and (b, 80) in vs.poset_edges] for x in (0, 1)
+    ]
+    assert len(mids[0]) == len(mids[1]) == 4
+    monkeypatch.setattr(vertices, "enumerate_vertices", lambda L, bounds: cut)
+    rep = verify_structure_theorems(L, bounds)
+    assert not rep.saturation and not rep.poset_transitive
+    assert rep.max_type_matches and rep.uniqueness_matches and rep.all_types_even
+    assert rep.counterexamples == (
+        "vertex 0 (type 0) lies in no maximal-type vertex",
+        "vertex 1 (type 0) lies in no maximal-type vertex",
+        *["missing transitive edge (0,80)"] * 4,
+        *["missing transitive edge (1,80)"] * 4,
+    )
+
+
+def test_verify_checks_agree_with_the_oracle_in_random_bases(monkeypatch):
+    # the report on each census, and on the census with one walk edge cut,
+    # equals the checks run on the printed census
+    rng = random.Random(23)
+    bounds = EnumerationBounds(max_scale=4)
+    cases = [case for case in acceptance_family(include_h13_primes=()) if case[1].p == 3]
+    cut_checked = 0
+    for label, ctx, G in cases:
+        L = HermLattice.from_gram(G)
+        moved = HermLattice(G, mat_mul(L.basis_rows(), random_basis_change(rng, ctx, L.n)))
+        vs = enumerate_vertices(moved, bounds)
+        censuses = [vs]
+        if vs._edges:
+            cut = rng.randrange(len(vs._edges))
+            censuses.append(replace(vs, _edges=vs._edges[:cut] + vs._edges[cut + 1 :]))
+        for census in censuses:
+            monkeypatch.setattr(vertices, "enumerate_vertices", lambda L, bounds: census)
+            rep = verify_structure_theorems(moved, bounds).to_json()
+            assert rep == verify_report_oracle(census, ctx.p), label
+        cut_checked += len(censuses) - 1
+    assert cut_checked > 10
 
 
 def test_verify_non_unique_case():
