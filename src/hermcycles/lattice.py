@@ -61,21 +61,19 @@ def mat_transpose(A):
 
 def _forward_eliminate(M, n: int, ctx: QuadContext):
     """Forward elimination of the first n columns of the n rows M, in place:
-    (pivots, row swaps, determinant).  A pivot is the diagonal entry, or when
-    that is zero the first nonzero entry below it, swapped up; the pivots stop
-    short of n, and the determinant is zero, exactly when M is singular.  Zero
-    entries cost nothing, and a pivot is inverted only when some row below it
-    has to be cleared."""
-    pivots, swaps, det = [], 0, ctx.one()
+    (pivots, row swaps).  A pivot is the diagonal entry, or when that is zero
+    the first nonzero entry below it, swapped up; the pivots stop short of n
+    exactly when M is singular.  Zero entries cost nothing, and a pivot is
+    inverted only when some row below it has to be cleared."""
+    pivots, swaps = [], 0
     for c in range(n):
         piv = next((r for r in range(c, n) if not M[r][c].is_zero()), None)
         if piv is None:
-            return pivots, swaps, ctx.zero()
+            break
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            swaps, det = swaps + 1, -det
+            swaps += 1
         pivots.append(M[c][c])
-        det = det * M[c][c]
         below = [r for r in range(c + 1, n) if not M[r][c].is_zero()]
         if not below:
             continue
@@ -83,12 +81,21 @@ def _forward_eliminate(M, n: int, ctx: QuadContext):
         for r in below:
             f = M[r][c] * inv
             M[r] = [x - f * y if y else x for x, y in zip(M[r], M[c])]
-    return pivots, swaps, det
+    return pivots, swaps
+
+
+def _signed_product(pivots, swaps: int, n: int, ctx: QuadContext) -> OHElement:
+    """The determinant from a forward elimination: zero when the pivots stop
+    short of n, else their product, negated per row swap."""
+    if len(pivots) < n:
+        return ctx.zero()
+    return prod(pivots, start=-ctx.one() if swaps % 2 else ctx.one())
 
 
 def mat_det(A, ctx: QuadContext) -> OHElement:
     """The signed product of the pivots of one forward elimination of A."""
-    return _forward_eliminate([row[:] for row in A], len(A), ctx)[2]
+    n = len(A)
+    return _signed_product(*_forward_eliminate([row[:] for row in A], n, ctx), n, ctx)
 
 
 def mat_inverse(A, ctx: RamifiedContext):
@@ -96,8 +103,8 @@ def mat_inverse(A, ctx: RamifiedContext):
     SingularMatrixError when A has no inverse."""
     n = len(A)
     M = [row[:] + ident_row for row, ident_row in zip(A, mat_identity(n, ctx))]
-    pivots, _, det = _forward_eliminate(M, n, ctx)
-    if det.is_zero():
+    pivots, _ = _forward_eliminate(M, n, ctx)
+    if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
     X = [None] * n
     for c in range(n - 1, -1, -1):
@@ -158,8 +165,8 @@ class HermGram:
         """(pivots, swaps, det) of one forward elimination (_forward_eliminate),
         computed once; the determinant and positive definiteness read it."""
         if self._elimination is None:
-            rows = [list(r) for r in self.entries]
-            self._elimination = _forward_eliminate(rows, self.n, self.ctx)
+            pivots, swaps = _forward_eliminate([list(r) for r in self.entries], self.n, self.ctx)
+            self._elimination = pivots, swaps, _signed_product(pivots, swaps, self.n, self.ctx)
         return self._elimination
 
     def det(self) -> OHElement:
@@ -224,7 +231,7 @@ def orthogonal_sum(*grams: HermGram) -> HermGram:
 class HermLattice:
     """An O_H-lattice inside the space of a fixed ambient Gram matrix."""
 
-    __slots__ = ("ambient", "basis", "_gram")
+    __slots__ = ("ambient", "basis", "_gram", "_basis_det_ord")
 
     def __init__(self, ambient: HermGram, basis):
         self.ambient = ambient
@@ -234,16 +241,19 @@ class HermLattice:
             raise PreconditionError("basis matrix must match the ambient rank")
         self.basis = tuple(rows)
         self._gram = None
+        self._basis_det_ord = None
 
     @classmethod
     def from_gram(cls, gram: HermGram) -> "HermLattice":
         """The lattice whose basis is the identity in the ambient ``gram``.
 
         Its Gram B^T * G * conj(B) is G itself, so ``gram`` seeds the cache
-        (with its elimination, when already computed).
+        (with its elimination, when already computed), and the order of its
+        basis determinant is 0.
         """
         lat = cls(gram, mat_identity(gram.n, gram.ctx))
         lat._gram = gram
+        lat._basis_det_ord = 0
         return lat
 
     @property
@@ -256,6 +266,12 @@ class HermLattice:
 
     def basis_rows(self):
         return [list(row) for row in self.basis]
+
+    def basis_det_ord(self) -> int:
+        """The pi-order of det(basis), computed once."""
+        if self._basis_det_ord is None:
+            self._basis_det_ord = mat_det(self.basis_rows(), self.ctx).ord()
+        return self._basis_det_ord
 
     def gram(self) -> HermGram:
         """Gram matrix of the lattice basis: B^T * G * conj(B)."""

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, fields
 from math import gcd
 from typing import Callable
 
-from . import lattice
 from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
 from .lattice import HermGram, HermLattice, JordanReport, _int_val, _jordan_chunks, _jordan_report
@@ -211,6 +210,8 @@ def _residue(y, s: int, m: int) -> int:
     built."""
     if not y:
         return 0
+    if y.denominator == 1:
+        return y.numerator * s % m
     g = gcd(y.denominator, s)
     return y.numerator * (s // g) * pow(y.denominator // g, -1, m) % m
 
@@ -222,9 +223,10 @@ def _modulus(fs, a: int, ord_det_basis: int) -> int:
     return max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
 
 
-def _iter_candidates(fs, q: _Quotient, max_candidates: int):
-    """All canonical triangular bases Z with L <= span(dual*Z) <= dual that
-    can still be vertex lattices, as (pivot exponents, Z over O_H / p^K).
+def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
+    """The vertex lattices among the canonical triangular bases Z with L <=
+    span(dual*Z) <= dual, in walk order, as (type, pivot exponents, Z over
+    O_H / p^K); H = p^c * G# as in _is_vertex.
 
     Z is upper triangular with pivot pi**e_i at (i, i), 0 <= e_i <= f_i, and
     entries right of each pivot ranging over the residues a + b*pi modulo the
@@ -242,6 +244,15 @@ def _iter_candidates(fs, q: _Quotient, max_candidates: int):
     pivot-exponent sum to the window [(d - n)/2, d/2]; pivot choices outside
     the window are skipped up front.
 
+    The last slot, (0, n - 1), completes a candidate.  There only z =
+    Z[0][n-1] is still free, and the diagonal entry S[n-1][n-1] that
+    _is_vertex tests first is a quadratic in z (_last_diagonal): each
+    residue that passes the congruence is checked against it, and only the
+    survivors meet _is_vertex, which decides them.  Row 0 is the last row,
+    so its X is never read and the slot does not form it.  A rank-1 walk has
+    no slot, and its candidates go straight to _is_vertex.  Only an accepted
+    Z is copied.
+
     Precision: X[j][j] = pi^(f_j - e_j) is exact and X[i][j] divides by
     pi^e_i, so s at slot (i, j) is known modulo pi^(2K - e_(i+1) - ... -
     e_(j-1)).  Deciding whether it has order e_i then needs
@@ -256,10 +267,16 @@ def _iter_candidates(fs, q: _Quotient, max_candidates: int):
     lo, hi = max(0, (d - n + 1) // 2), d // 2
     budget = [sum(fs[:i]) for i in range(n)]  # max addable by the rows above i
     count = 0
+    found = []
+
+    def test(pivot_sum):
+        t = d - 2 * pivot_sum
+        if _is_vertex(Z, H, c, t, q):
+            found.append((t, tuple(es), [row[:] for row in Z]))
 
     def rec_row(i, pivot_sum):
-        if i < 0:
-            yield tuple(es), [row[:] for row in Z]
+        if i < 0:  # only a rank-1 walk gets here
+            test(pivot_sum)
             return
         for e in range(fs[i] + 1):
             total = pivot_sum + e
@@ -270,12 +287,12 @@ def _iter_candidates(fs, q: _Quotient, max_candidates: int):
             es[i] = e
             Z[i][i] = q.pi_power(e)
             X[i][i] = q.pi_power(fs[i] - e)
-            yield from rec_slot(i, i + 1, total)
+            rec_slot(i, i + 1, total)
 
     def rec_slot(i, j, pivot_sum):
         nonlocal count
         if j == n:
-            yield from rec_row(i - 1, pivot_sum)
+            rec_row(i - 1, pivot_sum)
             return
         e = es[i]
         count += p**e
@@ -298,15 +315,70 @@ def _iter_candidates(fs, q: _Quotient, max_candidates: int):
             return
         a0, b0 = q.div_pi_power(neg_s, e - h)
         step_a, step_b = p ** ((h + 1) // 2), p ** (h // 2)
+        a_range = range(a0 % step_a, p ** ((e + 1) // 2), step_a)
+        b_range = range(b0 % step_b, p ** (e // 2), step_b)
+        if i == 0 and j == n - 1:
+            vanishes = _last_diagonal(Z, H, c, q)
+            for a in a_range:
+                for b in b_range:
+                    if vanishes(a, b):
+                        row[j] = (a, b)
+                        test(pivot_sum)
+            return
         ga, gb = q.pi_power(g)
-        for a in range(a0 % step_a, p ** ((e + 1) // 2), step_a):
-            for b in range(b0 % step_b, p ** (e // 2), step_b):
+        for a in a_range:
+            for b in b_range:
                 row[j] = (a, b)
                 acc = ((neg_s[0] - a * ga - b * gb * pi0) % m, (neg_s[1] - a * gb - b * ga) % m)
                 X[i][j] = q.div_pi_power(acc, e)
-                yield from rec_slot(i, j + 1, pivot_sum)
+                rec_slot(i, j + 1, pivot_sum)
 
-    yield from rec_row(n - 1, 0)
+    rec_row(n - 1, 0)
+    return found
+
+
+def _last_diagonal(Z, H, c: int, q: _Quotient):
+    """Whether S[n-1][n-1] of _is_vertex vanishes modulo p^c, as a function
+    of z = Z[0][n-1] = za + zb*pi alone, the rest of column n - 1 of Z fixed.
+
+    With z_k = Z[k][n-1], S[n-1][n-1] = sum over k, l of z_k H[k][l]
+    conj(z_l).  Split off k = 0 or l = 0: H is Hermitian (H[k][0] =
+    conj(H[0][k]), modulo p^K as G# is), so S[n-1][n-1] = z conj(z) H[0][0]
+    + (z A + conj(z A)) + S', with A = sum over l >= 1 of H[0][l] conj(z_l)
+    and S' the sum over k, l >= 1.  z conj(z) = za^2 - zb^2 * pi0, z A +
+    conj(z A) = 2 * (za * Aa + zb * Ab * pi0), H[0][0] = h00 and S' = C are
+    rational, so the condition reads h00 * (za^2 - zb^2 * pi0) + 2 * (za * Aa
+    + zb * Ab * pi0) + C = 0 modulo p^c: exactly the first check of
+    _is_vertex.  h00, A and C are formed once per completed column.
+    """
+    n = len(Z)
+    pi0, pc = q.pi0, q.p**c
+    col = [row[n - 1] for row in Z]
+    h00 = aa = ab = 0
+    for l, (ha, hb) in H[0]:
+        if l == 0:
+            h00 = ha
+        else:
+            za, zb = col[l]
+            aa += ha * za - hb * zb * pi0
+            ab += hb * za - ha * zb
+    C = 0
+    for k in range(1, n):
+        sa = sb = 0
+        for l, (ha, hb) in H[k]:
+            if l:
+                za, zb = col[l]
+                sa += ha * za - hb * zb * pi0
+                sb += hb * za - ha * zb
+        za, zb = col[k]
+        C += za * sa + zb * sb * pi0
+    h00, pi0 = h00 % pc, pi0 % pc
+    lin_a, lin_b, C = 2 * aa % pc, 2 * ab * pi0 % pc, C % pc
+
+    def vanishes(za, zb):
+        return (h00 * (za * za - zb * zb * pi0) + za * lin_a + zb * lin_b + C) % pc == 0
+
+    return vanishes
 
 
 def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
@@ -330,6 +402,11 @@ def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
     fail there), then the entries above it (S is Hermitian, so its upper
     half decides), then the rank.  H comes as sparse rows of (column,
     entry), as G# is block diagonal (_dual_jordan_basis).
+
+    The walk (_iter_candidates) checks the first of these, S[n-1][n-1],
+    itself on every candidate of rank 2 or more (_last_diagonal) and calls
+    this test only where it vanishes.  This stays the one complete test: it
+    checks S[n-1][n-1] again, for a rank-1 candidate and for any caller.
     """
     n = len(Z)
     p, m, pi0 = q.p, q.m, q.pi0
@@ -518,7 +595,10 @@ def enumerate_vertices(
     named: each vertex gets the strings of its canonical basis
     (_canonical_basis, _basis_text), and the vertices are sorted by type and
     basis, so the census does not depend on the basis in which L was
-    presented.
+    presented.  The walk (_iter_candidates) returns the vertices themselves:
+    it decides each candidate where its last column is filled, by the
+    quadratic in Z[0][n-1] that is the first check of _is_vertex
+    (_last_diagonal), and runs _is_vertex only on what passes.
 
     The dual columns are a Jordan basis of L^#, times pi^f spanning L, with
     G# their Gram (_dual_jordan_basis).  Past the one exact inverse there,
@@ -536,7 +616,8 @@ def enumerate_vertices(
       is O_H^n), a vertex's M = D * Z has ord det M = ord det D + e_1 + ...
       + e_n, at most ord det D + floor(d/2) by the candidates' pivot window;
       ord det D = 2an + ord det(L.basis) - d (_dual_jordan_basis), and
-      L.basis is the identity for a request from the command line.
+      L.basis is the identity for a request from the command line
+      (HermLattice.basis_det_ord, 0 without a determinant there).
 
     The elimination runs F + h digits past the K of a <= ceil(F/2) + h,
     p^h * L.basis integral, so H = p^c * G# and D modulo p^K are those of
@@ -551,30 +632,23 @@ def enumerate_vertices(
         )
     ctx, p = L.ctx, L.ctx.p
     h = max([0] + [-_val(y, p) for row in L.basis for x in row for y in (x.a, x.b) if y])
-    ord_det_basis = []
 
     def need(fs):  # a <= ceil(F/2) + h, as pi^F * L^# <= L <= p^-h * O_H^n
         if max(fs) > bounds.max_scale:
             return 0
-        ord_det_basis.append(lattice.mat_det(L.basis_rows(), ctx).ord())
-        return _modulus(fs, (max(fs) + 1) // 2 + h, ord_det_basis[0]) + max(fs) + h
+        return _modulus(fs, (max(fs) + 1) // 2 + h, L.basis_det_ord()) + max(fs) + h
 
     fs, a, H, D, report = _dual_jordan_basis(L, h, need)
     if max(fs) > bounds.max_scale:
         raise EnumerationLimitError(
             f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
         )
-    d = sum(fs)
     c = max(1, (max(fs) + 1) // 2)
-    q = _Quotient(ctx, _modulus(fs, a, ord_det_basis[0]))
+    q = _Quotient(ctx, _modulus(fs, a, L.basis_det_ord()))
     m = q.m
     H = [[(j, (x % m, y % m)) for j, (x, y) in row] for row in H]
     D = [[(x % m, y % m) for x, y in row] for row in D]
-    found = []  # (type, pivot exponents, Z) in walk order
-    for es, Z in _iter_candidates(fs, q, bounds.max_candidates):
-        t = d - 2 * sum(es)
-        if _is_vertex(Z, H, c, t, q):
-            found.append((t, es, Z))
+    found = _iter_candidates(fs, H, c, q, bounds.max_candidates)
     # Containment i < j needs the pivot exponents of i to dominate those of
     # j and to differ from them, as equal exponents mean equal covolumes.
     # Vertices are grouped by exponents, and only pairs of groups that pass

@@ -510,12 +510,13 @@ def test_vertices_and_verify_check_integrality_and_rank_before_singularity(monke
 def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # The dual basis comes from one Jordan elimination of Gram(L): no dual
     # lattice, one inverse (of the block-diagonal Jordan Gram), no product
-    # (the rest runs on int pairs), and one determinant, of the lattice
-    # basis (the identity for a request
-    # from the command line), which with the Jordan scales gives the
-    # enumerator its ord det of the dual; no determinant of a Gram.  verify
-    # reads the closed-form invariants off the same elimination, so
-    # lattice._jordan_chunks (behind jordan_split) is counted too.
+    # (the rest runs on int pairs), and no determinant: the enumerator's ord
+    # det of the dual needs the order of det(L.basis), which is 0 for the
+    # identity basis of a request from the command line (seeded by
+    # HermLattice.from_gram), and one Fraction determinant, of the basis
+    # alone, for any other basis.  verify reads the closed-form invariants
+    # off the same elimination, so lattice._jordan_chunks (behind
+    # jordan_split) is counted too.
     from hermcycles import lattice, vertices
 
     calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 0}
@@ -557,11 +558,18 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         determinants.clear()
         code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
         assert code == 0
-        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 0, "mat_det": 1, "_jordan_chunks": 1}
+        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 1}
         (J,) = inverted
         assert all(J[i][j].is_zero() for i in range(4) for j in range(4) if i // 2 != j // 2)
-        (basis,) = determinants
-        assert basis == [[int(i == j) for j in range(4)] for i in range(4)]
+    ctx = RamifiedContext(3, 1)
+    U = random_basis_change(random.Random(5), ctx, 4)
+    L = lattice.HermLattice(orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), U)
+    for name in calls:
+        calls[name] = 0
+    determinants.clear()
+    vertices.enumerate_vertices(L, vertices.EnumerationBounds(max_rank=4))
+    assert calls["mat_det"] == 1
+    assert determinants == [[list(row) for row in U]]
 
 
 def test_enumeration_builds_no_fraction_past_the_jordan_block_inverse(monkeypatch):

@@ -36,9 +36,10 @@ from hermcycles import (
     hyperbolic_gram,
     jordan_split,
     orthogonal_sum,
+    verify_structure_theorems,
 )
-from hermcycles import cli
-from hermcycles.lattice import mat_mul
+from hermcycles import cli, vertices
+from hermcycles.lattice import _Quotient, mat_mul
 from hermcycles.padic import is_prime, parse_rational
 
 pytest.importorskip("hypothesis")
@@ -61,6 +62,110 @@ def test_canonical_bases_and_census_in_random_bases(case, seed):
     bounds = EnumerationBounds(max_scale=4)
     expected, _ = oracle_vertex_census(moved, bounds)
     assert enumerate_vertices(moved, bounds).to_json() == expected, label
+
+
+@st.composite
+def _random_lattices(draw):
+    """(label, L): an integral lattice L of rank 1 to 3 and scale at most 3
+    (the default bounds) at p in {3, 5, 7}, in a random basis of its ambient
+    Gram, an orthogonal sum of rank-1 blocks u * pi0^e (scale 0 or 2) and
+    hyperbolic planes u * H(i), i from 0 to 3, with u a rational unit of
+    either square class.  Every integral lattice of that rank and scale is
+    isometric to such a sum (Jacobowitz).  The label names the sum and the
+    seed of the basis, so a shrunk counterexample reads as one."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    r = smallest_nonresidue(p)
+    eps = draw(st.sampled_from([1, -1, r]))
+    ctx = RamifiedContext(p, eps)
+    units = [Fraction(u) for u in (1, r, -1, Fraction(1, 2))]
+    n = draw(st.integers(1, 3))
+    blocks, names = [], []
+    while sum(b.n for b in blocks) < n:
+        u = draw(st.sampled_from(units))
+        if sum(b.n for b in blocks) == n - 1 or draw(st.booleans()):
+            e = draw(st.integers(0, 1))
+            blocks.append(diagonal_gram(ctx, [u * ctx.pi0**e]))
+            names.append(f"({u}*pi0^{e})")
+        else:
+            i = draw(st.integers(0, 3))
+            blocks.append(scaled_gram(hyperbolic_gram(ctx, i), u))
+            names.append(f"{u}*H({i})")
+    seed = draw(st.integers(0, 2**32 - 1))
+    U = random_basis_change(random.Random(seed), ctx, n)
+    return f"p{p},eps{eps}:{' + '.join(names)} in basis {seed}", HermLattice(orthogonal_sum(*blocks), U)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_random_lattices())
+def test_census_and_verify_on_random_lattices_in_random_bases(case):
+    # The Fraction oracle sets the cost: 80 examples take about 7.5 s, within
+    # a 10-s budget; the family's costliest member, H(3) + (pi0) at p=7,
+    # takes about 23 s in the oracle alone.
+    label, L = case
+    bounds = EnumerationBounds()
+    expected, _ = oracle_vertex_census(L, bounds)
+    assert enumerate_vertices(L, bounds).to_json() == expected, label
+    assert verify_structure_theorems(L, bounds).passed, label
+
+
+def _last_column_entry(Z, H, q: _Quotient) -> int:
+    """The a-component of S[n-1][n-1] = (Z^T * H * conj(Z))[n-1][n-1], summed
+    as _is_vertex sums it: column n - 1 of P = H * conj(Z) modulo p^K, then
+    column n - 1 of Z against it."""
+    b, m, pi0 = len(Z) - 1, q.m, q.pi0
+    sa = 0
+    for k in range(b + 1):
+        pa = pb = 0
+        for j, (ha, hb) in H[k]:
+            za, zb = Z[j][b]
+            pa += ha * za - hb * zb * pi0
+            pb += hb * za - ha * zb
+        za, zb = Z[k][b]
+        sa += za * (pa % m) + zb * (pb % m) * pi0
+    return sa
+
+
+@st.composite
+def _last_slots(draw):
+    """A walk at its last slot: (Z, H, c, q) with q = O_H / p^K, K >= c, Z
+    upper triangular over it, H block diagonal and Hermitian modulo p^K (1x1
+    and 2x2 blocks), as sparse rows."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    ctx = RamifiedContext(p, draw(st.sampled_from([1, -1, smallest_nonresidue(p)])))
+    c = draw(st.integers(1, 3))
+    q = _Quotient(ctx, c + draw(st.integers(0, 2)))
+    residue = st.integers(0, q.m - 1)
+    n = draw(st.integers(2, 4))
+    Z = [[(draw(residue), draw(residue)) if i <= j else (0, 0) for j in range(n)] for i in range(n)]
+    H = [[(0, 0)] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        H[i][i] = (draw(residue), 0)
+        if i + 1 < n and draw(st.booleans()):
+            x, y = draw(residue), draw(residue)
+            H[i][i + 1], H[i + 1][i] = (x, y), (x, -y % q.m)
+            H[i + 1][i + 1] = (draw(residue), 0)
+            i += 1
+        i += 1
+    sparse = [[(j, x) for j, x in enumerate(row) if x != (0, 0)] for row in H]
+    return Z, sparse, c, q
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_last_slots(), st.data())
+def test_the_last_slot_check_is_the_first_check_of_the_vertex_test(slot, data):
+    # The walk's quadratic in z = Z[0][n-1], formed before z is placed,
+    # rejects z exactly when S[n-1][n-1] does not vanish modulo p^c; and a
+    # rejected z never passes _is_vertex, whatever the type.
+    Z, H, c, q = slot
+    vanishes = vertices._last_diagonal(Z, H, c, q)
+    n, residue = len(Z), st.integers(0, q.m - 1)
+    for _ in range(8):
+        z = (data.draw(residue), data.draw(residue))
+        Z[0][n - 1] = z
+        assert vanishes(*z) == (_last_column_entry(Z, H, q) % q.p**c == 0), z
+        if not vanishes(*z):
+            assert not any(vertices._is_vertex(Z, H, c, t, q) for t in range(n + 1)), z
 
 
 @st.composite

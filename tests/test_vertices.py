@@ -206,6 +206,21 @@ def test_vertex_test_rejects_at_an_entry_above_the_diagonal():
         assert not vertices._is_vertex(Z, H, 1, t, q), (i, j)
         assert _oracle_vertex_type(identity, M, ctx) is None, (i, j)
 
+def test_vertex_test_meets_only_the_survivors_of_the_last_diagonal(monkeypatch):
+    # a cost guard that reads no clock: the walk checks S[n-1][n-1] at its
+    # last slot, so _is_vertex meets only the residues that pass it.  At p=3,
+    # H(3) has 53 candidates and 21 vertices, and H(1)+(pi0) 35 candidates
+    # and 5 vertices; every candidate met _is_vertex before.
+    calls = []
+    real = vertices._is_vertex
+    monkeypatch.setattr(vertices, "_is_vertex", lambda *args: calls.append(args) or real(*args))
+    grams = {label: G for label, _, G in acceptance_family()}
+    for label, tests, found in (("p3,eps1:H(3)", 21, 21), ("p3,eps1:H(1)+(pi0)", 14, 5)):
+        calls.clear()
+        vs = enumerate_vertices(HermLattice.from_gram(grams[label]))
+        assert (len(calls), len(vs._types)) == (tests, found), label
+
+
 def _det_bookkeeping_holds(L, fs):
     # the Jordan basis is L.basis times a matrix in GL_n(O_H), so the scales
     # add up to ord det Gram(L) = ord det G + 2 * ord det(L.basis); the
@@ -314,7 +329,7 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
         seen["setup"] = real(L, h, need)
         return seen["setup"]
 
-    def candidates(fs, q, max_candidates):
+    def candidates(fs, H, c, q, max_candidates):
         seen["fs"], seen["m"] = fs, q.m
         raise _SetupSeen
 
