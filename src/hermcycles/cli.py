@@ -5,6 +5,14 @@ document is read from a file argument or standard input; output is a single
 deterministic JSON document on standard output, byte for byte what
 json.dumps(indent=2, sort_keys=True) writes, from a direct writer (_json).
 Exit codes: 0 success, 1 schema violation, 2 domain error, 3 resource limit.
+
+Each command is one process, so start-up is paid per request: this module
+imports only the standard library, errors and padic, and builds the parser
+from those alone.  A handler reaches every other package module through
+_modules, which imports it on first use, so hilbert loads no lattice code
+at all.  Handlers read each function off its module on every call and keep
+no copy of it, so a function patched on its module (as bench/tracing.py
+does) is the one that runs.
 """
 
 from __future__ import annotations
@@ -12,24 +20,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .cycles import cycle_report
 from .errors import DomainError, ResourceError, SchemaError
-from .global_cycles import global_report
-from .lattice import HermGram, HermLattice, jordan_split
 from .padic import DEFAULT_FACTOR_BOUND, REAL_PLACE, hilbert_symbol, parse_rational
-from .ramified import OHElement, QuadContext, RamifiedContext
-from .vertices import (
-    EnumerationBounds,
-    enumerate_vertices,
-    poset_dot,
-    verify_structure_theorems,
-)
 
 _ZERO = Fraction(0)
+
+# The enumeration flags of vertices and verify, one per field of
+# vertices.EnumerationBounds, which owns their defaults: an omitted flag is
+# None and leaves its field at the default.
+_BOUNDS = ("max_rank", "max_scale", "max_candidates")
+
+
+class _Modules:
+    """The package's modules as attributes, each imported on first use."""
+
+    def __getattr__(self, name):
+        # __import__, not importlib.import_module, whose imports
+        # python -X importtime does not report
+        qualified = f"{__package__}.{name}"
+        __import__(qualified)
+        module = sys.modules[qualified]
+        setattr(self, name, module)
+        return module
+
+
+_modules = _Modules()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,69 +84,78 @@ def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset(
         raise SchemaError(f"unknown fields: {sorted(unknown)}")
 
 
-def _parse_entry(obj, ctx: QuadContext, where: str, keys=("a", "b"), noun="ring"):
-    """One element: a number, or an object with the coordinate ``keys``."""
+def _parse_entry(obj, element, ctx, where: str, keys, noun):
+    """One element, built by ``element(a, b, ctx)``: a number, or an object
+    with the coordinate ``keys``."""
     if isinstance(obj, dict):
         unknown = obj.keys() - keys
         if unknown:
             raise SchemaError(f"unknown fields {sorted(unknown)}", location=where)
         a, b = (parse_rational(obj[k]) if k in obj else _ZERO for k in keys)
-        return OHElement._raw(a, b, ctx)
+        return element(a, b, ctx)
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return OHElement._raw(parse_rational(obj), _ZERO, ctx)
+        return element(parse_rational(obj), _ZERO, ctx)
     raise SchemaError(f"not a {noun} element: {obj!r}", location=where)
 
 
-def _parse_matrix(obj, ctx: QuadContext, where: str, keys=("a", "b"), noun="ring"):
+def _parse_matrix(obj, ctx, where: str, keys=("a", "b"), noun="ring"):
+    """Rows of OHElements over the QuadContext ``ctx``."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError("matrix must be a nonempty array of rows", location=where)
+    element = _modules.ramified.OHElement._raw
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != len(obj):
             raise SchemaError("matrix must be square", location=f"{where}[{i}]")
         rows.append(
-            [_parse_entry(e, ctx, f"{where}[{i}][{j}]", keys, noun) for j, e in enumerate(row)]
+            [_parse_entry(e, element, ctx, f"{where}[{i}][{j}]", keys, noun) for j, e in enumerate(row)]
         )
     return rows
 
 
-def _context(args) -> RamifiedContext:
+def _context(args):
+    """The RamifiedContext of ``--p`` and ``--epsilon``."""
     if args.p is None:
         raise SchemaError("--p is required")
-    return RamifiedContext(args.p, parse_rational(args.epsilon))
+    ramified = _modules.ramified
+    if args.epsilon is None:
+        return ramified.RamifiedContext(args.p)
+    return ramified.RamifiedContext(args.p, parse_rational(args.epsilon))
 
 
-def _bounds(args) -> EnumerationBounds:
-    return EnumerationBounds(**{f.name: getattr(args, f.name) for f in fields(EnumerationBounds)})
+def _bounds(args):
+    given = {name: value for name in _BOUNDS if (value := getattr(args, name)) is not None}
+    return _modules.vertices.EnumerationBounds(**given)
 
 
-def _local_request(args, key: str) -> HermGram:
-    """The Hermitian matrix under ``key``, in the context of a local command."""
+def _local_request(args, key: str):
+    """The HermGram under ``key``, in the context of a local command."""
     ctx = _context(args)
     doc = _load_document(args)
     _require_keys(doc, {key})
-    return HermGram(_parse_matrix(doc[key], ctx, key), ctx)
+    return _modules.lattice.HermGram(_parse_matrix(doc[key], ctx, key), ctx)
 
 
 def _cmd_jordan(args):
-    return {"blocks": jordan_split(_local_request(args, "gram")).to_json()}
+    return {"blocks": _modules.lattice.jordan_split(_local_request(args, "gram")).to_json()}
 
 
 def _cmd_cycle(args):
-    return cycle_report(_local_request(args, "matrix")).to_json()
+    return _modules.cycles.cycle_report(_local_request(args, "matrix")).to_json()
 
 
 def _cmd_vertices(args):
     G = _local_request(args, "gram")
-    vs = enumerate_vertices(HermLattice.from_gram(G), _bounds(args))
+    vertices = _modules.vertices
+    vs = vertices.enumerate_vertices(_modules.lattice.HermLattice.from_gram(G), _bounds(args))
     if args.dot:
-        return poset_dot(vs)
+        return vertices.poset_dot(vs)
     return vs.to_json()
 
 
 def _cmd_verify(args):
-    G = _local_request(args, "gram")
-    return verify_structure_theorems(HermLattice.from_gram(G), _bounds(args)).to_json()
+    L = _modules.lattice.HermLattice.from_gram(_local_request(args, "gram"))
+    return _modules.vertices.verify_structure_theorems(L, _bounds(args)).to_json()
 
 
 def _cmd_global(args):
@@ -137,8 +164,9 @@ def _cmd_global(args):
     delta = doc["delta"]
     if not isinstance(delta, int) or isinstance(delta, bool):
         raise SchemaError("delta must be an integer")
-    T = _parse_matrix(doc["matrix"], QuadContext(delta), "matrix", ("x", "y"), "field")
-    return global_report(T, delta, bound=args.factor_bound).to_json()
+    field = _modules.ramified.QuadContext(delta)
+    T = _parse_matrix(doc["matrix"], field, "matrix", ("x", "y"), "field")
+    return _modules.global_cycles.global_report(T, delta, bound=args.factor_bound).to_json()
 
 
 def _cmd_hilbert(args):
@@ -154,18 +182,19 @@ def _cmd_hilbert(args):
 
 def build_parser() -> _Parser:
     """The argparse tree of every command; ``run`` builds it once per process."""
-    parser = _Parser(prog="hermcycles", description=__doc__)
+    # the last paragraph of the module docstring is for readers of this file
+    parser = _Parser(prog="hermcycles", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, context=False, bounds=False, extra=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", nargs="?", help="request file (default: stdin)")
         if context:
-            p.add_argument("--p", type=int, default=None, help="odd prime")
-            p.add_argument("--epsilon", default=RamifiedContext.eps, help="unit with pi^2 = eps*p")
+            p.add_argument("--p", type=int, help="odd prime")
+            p.add_argument("--epsilon", help="unit with pi^2 = eps*p")
         if bounds:
-            for f in fields(EnumerationBounds):
-                p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+            for bound in _BOUNDS:
+                p.add_argument("--" + bound.replace("_", "-"), type=int)
         for flag, kwargs in (extra or {}).items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)

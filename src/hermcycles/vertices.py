@@ -237,7 +237,8 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
     it, and X[i][j] = -(s + Z[i][j] * pi^g) / pi^e_i must be integral.  So the
     residues that pass are solved for rather than searched: none, or all
     those congruent to -s / pi^g modulo pi^(e_i - g).  Every residue of every
-    slot reached still counts against ``max_candidates``.
+    slot reached still counts against ``max_candidates``, and so does each
+    candidate of a rank-1 walk, which has no slot.
 
     A candidate has type d - 2*(e_1 + ... + e_n), d the order of det L (see
     _is_vertex).  A vertex has type between 0 and the rank, which pins the
@@ -250,8 +251,8 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
     residue that passes the congruence is checked against it, and only the
     survivors meet _is_vertex, which decides them.  Row 0 is the last row,
     so its X is never read and the slot does not form it.  A rank-1 walk has
-    no slot, and its candidates go straight to _is_vertex.  Only an accepted
-    Z is copied.
+    no slot: each candidate is counted, then goes straight to _is_vertex.
+    Only an accepted Z is copied.
 
     Precision: X[j][j] = pi^(f_j - e_j) is exact and X[i][j] divides by
     pi^e_i, so s at slot (i, j) is known modulo pi^(2K - e_(i+1) - ... -
@@ -274,8 +275,17 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
         if _is_vertex(Z, H, c, t, q):
             found.append((t, tuple(es), [row[:] for row in Z]))
 
+    def over_budget():
+        return EnumerationLimitError(
+            f"candidate count exceeded {max_candidates}", count=max_candidates + 1
+        )
+
     def rec_row(i, pivot_sum):
+        nonlocal count
         if i < 0:  # only a rank-1 walk gets here
+            count += 1
+            if count > max_candidates:
+                raise over_budget()
             test(pivot_sum)
             return
         for e in range(fs[i] + 1):
@@ -298,9 +308,7 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
         count += p**e
         if count > max_candidates:
             # the (max_candidates + 1)-th residue falls in this slot
-            raise EnumerationLimitError(
-                f"candidate count exceeded {max_candidates}", count=max_candidates + 1
-            )
+            raise over_budget()
         row = Z[i]
         sa = sb = 0
         for k in range(i + 1, j):

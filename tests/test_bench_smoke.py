@@ -5,9 +5,11 @@ tracer finds every name it patches.
 response against ``bench/expected.json``, so a change to any benchmarked
 output byte fails here, before a benchmark run would report it.  The tracer
 (``bench/tracing.py``) wraps package functions and ``HermLattice.dual`` by
-name, so a name it needs that the package no longer has fails here too.
+name, so a name it needs that the package no longer has fails here too, and
+so does a function the CLI or the package keeps past the tracer's patches.
 """
 
+import importlib
 import importlib.util
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from pathlib import Path
 
 from support import invoke
 
-from hermcycles import lattice
+import hermcycles
+from hermcycles import global_cycles, lattice
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,6 +37,9 @@ def test_bench_smoke_matches_the_recorded_digests():
 
 
 def test_the_benchmark_tracer_patches_the_package_in_process():
+    # The same process answers untraced first: a CLI that kept the functions
+    # it met on first use would then run them unwrapped, and a package that
+    # stored what it served would keep the wrappers after uninstall().
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -41,19 +47,25 @@ def test_the_benchmark_tracer_patches_the_package_in_process():
         (["verify", "--p", "3"], '{"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]}'),
         (["global"], '{"delta": -3, "matrix": [[1, 0], [0, 1]]}'),
     )
-    original = lattice.mat_inverse
+    untraced = [invoke(argv, text) for argv, text in requests]
+    assert [code for code, _ in untraced] == [0, 0]
+    original = lattice.mat_inverse, global_cycles.global_report
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        assert hermcycles.global_report is global_cycles.global_report is not original[1]
         for request, (argv, text) in enumerate(requests):
             tracer.begin(request)
-            code, _ = invoke(argv, text)
+            answer = invoke(argv, text)
             tracer.end()
-            assert code == 0, argv
+            assert answer == untraced[request], argv
     finally:
         tracer.uninstall()
-    assert lattice.mat_inverse is original
+    assert (lattice.mat_inverse, global_cycles.global_report) == original
     summary = tracer.summary()
     assert summary["lattice.mat_inverse"][0] >= 1
     assert tracer.counts["vertices.vertex_count"] > 0
     assert summary["global_cycles.global_report"][0] == 1
+    for name, module in hermcycles._EXPORTS.items():
+        defining = importlib.import_module(f"hermcycles.{module}")
+        assert getattr(hermcycles, name) is getattr(defining, name), name

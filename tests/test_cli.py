@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import hermcycles
 from hermcycles import OHElement, RamifiedContext, cli
 from hermcycles.lattice import diagonal_gram, hyperbolic_gram, orthogonal_sum
 from hermcycles.padic import parse_rational
+from hermcycles.vertices import EnumerationBounds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -136,6 +138,18 @@ def test_candidate_bound_fires_before_the_work():
     assert code == 3
     assert json.loads(out)["error"]["count"] == 11
     assert peak < 5 * 2**20
+
+
+def test_a_rank_one_candidate_counts_against_the_bound():
+    # a rank-1 walk has no slot; each of its candidates still counts, before
+    # the vertex test: [[3]] at p=3 has one candidate, and one vertex
+    for command in ("vertices", "verify"):
+        code, out = invoke([command, "--p", "3", "--max-candidates", "0"], stdin_text='{"gram": [[3]]}')
+        assert code == 3, command
+        error = {"code": "enumeration-limit", "count": 1, "message": "candidate count exceeded 0"}
+        assert json.loads(out) == {"error": error}
+        code, out = invoke([command, "--p", "3", "--max-candidates", "1"], stdin_text='{"gram": [[3]]}')
+        assert code == 0 and json.loads(out)["max_count"] == 1, command
 
 
 def test_jordan_command():
@@ -734,10 +748,47 @@ def test_readme_cli_examples_run():
         assert isinstance(json.loads(out), dict), line
 
 
+def _subcommands(parser):
+    """The subcommand parsers of ``parser`` by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_readme_cli_flags_are_the_parser_options():
     # every flag the CLI section names is an option of some subcommand, and
     # every subcommand option is named there
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme_cli_section()))
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    subcommands = _subcommands(cli.build_parser())
+    options = {flag for p in subcommands.values() for a in p._actions for flag in a.option_strings}
     assert named == options - {"-h", "--help"}
+
+
+def test_enumeration_bounds_and_epsilon_have_one_owner_of_their_defaults():
+    # the parser names the fields of EnumerationBounds and leaves every
+    # default to it, and --epsilon to RamifiedContext
+    names = [f.name for f in fields(EnumerationBounds)]
+    parser = cli.build_parser()
+    for command in ("vertices", "verify"):
+        actions = _subcommands(parser)[command]._actions
+        flags = {a.dest: a for a in actions if a.dest not in ("help", "input", "p", "epsilon", "dot")}
+        assert sorted(flags) == sorted(names), command
+        assert all(a.default is None and a.type is int for a in flags.values()), command
+        args = parser.parse_args([command, "--p", "3"])
+        assert cli._bounds(args) == EnumerationBounds()
+        args = parser.parse_args([command, "--p", "3", "--max-rank", "5", "--max-candidates", "0"])
+        assert cli._bounds(args) == EnumerationBounds(max_rank=5, max_candidates=0)
+    for command in ("jordan", "cycle", "vertices", "verify"):
+        for p in (3, 5):
+            context = cli._context(parser.parse_args([command, "--p", str(p)]))
+            assert context == RamifiedContext(p) and context.eps == RamifiedContext(p).eps
+        context = cli._context(parser.parse_args([command, "--p", "5", "--epsilon", "-1"]))
+        assert context == RamifiedContext(5, -1)
+
+
+def test_every_help_exits_0(capsys):
+    subcommands = _subcommands(cli.build_parser())
+    assert set(subcommands) == {"jordan", "cycle", "vertices", "verify", "global", "hilbert"}
+    for argv in (["--help"], *([command, "--help"] for command in subcommands)):
+        with pytest.raises(SystemExit) as exit_:
+            cli.run(argv)
+        assert exit_.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: hermcycles"), argv

@@ -1,17 +1,19 @@
 """Every name a package module imports is used in it, and every function,
 class or method a package module defines is used somewhere; the same holds
-for the test helpers in ``tests/support.py``.
+for the test helpers in ``tests/support.py``.  The package exports exactly
+the README's "Library API" list, and each command imports only the modules
+it runs.
 
-``__future__`` imports are exempt, and so is ``__init__.py``, which
-re-exports exactly the names of the README's "Library API" list.  A
-module-level function or class of the package counts as used when a
-``Name`` or ``Attribute`` node in the package, in ``bench/*.py`` or in that
-list refers to it; the tests do not count.  A re-export in ``__init__.py``
-is an import, not a use.  A method of a module-level class, dunder methods
-apart, counts as used when an ``Attribute`` node names it; a class with a
-base from outside the package may override what that base calls, so its
-methods are not checked.  A helper in ``tests/support.py`` counts as used
-when ``support.py`` itself or a ``tests/test_*.py`` module refers to it.
+``__future__`` imports are exempt, and so is ``__init__.py``, which imports
+no package module: it maps each exported name to its module and loads it on
+first use.  A module-level function or class of the package counts as used
+when a ``Name`` or ``Attribute`` node in the package, in ``bench/*.py`` or
+in that list refers to it; the tests do not count.  A method of a
+module-level class, dunder methods apart, counts as used when an
+``Attribute`` node names it; a class with a base from outside the package
+may override what that base calls, so its methods are not checked.  A
+helper in ``tests/support.py`` counts as used when ``support.py`` itself or
+a ``tests/test_*.py`` module refers to it.
 
 The check goes by name, so a definition whose name something else also
 has (a dataclass field, another class's method, a function of ``bench/``)
@@ -19,7 +21,13 @@ passes it unused.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import hermcycles
 
@@ -134,14 +142,81 @@ def imported_names(source: str) -> set[str]:
     }
 
 
+def defined_names(source: str) -> set[str]:
+    """The module-level functions, classes and assigned names of ``source``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_the_readme_api_is_what_the_package_imports():
     api = readme_api()
     names = imported_names(api)
-    assert names == imported_names((PACKAGE / "__init__.py").read_text())
+    exports = hermcycles._EXPORTS
+    assert names == set(exports) == set(hermcycles.__all__)
+    assert len(hermcycles.__all__) == len(exports)
+    assert imported_names((PACKAGE / "__init__.py").read_text()) == set()
+    for name, module in exports.items():
+        # the table names the module that defines the name, not one that
+        # imports it, and the package serves that module's object
+        assert name in defined_names((PACKAGE / f"{module}.py").read_text()), (name, module)
+        assert getattr(hermcycles, name) is getattr(importlib.import_module(f"hermcycles.{module}"), name)
+    assert not hasattr(hermcycles, "no_such_name")
     attributes = [node for node in ast.walk(ast.parse(api)) if isinstance(node, ast.Attribute)]
     assert attributes
     for node in attributes:
         assert node.value.id in names and hasattr(getattr(hermcycles, node.value.id), node.attr)
+
+
+# One request per command, and the modules it must not load: a command
+# imports only what it runs.
+COMMANDS = {
+    "hilbert": (
+        [],
+        '{"a": "-1", "b": "-3", "place": 3}',
+        {"lattice", "ramified", "cycles", "vertices", "global_cycles", "dataclasses"},
+    ),
+    "jordan": (["--p", "3"], '{"gram": [[1, 0], [0, 3]]}', {"vertices", "global_cycles"}),
+    "cycle": (["--p", "3"], '{"matrix": [[1, 0], [0, 3]]}', {"vertices", "global_cycles"}),
+    "global": ([], '{"delta": -3, "matrix": [[1, 0], [0, 1]]}', {"vertices"}),
+    "vertices": (["--p", "3"], '{"gram": [[1, 0], [0, 3]]}', {"global_cycles"}),
+    "verify": (["--p", "3"], '{"gram": [[1, 0], [0, 3]]}', {"global_cycles"}),
+}
+
+# Runs one command as `python -m hermcycles.cli` does, in a fresh
+# interpreter, and writes the modules it added to sys.modules to stderr.
+CLOSURE_SCRIPT = """
+import sys
+before = set(sys.modules)
+from hermcycles import cli
+code = cli.run(sys.argv[1:])
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(command):
+    argv, text, forbidden = COMMANDS[command]
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOSURE_SCRIPT, command, *argv],
+        input=text,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded = set(proc.stderr.split())
+    assert {"hermcycles.cli", "hermcycles.errors", "hermcycles.padic"} <= loaded
+    short = {name.removeprefix("hermcycles.") for name in loaded}
+    assert short & forbidden == set(), command
 
 
 def test_no_dead_definitions_in_the_package():
