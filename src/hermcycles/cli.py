@@ -7,11 +7,13 @@ json.dumps(indent=2, sort_keys=True) writes, from a direct writer (_json).
 Exit codes: 0 success, 1 schema violation, 2 domain error, 3 resource limit.
 
 Each command is one process, so start-up is paid per request: this module
-imports only the standard library, errors and padic, and builds the parser
-from those alone.  A handler reaches every other package module through
-_modules, which imports it on first use, so hilbert loads no lattice code
-at all.  Handlers read each function off its module on every call and keep
-no copy of it, so a function patched on its module (as bench/tracing.py
+imports only the standard library, errors and padic, and builds only the
+parser of the command named first, once per process, from _COMMANDS.  The
+tree of all six (build_parser) answers only a vector that names no command:
+top-level help and errors.  A handler reaches every other package module
+through _modules, which imports it on first use, so hilbert loads no lattice
+code at all.  Handlers read each function off its module on every call and
+keep no copy of it, so a function patched on its module (as bench/tracing.py
 does) is the one that runs.
 """
 
@@ -180,44 +182,51 @@ def _cmd_hilbert(args):
     return {"symbol": hilbert_symbol(a, b, place)}
 
 
+# name -> (handler, help line, takes --p and --epsilon, takes the
+# EnumerationBounds flags, further options)
+_COMMANDS = {
+    "jordan": (_cmd_jordan, "Jordan block data of a Hermitian Gram matrix", True, False, {}),
+    "cycle": (_cmd_cycle, "cycle invariants of a Hermitian matrix", True, False, {}),
+    "vertices": (
+        _cmd_vertices,
+        "enumerate supporting vertex lattices",
+        True,
+        True,
+        {"--dot": {"action": "store_true", "help": "emit the poset as DOT"}},
+    ),
+    "verify": (_cmd_verify, "check structure results against the enumeration", True, True, {}),
+    "global": (
+        _cmd_global,
+        "support analysis over an imaginary quadratic field",
+        False,
+        False,
+        {"--factor-bound": {"type": int, "default": DEFAULT_FACTOR_BOUND, "dest": "factor_bound"}},
+    ),
+    "hilbert": (_cmd_hilbert, "quadratic Hilbert symbol at a place", False, False, {}),
+}
+
+
+def _add_arguments(p: _Parser, func, context: bool, bounds: bool, extra: dict) -> _Parser:
+    p.add_argument("input", nargs="?", help="request file (default: stdin)")
+    if context:
+        p.add_argument("--p", type=int, help="odd prime")
+        p.add_argument("--epsilon", help="unit with pi^2 = eps*p")
+    if bounds:
+        for bound in _BOUNDS:
+            p.add_argument("--" + bound.replace("_", "-"), type=int)
+    for flag, kwargs in extra.items():
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> _Parser:
-    """The argparse tree of every command; ``run`` builds it once per process."""
+    """The argparse tree of every command, for a vector that names none."""
     # the last paragraph of the module docstring is for readers of this file
     parser = _Parser(prog="hermcycles", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, context=False, bounds=False, extra=None):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?", help="request file (default: stdin)")
-        if context:
-            p.add_argument("--p", type=int, help="odd prime")
-            p.add_argument("--epsilon", help="unit with pi^2 = eps*p")
-        if bounds:
-            for bound in _BOUNDS:
-                p.add_argument("--" + bound.replace("_", "-"), type=int)
-        for flag, kwargs in (extra or {}).items():
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
-        return p
-
-    add("jordan", _cmd_jordan, "Jordan block data of a Hermitian Gram matrix", context=True)
-    add("cycle", _cmd_cycle, "cycle invariants of a Hermitian matrix", context=True)
-    add(
-        "vertices",
-        _cmd_vertices,
-        "enumerate supporting vertex lattices",
-        context=True,
-        bounds=True,
-        extra={"--dot": {"action": "store_true", "help": "emit the poset as DOT"}},
-    )
-    add("verify", _cmd_verify, "check structure results against the enumeration", context=True, bounds=True)
-    add(
-        "global",
-        _cmd_global,
-        "support analysis over an imaginary quadratic field",
-        extra={"--factor-bound": {"type": int, "default": DEFAULT_FACTOR_BOUND, "dest": "factor_bound"}},
-    )
-    add("hilbert", _cmd_hilbert, "quadratic Hilbert symbol at a place")
+    for name, (func, help_text, *options) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), func, *options)
     return parser
 
 
@@ -267,21 +276,28 @@ def _emit_error(exc) -> None:
     sys.stdout.write(_json(record) + "\n")
 
 
-_PARSER: _Parser | None = None
+# parse_args keeps no state between calls: every call fills a fresh
+# namespace from the defaults, so one parser serves every request.
+_PARSERS: dict[str, _Parser] = {}
 
 
-def _parser() -> _Parser:
-    # parse_args keeps no state between calls: every call fills a fresh
-    # namespace from the defaults, so one tree serves every request.
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command, as the tree's subparser of that name."""
+    parser = _PARSERS.get(name)
+    if parser is None:
+        func, _, *options = _COMMANDS[name]
+        parser = _PARSERS[name] = _add_arguments(_Parser(prog="hermcycles " + name), func, *options)
+    return parser
 
 
 def run(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
         payload = args.func(args)
     except SchemaError as exc:
         _emit_error(exc)

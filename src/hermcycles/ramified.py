@@ -155,11 +155,13 @@ class OHElement:
         return o * self.inverse()
 
     def inverse(self) -> "OHElement":
-        n = self.norm()
+        a, b = self.a, self.b
+        n = self.norm() if b else a
         if n == 0:
             raise PreconditionError("division by zero in H")
-        a, b = self.a, self.b
-        return OHElement._raw(a / n if a else a, -b / n if b else b, self.ctx)
+        if not b:  # rational: one division
+            return OHElement._raw(1 / a, b, self.ctx)
+        return OHElement._raw(a / n if a else a, -b / n, self.ctx)
 
     def conjugate(self) -> "OHElement":
         return OHElement._raw(self.a, -self.b, self.ctx) if self.b else self

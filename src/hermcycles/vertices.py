@@ -187,11 +187,12 @@ def _dual_jordan_basis(L: HermLattice, h: int, need):
     H = [[(j, (ra * pcw % m, -rb * pcw % m)) for j, (ra, rb) in row] for row in R]
     E = []
     for row in L.basis:
-        P = [(_residue(x.a, ph, m), _residue(x.b, ph, m)) for x in row]
+        P = [(j, _residue(x.a, ph, m), _residue(x.b, ph, m)) for j, x in enumerate(row) if x]
         acc = [[0, 0] for _ in range(n)]
         for vec, R_r in zip(vecs, R):  # (p^h * L.basis * U)[i][r] times row r of p^w * W
             ba = bb = 0
-            for (xa, xb), (ua, ub) in zip(P, vec):
+            for j, xa, xb in P:
+                ua, ub = vec[j]
                 ba += xa * ua + xb * ub * pi0
                 bb += xa * ub + xb * ua
             for j, (ra, rb) in R_r:

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from support import invoke, random_basis_change, scaled_gram, smallest_nonresidue, transformed_gram
@@ -698,16 +700,93 @@ def test_one_parser_serves_a_sequence_of_requests(monkeypatch):
     ]
     fresh = []
     for argv, text in sequence:
-        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_PARSERS", {})
         fresh.append(invoke(argv, text))
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    monkeypatch.setattr(cli, "_PARSER", None)
+    built = []
+    add = cli._add_arguments
+
+    def counted(parser, *options):
+        built.append(parser.prog)
+        return add(parser, *options)
+
+    monkeypatch.setattr(cli, "_add_arguments", counted)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("a request naming its command built the tree"))
+    monkeypatch.setattr(cli, "_PARSERS", {})
     assert [invoke(argv, text) for argv, text in sequence] == fresh
-    assert len(builds) == 1
+    assert built == ["hermcycles vertices", "hermcycles cycle"]
     assert [code for code, _ in fresh] == [0, 0, 0, 1, 0, 3, 0]
     assert fresh[0][1] != fresh[1][1] and fresh[2][1] != fresh[3][1]
+
+
+# A valid request of each command, and argument vectors to try on every one.
+REQUESTS = {
+    "jordan": (["--p", "3"], '{"gram": [[1, 0], [0, 3]]}'),
+    "cycle": (["--p", "3", "--epsilon", "-1"], '{"matrix": [[1, 0], [0, 3]]}'),
+    "vertices": (["--p", "3", "--max-rank", "2"], '{"gram": [[1, 0], [0, 3]]}'),
+    "verify": (["--p", "3", "--max-candidates", "100"], '{"gram": [[1, 0], [0, 3]]}'),
+    "global": (["--factor-bound", "1000"], '{"delta": -3, "matrix": [[1, 0], [0, 1]]}'),
+    "hilbert": ([], '{"a": "-1", "b": "-3", "place": 3}'),
+}
+VECTORS = [
+    ["--p", "x"],
+    ["--no-such-flag"],
+    ["--p"],
+    ["--factor-bound"],
+    ["--max-rank"],
+    ["first.json", "second.json"],
+    ["--p", "3", "--dot"],
+    ["--p", "3", "--max", "2"],
+    ["--p", "3", "--e", "-1"],
+    ["--", "--p"],
+    ["-h"],
+    ["--help"],
+]
+
+
+def _answer(argv, text, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    try:
+        code = cli.run(argv)
+    except SystemExit as exit_:
+        code = ("exit", exit_.code)
+    return code, capsys.readouterr().out
+
+
+def test_each_command_parser_answers_as_the_tree_does(capsys, monkeypatch):
+    answers = {}
+    for command, (argv, text) in REQUESTS.items():
+        for rest in [argv, *VECTORS]:
+            answers[command, *rest] = _answer([command, *rest], text, capsys, monkeypatch)
+    assert answers["vertices", "--p", "3", "--dot"][0] == 0
+    assert answers["verify", "--p", "3", "--dot"][0] == 1
+    tree = cli.build_parser()
+    subcommands = _subcommands(tree)
+    for command in REQUESTS:
+        assert answers[command, "--help"] == (("exit", 0), subcommands[command].format_help())
+    # the same vectors, each parsed by the tree as run did for every request
+    def through_the_tree(name):
+        return SimpleNamespace(parse_args=lambda rest: tree.parse_args([name, *rest]))
+
+    monkeypatch.setattr(cli, "_command_parser", through_the_tree)
+    for command, (argv, text) in REQUESTS.items():
+        for rest in [argv, *VECTORS]:
+            assert _answer([command, *rest], text, capsys, monkeypatch) == answers[command, *rest], rest
+    # the valid requests, vertices --dot and --e for --epsilon on the four local commands
+    assert sum(code == 0 for code, _ in answers.values()) == len(REQUESTS) + 5
+
+
+def test_a_vector_that_names_no_command_is_answered_by_the_tree(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_command_parser", lambda name: pytest.fail(name))
+    for argv in ([], ["nope"], ["--help"], ["-h", "vertices"]):
+        code, out = _answer(argv, "", capsys, monkeypatch)
+        if argv and argv[0].startswith("-"):
+            assert (code, out) == (("exit", 0), build().format_help())
+        else:
+            assert code == 1 and json.loads(out)["error"]["code"] == "schema-violation"
+    assert len(built) == 4
 
 
 def test_decimal_exponent_past_the_digit_limit_is_refused_before_the_work():

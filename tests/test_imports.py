@@ -2,7 +2,7 @@
 class or method a package module defines is used somewhere; the same holds
 for the test helpers in ``tests/support.py``.  The package exports exactly
 the README's "Library API" list, and each command imports only the modules
-it runs.
+it runs and builds only its own parser.
 
 ``__future__`` imports are exempt, and so is ``__init__.py``, which imports
 no package module: it maps each exported name to its module and loads it on
@@ -189,13 +189,19 @@ COMMANDS = {
 }
 
 # Runs one command as `python -m hermcycles.cli` does, in a fresh
-# interpreter, and writes the modules it added to sys.modules to stderr.
+# interpreter, and writes to stderr the modules it added to sys.modules, on
+# one line, then the commands it built a parser for and how often it built
+# the tree of all commands.
 CLOSURE_SCRIPT = """
 import sys
 before = set(sys.modules)
 from hermcycles import cli
+trees = []
+build = cli.build_parser
+cli.build_parser = lambda: trees.append(1) or build()
 code = cli.run(sys.argv[1:])
-sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)) + "\\n")
+sys.stderr.write(" ".join(cli._PARSERS) + f" {len(trees)}")
 sys.exit(code)
 """
 
@@ -213,7 +219,9 @@ def test_each_command_loads_only_the_modules_it_runs(command):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    loaded = set(proc.stderr.split())
+    modules, parsers = proc.stderr.split("\n")
+    assert parsers.split() == [command, "0"]
+    loaded = set(modules.split())
     assert {"hermcycles.cli", "hermcycles.errors", "hermcycles.padic"} <= loaded
     short = {name.removeprefix("hermcycles.") for name in loaded}
     assert short & forbidden == set(), command

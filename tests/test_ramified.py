@@ -56,6 +56,34 @@ def test_inverse():
         ctx.zero().inverse()
 
 
+def test_an_element_times_its_inverse_is_one():
+    # a rational element is inverted by one division, any other through its
+    # norm; both give the inverse, and zero has none
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    contexts = [RamifiedContext(3, 1), RamifiedContext(5, -1), RamifiedContext(7, F(1, 2))]
+    component = st.builds(F, st.integers(-60, 60), st.integers(1, 30))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(contexts), component, component, st.booleans())
+    def check(ctx, a, b, rational):
+        x = OHElement(a, 0 if rational else b, ctx)
+        if x.is_zero():
+            return
+        inv = x.inverse()
+        assert type(inv.a) is F and type(inv.b) is F
+        assert x * inv == ctx.one() == inv * x
+        if rational:
+            assert inv == ctx.element(1 / a)
+
+    check()
+    for ctx in contexts:
+        with pytest.raises(PreconditionError):
+            ctx.zero().inverse()
+
+
 def test_ord_examples():
     ctx = RamifiedContext(3, 1)
     assert ctx.element(3).ord() == 2
