@@ -763,8 +763,9 @@ def test_each_command_parser_answers_as_the_tree_does(capsys, monkeypatch):
     subcommands = _subcommands(tree)
     for command in REQUESTS:
         assert answers[command, "--help"] == (("exit", 0), subcommands[command].format_help())
-    # the same vectors, each parsed by the tree as run did for every request
+
     def through_the_tree(name):
+        # the same vectors, each parsed by the tree as run did for every request
         return SimpleNamespace(parse_args=lambda rest: tree.parse_args([name, *rest]))
 
     monkeypatch.setattr(cli, "_command_parser", through_the_tree)
