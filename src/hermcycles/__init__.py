@@ -6,12 +6,15 @@ exactly: in rational arithmetic, and in the Jordan elimination and the vertex
 enumerator modulo powers of p at which every result they keep is exact.
 
 The names of ``__all__`` are the library API; the README lists them.  The
-package imports none of its modules itself: ``_EXPORTS`` maps each name to
-the module that defines it, and ``__getattr__`` (PEP 562) imports that module
-on the name's first use, so ``import hermcycles`` costs almost nothing and a
-command loads only what it runs (cli.py).  A name is looked up in its module
-on every access and never stored here, so ``hermcycles.<name>`` is always
-the module's current attribute, also while a caller has patched it there.
+package imports none of its modules itself, and ``__getattr__`` (PEP 562) is
+its one lazy loader: ``_EXPORTS`` maps each name to the module that defines
+it, and reading a name, or one of those modules, imports the module on first
+use, so ``import hermcycles`` costs almost nothing and a command loads only
+what it runs (cli.py).  The import binds a module on the package, so later
+reads of ``hermcycles.<module>`` never reach ``__getattr__``.  A name is
+looked up in its module on every access and never stored here, so
+``hermcycles.<name>`` is always the module's current attribute, also while
+a caller has patched it there.
 """
 
 import sys
@@ -35,17 +38,20 @@ _EXPORTS = {
     for name in names.split()
 }
 
+_MODULES = set(_EXPORTS.values())
+
 __all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
+    module = _EXPORTS.get(name, name)
+    if module not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, not importlib.import_module, whose imports
     # python -X importtime does not report
     qualified = f"{__name__}.{module}"
     __import__(qualified)
-    return getattr(sys.modules[qualified], name)
+    module = sys.modules[qualified]
+    return module if name in _MODULES else getattr(module, name)

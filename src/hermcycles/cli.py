@@ -10,11 +10,12 @@ Each command is one process, so start-up is paid per request: this module
 imports only the standard library, errors and padic, and builds only the
 parser of the command named first, once per process, from _COMMANDS.  The
 tree of all six (build_parser) answers only a vector that names no command:
-top-level help and errors.  A handler reaches every other package module
-through _modules, which imports it on first use, so hilbert loads no lattice
-code at all.  Handlers read each function off its module on every call and
-keep no copy of it, so a function patched on its module (as bench/tracing.py
-does) is the one that runs.
+top-level help and errors.  A handler reaches every other package module as
+an attribute of the package (_modules), whose one lazy loader imports it on
+first use (__init__.py), so hilbert loads no lattice code at all.  Handlers
+read each function off its module on every call and keep no copy of it, so a
+function patched on its module (as bench/tracing.py does) is the one that
+runs.
 """
 
 from __future__ import annotations
@@ -36,20 +37,8 @@ _ZERO = Fraction(0)
 _BOUNDS = ("max_rank", "max_scale", "max_candidates")
 
 
-class _Modules:
-    """The package's modules as attributes, each imported on first use."""
-
-    def __getattr__(self, name):
-        # __import__, not importlib.import_module, whose imports
-        # python -X importtime does not report
-        qualified = f"{__package__}.{name}"
-        __import__(qualified)
-        module = sys.modules[qualified]
-        setattr(self, name, module)
-        return module
-
-
-_modules = _Modules()
+# The package, whose __getattr__ imports each module on its first read
+_modules = sys.modules[__package__]
 
 
 class _Parser(argparse.ArgumentParser):

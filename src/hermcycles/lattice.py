@@ -525,7 +525,8 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
     bounds its integer det by prod_i sum_j (|A_ij| + |B_ij| * (isqrt|e*f| +
     1)), v_p det(p^(2j) G) <= E = floor(log_p of that) - n*v_p(den) + 2jn,
     and every pivot order is at most 2E < 2K - 1.  ``need`` maps the
-    certified scales to the least K the caller needs (asked once).
+    certified scales to the least K the caller needs (asked once), or raises
+    before any further pass.
     """
     ctx, n, p = G.ctx, G.n, G.ctx.p
     comps = [y for row in G.entries for x in row for y in (x.a, x.b)]

@@ -150,14 +150,6 @@ def _mod(q: Fraction, m: int) -> int:
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
-def residue(q, p: int) -> int:
-    """Residue mod p of a p-integral rational."""
-    q = Fraction(q)
-    if _val(q, p) < 0:
-        raise PreconditionError(f"{q} is not integral at {p}")
-    return _mod(q, p)
-
-
 def legendre(n: int, p: int) -> int:
     """Legendre symbol (n|p) for an odd prime p."""
     n %= p
@@ -187,9 +179,9 @@ def hilbert_symbol(a, b, place) -> int:
         exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
     else:
         exponent = alpha * beta * ((p - 1) // 2)
-        if legendre(residue(u, p), p) == -1:
+        if legendre(_mod(u, p), p) == -1:
             exponent += beta
-        if legendre(residue(v, p), p) == -1:
+        if legendre(_mod(v, p), p) == -1:
             exponent += alpha
     return -1 if exponent % 2 else 1
 

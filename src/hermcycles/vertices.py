@@ -30,7 +30,7 @@ from typing import Callable
 from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
 from .lattice import HermGram, HermLattice, JordanReport, _int_val, _jordan_chunks, _jordan_report
-from .lattice import _Quotient, mat_conj, mat_inverse
+from .lattice import _Quotient, mat_inverse
 from .padic import _mod, _val
 from .ramified import OHElement, RamifiedContext, _pi0_power
 
@@ -149,9 +149,9 @@ def _dual_jordan_basis(L: HermLattice, h: int, need):
     B_b = C_b * conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the
     Gram of C up to W^T E conj(W), of order >= 2k - 2F.
 
-    W is the one exact inverse, of J lifted from its residues; past it the
-    work runs on int pairs modulo p^k.  With w = ceil(F/2), p^w * W is
-    integral, and H = p^(c - w) * conj(p^w * W).  The tracked vectors are
+    W is the one exact inverse, of conj(J) lifted from J's residues a + b*pi
+    as a - b*pi; past it the work runs on int pairs modulo p^k.  With w =
+    ceil(F/2), p^w * W is integral, and H = p^(c - w) * conj(p^w * W).  The tracked vectors are
     the columns of U, so E = p^h * L.basis * U * p^w * W = p^(h + w) * C is
     integral.  Against the exact elimination, U is off by order >= 2k - F
     and W by order >= 2k - 2F, so E is off by order >= 2k - 2F + 2w, and H
@@ -169,15 +169,15 @@ def _dual_jordan_basis(L: HermLattice, h: int, need):
     n, ctx, p = L.n, L.ctx, L.ctx.p
     k, chunks = _jordan_chunks(L.gram(), True, need)
     m, pi0 = p**k, _mod(ctx.pi0, p**k)
-    J = [[ctx.zero()] * n for _ in range(n)]
+    conj_J = [[ctx.zero()] * n for _ in range(n)]
     vecs, fs = [], []
     for scale, _, block, pivots in chunks:
         i = len(vecs)
         for r, row in enumerate(block):
-            J[i + r][i : i + len(row)] = [OHElement(x, y, ctx) for x, y in row]
+            conj_J[i + r][i : i + len(row)] = [OHElement(x, -y, ctx) for x, y in row]
         vecs.extend(pivots)
         fs.extend([scale] * len(pivots))
-    W = mat_inverse(mat_conj(J), ctx)
+    W = mat_inverse(conj_J, ctx)
     w = (max(fs) + 1) // 2
     pw, ph, pcw = p**w, p**h, p ** (max(1, w) - w)
     R = [  # p^w * W
@@ -644,14 +644,12 @@ def enumerate_vertices(
 
     def need(fs):  # a <= ceil(F/2) + h, as pi^F * L^# <= L <= p^-h * O_H^n
         if max(fs) > bounds.max_scale:
-            return 0
+            raise EnumerationLimitError(
+                f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
+            )
         return _modulus(fs, (max(fs) + 1) // 2 + h, L.basis_det_ord()) + max(fs) + h
 
     fs, a, H, D, report = _dual_jordan_basis(L, h, need)
-    if max(fs) > bounds.max_scale:
-        raise EnumerationLimitError(
-            f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
-        )
     c = max(1, (max(fs) + 1) // 2)
     q = _Quotient(ctx, _modulus(fs, a, L.basis_det_ord()))
     m = q.m

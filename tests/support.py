@@ -72,7 +72,6 @@ from hermcycles.padic import (
     is_prime,
     legendre,
     rational_factorization,
-    residue,
 )
 from hermcycles.ramified import pi_power
 from hermcycles.vertices import EnumerationBounds, Vertex
@@ -131,7 +130,7 @@ def is_square_unit(q, p: int) -> bool:
     q = Fraction(q)
     if q == 0 or _val(q, p) != 0:
         raise PreconditionError(f"{q} is not a unit at {p}")
-    return legendre(residue(q, p), p) == 1
+    return legendre(_mod(q, p), p) == 1
 
 
 def smallest_nonresidue(p: int) -> int:

@@ -154,6 +154,28 @@ def test_a_rank_one_candidate_counts_against_the_bound():
         assert code == 0 and json.loads(out)["max_count"] == 1, command
 
 
+def test_scale_bound_fires_before_the_jordan_block_inverse(monkeypatch):
+    # 81 = pi^8 / eps^4 has scale 8, past the default bound 3: the bound
+    # fires on the certified scales, before the one exact inverse
+    from hermcycles import lattice, vertices
+
+    calls = []
+    real = lattice.mat_inverse
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "mat_inverse", counting)
+    monkeypatch.setattr(vertices, "mat_inverse", counting)
+    error = {"code": "enumeration-limit", "message": "Jordan scale 8 exceeds enumeration bound 3"}
+    for command in ("vertices", "verify"):
+        code, out = invoke([command, "--p", "3"], stdin_text='{"gram": [[1, 0], [0, 81]]}')
+        assert code == 3, command
+        assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+    assert calls == []
+
+
 def test_jordan_command():
     code, out = invoke(
         ["jordan", "--p", "3"],

@@ -2,7 +2,9 @@
 class or method a package module defines is used somewhere; the same holds
 for the test helpers in ``tests/support.py``.  The package exports exactly
 the README's "Library API" list, and each command imports only the modules
-it runs and builds only its own parser.
+it runs and builds only its own parser.  The package has one lazy loader,
+its ``__getattr__``: it is the one place that imports a module by name, and
+reading ``hermcycles.<module>`` loads that module and what it imports.
 
 ``__future__`` imports are exempt, and so is ``__init__.py``, which imports
 no package module: it maps each exported name to its module and loads it on
@@ -22,6 +24,7 @@ passes it unused.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -225,6 +228,99 @@ def test_each_command_loads_only_the_modules_it_runs(command):
     assert {"hermcycles.cli", "hermcycles.errors", "hermcycles.padic"} <= loaded
     short = {name.removeprefix("hermcycles.") for name in loaded}
     assert short & forbidden == set(), command
+
+
+def fresh_python(*args, stdin: str = "") -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the package."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize("argv", [[], ["no-such-command", "--p", "3"]])
+def test_a_vector_that_names_no_command_loads_no_command_module(argv):
+    # the tree answers it with a schema error; no command parser is built
+    # and no module past those cli imports is loaded
+    proc = fresh_python("-c", CLOSURE_SCRIPT, *argv)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "schema-violation"
+    modules, parsers = proc.stderr.split("\n")
+    assert parsers.split() == ["1"]
+    loaded = {name for name in modules.split() if name.startswith("hermcycles.")}
+    assert loaded == {"hermcycles.cli", "hermcycles.errors", "hermcycles.padic"}
+
+
+def package_closure(module: str) -> set[str]:
+    """``module`` and the package modules it imports, directly or not."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+            todo += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    return seen
+
+
+# Reads hermcycles.lattice twice in a fresh interpreter, with the package's
+# __getattr__ recording the names it is asked for, then two names that are
+# neither exported nor a module of the table; prints the package modules
+# loaded, the names asked for, and the names that raised AttributeError.
+LOADER_SCRIPT = """
+import sys
+import hermcycles
+asked = []
+load = hermcycles.__getattr__
+hermcycles.__getattr__ = lambda name: asked.append(name) or load(name)
+first = hermcycles.lattice
+assert hermcycles.lattice is first is sys.modules["hermcycles.lattice"]
+print(" ".join(sorted(name for name in sys.modules if name.startswith("hermcycles."))))
+print(" ".join(asked))
+missing = []
+for name in ("no_such_name", "cli"):
+    try:
+        getattr(hermcycles, name)
+    except AttributeError:
+        missing.append(name)
+print(" ".join(missing))
+"""
+
+
+def test_the_package_loads_a_module_of_its_table_on_the_first_read():
+    proc = fresh_python("-c", LOADER_SCRIPT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded, asked, missing = proc.stdout.splitlines()
+    closure = package_closure("lattice")
+    assert closure & {"vertices", "cycles", "global_cycles", "cli"} == set()
+    assert set(loaded.split()) == {f"hermcycles.{name}" for name in closure}
+    # the import binds the module on the package: the second read is a
+    # plain attribute lookup
+    assert asked.split() == ["lattice"]
+    assert missing.split() == ["no_such_name", "cli"]
+
+
+def loader_calls(source: str) -> list[int]:
+    """The lines of the calls of ``__import__`` or ``import_module``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("__import__", "import_module"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_checker_sees_a_loader():
+    source = "import importlib\n__import__('a')\nimportlib.import_module('b')\nprint('c')\n"
+    assert loader_calls(source) == [2, 3]
+
+
+def test_the_package_has_one_lazy_loader():
+    calls = {p.name: len(loader_calls(p.read_text())) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: count for name, count in calls.items() if count} == {"__init__.py": 1}
 
 
 def test_no_dead_definitions_in_the_package():
