@@ -15,7 +15,9 @@ an attribute of the package (_modules), whose one lazy loader imports it on
 first use (__init__.py), so hilbert loads no lattice code at all.  Handlers
 read each function off its module on every call and keep no copy of it, so a
 function patched on its module (as bench/tracing.py does) is the one that
-runs.
+runs.  _json writes every document but the vertex census, which the
+vertices handler returns as text, written by VertexSet.json_text straight
+from the basis strings; _emit writes a text payload as it is.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _cmd_vertices(args):
     vs = vertices.enumerate_vertices(_modules.lattice.HermLattice.from_gram(G), _bounds(args))
     if args.dot:
         return vertices.poset_dot(vs)
-    return vs.to_json()
+    return vs.json_text()
 
 
 def _cmd_verify(args):

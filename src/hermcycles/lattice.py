@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
+from operator import attrgetter
 
 from .errors import (
     HermitianViolationError,
@@ -125,6 +126,8 @@ def mat_is_integral(A) -> bool:
 # ---------------------------------------------------------------------------
 # Gram matrices and lattices
 
+_ratio = attrgetter("numerator", "denominator")
+
 
 class HermGram:
     """A nonsingular conjugate-symmetric matrix over H, or over Q(sqrt(delta)).
@@ -146,10 +149,11 @@ class HermGram:
                 x = rows[i][j]
                 if not isinstance(x, OHElement) or (x.ctx is not ctx and x.ctx != ctx):
                     raise PreconditionError(f"entry ({i},{j}) is not in the given ring")
-        for i in range(n):
+        for i in range(n):  # on numerators and denominators: Fraction == is slow
             for j in range(i, n):
                 x, y = rows[i][j], rows[j][i]
-                if y.a != x.a or y.b != -x.b:
+                (an, ad), (bn, bd) = _ratio(x.a), _ratio(x.b)
+                if _ratio(y.a) != (an, ad) or _ratio(y.b) != (-bn, bd):
                     raise HermitianViolationError(
                         f"diagonal entry ({i},{i}) must be rational"
                         if i == j
@@ -442,9 +446,10 @@ def _eliminate(M, q: _Quotient):
     while M:
         n = len(M)
         # the least order; among its entries a diagonal one, then the first
-        i = next((i for i in range(n) if M[i][i][0] % p), None)
-        if i is not None:  # order 0 on the diagonal: the first is the scan's pick
-            s, is_off = 0, False
+        for i in range(n):
+            if M[i][i][0] % p:  # order 0 on the diagonal: the first is the scan's pick
+                s, is_off = 0, False
+                break
         else:
             s, is_off, i, j = min(
                 (q.ord(M[i][j]), i != j, i, j) for i in range(n) for j in range(i, n)
@@ -464,15 +469,16 @@ def _eliminate(M, q: _Quotient):
         # lambda_rb e_b, lambda_r = (c_r / pi^s) * (P / pi^s)^-1 for the row
         # c_r of r in the pivot columns; det(P / pi^s) is a rational unit
         pivots = (i, j) if is_off else (i,)
-        Q = [[q.div_pi_power(M[a][b], s) for b in pivots] for a in pivots]
+        block = [[M[a][b] for b in pivots] for a in pivots]
         if is_off:
-            (q00, q01), (q10, q11) = Q
+            (q00, q01), (q10, q11) = [[q.div_pi_power(x, s) for x in row] for row in block]
             det = (q.mul(q00, q11)[0] - q.mul(q01, q10)[0]) % m
             adj = [[q11, (-q01[0] % m, -q01[1] % m)], [(-q10[0] % m, -q10[1] % m), q00]]
         else:
-            det, adj = Q[0][0][0], [[(1, 0)]]
-        block = [[M[a][b] for b in pivots] for a in pivots]
+            det = q.div_pi_power(block[0][0], s)[0]
         chunks.append((s, legendre(det, p), block, [M[c][n:] for c in pivots]))
+        if n == len(pivots):  # no complement left
+            break
         dinv = pow(det, -1, m)
         keep = [r for r in range(n) if r not in pivots]
         cols = keep + list(range(n, len(M[0])))
@@ -480,10 +486,14 @@ def _eliminate(M, q: _Quotient):
         rest = []
         for r in keep:
             row = [M[r][l] for l in cols]
-            c = [q.div_pi_power(M[r][a], s) for a in pivots]
-            for col, prow in zip(zip(*adj), piv_rows):
-                lam = [sum(t) * dinv % m for t in zip(*map(q.mul, c, col))]
-                if lam != [0, 0]:
+            if is_off:
+                c = [q.div_pi_power(M[r][a], s) for a in pivots]
+                lams = ([sum(t) * dinv % m for t in zip(*map(q.mul, c, col))] for col in zip(*adj))
+            else:  # P / pi^s is the unit det: lambda_r = (c_r / pi^s) * dinv
+                ca, cb = q.div_pi_power(M[r][i], s)
+                lams = ((ca * dinv % m, cb * dinv % m),)
+            for lam, prow in zip(lams, piv_rows):
+                if lam[0] or lam[1]:
                     row = _sub_mul(row, lam, prow, pi0, m)
             rest.append(row)
         M = rest
@@ -545,7 +555,8 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
                 raise SingularMatrixError("Gram matrix is singular")
             k = min(2 * k, cap)
             continue
-        chunks = [(s - 4 * j, *rest) for s, *rest in chunks]
+        if j:
+            chunks = [(s - 4 * j, *rest) for s, *rest in chunks]
         wanted, need = (need([c[0] for c in chunks]) if need else 0), None
         if wanted <= k:
             return k, chunks
@@ -554,13 +565,16 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
 
 def _jordan_report(chunks, p: int) -> JordanReport:
     """The JordanReport of the chunks of _jordan_chunks."""
-    blocks = []
-    for scale in sorted({chunk[0] for chunk in chunks}):
-        group = [chunk for chunk in chunks if chunk[0] == scale]
-        rank, sign = sum(len(c[2]) for c in group), prod(c[1] for c in group)
+    groups = {}  # scale -> [rank, sign]
+    for scale, sign, block, _ in chunks:
+        group = groups.setdefault(scale, [0, 1])
+        group[0] += len(block)
+        group[1] *= sign
+    minus_one, blocks = legendre(-1, p), []
+    for scale, (rank, sign) in sorted(groups.items()):
         if scale % 2 and rank % 2:
             raise AssertionError("odd-modular block of odd rank")
-        split = scale % 2 == 1 or (rank % 2 == 0 and sign * legendre(-1, p) ** (rank // 2) == 1)
+        split = scale % 2 == 1 or (rank % 2 == 0 and sign * minus_one ** (rank // 2) == 1)
         blocks.append(JordanBlock(scale, rank, scale * rank, sign == 1, split))
     return JordanReport(tuple(blocks))
 

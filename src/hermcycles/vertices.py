@@ -16,7 +16,8 @@ shared with jordan_split, gives a Jordan basis C of L^# with C * diag(pi^f)
 spanning L (_dual_jordan_basis), and the work in the finite module L^#/L
 runs modulo one p^K.  The one rational step is the exact inverse of the
 block-diagonal Jordan Gram; from there to the census JSON no Fraction is
-built: canonical bases come as ints over p^a and are printed from ints.
+built: canonical bases come as ints over p^a, are printed from ints, and
+the census JSON is written from those strings (VertexSet.json_text).
 tests/support.py keeps the exact-rational enumerator as an oracle, with its
 own dual basis from a Smith form.
 """
@@ -129,12 +130,50 @@ class VertexSet:
             "max_count": self.max_count,
         }
 
+    def json_text(self) -> str:
+        """json.dumps(self.to_json(), indent=2, sort_keys=True), written in
+        one pass from the basis strings, which need no escaping."""
+        entries = {}  # (a, b) -> its object as printed, at the depth of an entry
+        vertices = []
+        for v in self.vertices:
+            rows = []
+            for row in v.basis:
+                texts = []
+                for xy in row:
+                    text = entries.get(xy)
+                    if text is None:
+                        text = entries[xy] = _ENTRY % xy
+                    texts.append(text)
+                rows.append(_json_list(texts, " " * 8))
+            vertices.append(
+                f'{{\n      "basis": {_json_list(rows, " " * 6)},\n      "type": {v.type}\n    }}'
+            )
+        edges = [f"[\n      {a},\n      {b}\n    ]" for a, b in self.poset_edges]
+        return (
+            f'{{\n  "max_count": {self.max_count},\n  "max_type": {self.max_type},\n'
+            f'  "poset_edges": {_json_list(edges, "  ")},\n'
+            f'  "vertices": {_json_list(vertices, "  ")}\n}}'
+        )
+
+
+_ENTRY = '{\n            "a": "%s",\n            "b": "%s"\n          }'
+
+
+def _json_list(items, indent: str) -> str:
+    """A JSON array at ``indent`` of items already printed one level deeper."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
 
 def _dual_jordan_basis(L: HermLattice, h: int, need):
-    """The ascending scales f, a, H = p^c * G# and D = p^a * C as int pairs,
-    and the JordanReport of L, for a Jordan basis C of L^# with C *
-    diag(pi^f) spanning L and Gram G#; c = max(1, ceil(F/2)), F = max f, a
-    the least exponent making p^a * C integral, p^h * L.basis integral.
+    """The ascending scales f, H = p^c * G# as int pairs, a function
+    ``dual`` giving a and D = p^a * C as int pairs, and the JordanReport of
+    L, for a Jordan basis C of L^# with C * diag(pi^f) spanning L and Gram
+    G#; c = max(1, ceil(F/2)), F = max f, a the least exponent making p^a *
+    C integral, p^h * L.basis integral.  D is formed only when ``dual`` is
+    called, as only naming the census reads it.
 
     The elimination of jordan_split on Gram(L), modulo the p^k ``need`` asks
     for, gives U in GL_n(O_H) (each step adds O_H-multiples of pivot vectors
@@ -160,49 +199,61 @@ def _dual_jordan_basis(L: HermLattice, h: int, need):
     v, v the least p-order of E's components capped at h + w (a zero reads
     as h + w).  D = E / p^v is then off by order >= 2k - 2F - 2h + 2a.
     enumerate_vertices asks for k = K' + F + h, K' its modulus computed
-    with a <= ceil(F/2) + h (so K' >= K, its modulus for the actual a), and
-    D and H modulo p^K are those of the exact elimination.
+    with a <= ceil(F/2) + h, and D and H modulo p^K' are those of the exact
+    elimination.
 
+    W is read on the diagonal blocks only, where its nonzero entries lie.
     H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
-    entries of W, which lie in the block of i.
+    entries of the block of i.
     """
     n, ctx, p = L.n, L.ctx, L.ctx.p
     k, chunks = _jordan_chunks(L.gram(), True, need)
     m, pi0 = p**k, _mod(ctx.pi0, p**k)
-    conj_J = [[ctx.zero()] * n for _ in range(n)]
-    vecs, fs = [], []
+    zero = ctx.zero()
+    conj_J = [[zero] * n for _ in range(n)]
+    vecs, fs, spans = [], [], []
     for scale, _, block, pivots in chunks:
         i = len(vecs)
         for r, row in enumerate(block):
             conj_J[i + r][i : i + len(row)] = [OHElement(x, -y, ctx) for x, y in row]
         vecs.extend(pivots)
         fs.extend([scale] * len(pivots))
+        spans.append(range(i, len(vecs)))
     W = mat_inverse(conj_J, ctx)
     w = (max(fs) + 1) // 2
-    pw, ph, pcw = p**w, p**h, p ** (max(1, w) - w)
-    R = [  # p^w * W
-        [(j, (_residue(x.a, pw, m), _residue(x.b, pw, m))) for j, x in enumerate(row) if x]
-        for row in W
-    ]
+    pw, pcw = p**w, p ** (max(1, w) - w)
+    R = []  # p^w * W
+    for span in spans:
+        for i in span:
+            row = []
+            for j in span:
+                x = W[i][j]
+                ra, rb = _residue(x.a, pw, m), _residue(x.b, pw, m)
+                if ra or rb:
+                    row.append((j, (ra, rb)))
+            R.append(row)
     H = [[(j, (ra * pcw % m, -rb * pcw % m)) for j, (ra, rb) in row] for row in R]
-    E = []
-    for row in L.basis:
-        P = [(j, _residue(x.a, ph, m), _residue(x.b, ph, m)) for j, x in enumerate(row) if x]
-        acc = [[0, 0] for _ in range(n)]
-        for vec, R_r in zip(vecs, R):  # (p^h * L.basis * U)[i][r] times row r of p^w * W
-            ba = bb = 0
-            for j, xa, xb in P:
-                ua, ub = vec[j]
-                ba += xa * ua + xb * ub * pi0
-                bb += xa * ub + xb * ua
-            for j, (ra, rb) in R_r:
-                acc[j][0] += ba * ra + bb * rb * pi0
-                acc[j][1] += ba * rb + bb * ra
-        E.append([(x % m, y % m) for x, y in acc])
-    v = min(_int_val(y, p, h + w) for row in E for pair in row for y in pair)
-    t = p**v
-    D = [[(x // t, y // t) for x, y in row] for row in E]
-    return fs, h + w - v, H, D, _jordan_report(chunks, p)
+
+    def dual():
+        ph, E = p**h, []
+        for row in L.basis:
+            P = [(j, _residue(x.a, ph, m), _residue(x.b, ph, m)) for j, x in enumerate(row) if x]
+            acc = [[0, 0] for _ in range(n)]
+            for vec, R_r in zip(vecs, R):  # (p^h * L.basis * U)[i][r] times row r of p^w * W
+                ba = bb = 0
+                for j, xa, xb in P:
+                    ua, ub = vec[j]
+                    ba += xa * ua + xb * ub * pi0
+                    bb += xa * ub + xb * ua
+                for j, (ra, rb) in R_r:
+                    acc[j][0] += ba * ra + bb * rb * pi0
+                    acc[j][1] += ba * rb + bb * ra
+            E.append([(x % m, y % m) for x, y in acc])
+        v = min(_int_val(y, p, h + w) for row in E for pair in row for y in pair)
+        t = p**v
+        return h + w - v, [[(x // t, y // t) for x, y in row] for row in E]
+
+    return fs, H, dual, _jordan_report(chunks, p)
 
 
 def _residue(y, s: int, m: int) -> int:
@@ -268,6 +319,7 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
     d = sum(fs)
     lo, hi = max(0, (d - n + 1) // 2), d // 2
     budget = [sum(fs[:i]) for i in range(n)]  # max addable by the rows above i
+    pis = [q.pi_power(e) for e in range(max(fs) + 1)]
     count = 0
     found = []
 
@@ -296,8 +348,8 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
             if total + budget[i] < lo:
                 continue
             es[i] = e
-            Z[i][i] = q.pi_power(e)
-            X[i][i] = q.pi_power(fs[i] - e)
+            Z[i][i] = pis[e]
+            X[i][i] = pis[fs[i] - e]
             rec_slot(i, i + 1, total)
 
     def rec_slot(i, j, pivot_sum):
@@ -334,7 +386,7 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
                         row[j] = (a, b)
                         test(pivot_sum)
             return
-        ga, gb = q.pi_power(g)
+        ga, gb = pis[g]
         for a in a_range:
             for b in b_range:
                 row[j] = (a, b)
@@ -409,7 +461,9 @@ def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
     The checks run cheapest-first: the diagonal of S from the last column
     (S[b][b] needs column b of P = H * conj(Z) only, and most candidates
     fail there), then the entries above it (S is Hermitian, so its upper
-    half decides), then the rank.  H comes as sparse rows of (column,
+    half decides), then the rank, which t = 0 skips: r = 0 exactly when N
+    vanishes modulo pi.  Every check reads S modulo p^c, so P is kept
+    modulo p^c.  H comes as sparse rows of (column,
     entry), as G# is block diagonal (_dual_jordan_basis).
 
     The walk (_iter_candidates) checks the first of these, S[n-1][n-1],
@@ -418,27 +472,28 @@ def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
     checks S[n-1][n-1] again, for a rank-1 candidate and for any caller.
     """
     n = len(Z)
-    p, m, pi0 = q.p, q.m, q.pi0
+    p, pi0 = q.p, q.pi0
     pc, pc1 = p**c, p ** (c - 1)
-    P = [None] * n  # P[b][k] = (H * conj(Z))[k][b] for k <= b
+    P = [None] * n  # P[b][k] = (H * conj(Z))[k][b] modulo p^c, for k <= b
     for b in range(n - 1, -1, -1):
-        Pb = []
-        for k in range(b + 1):  # column b of Z vanishes below row b
+        col = [Z[j][b] for j in range(b + 1)]  # column b of Z vanishes below row b
+        Pb, diagonal = [], 0
+        for k in range(b + 1):
             sa = sb = 0
             for j, (ha, hb) in H[k]:
-                za, zb = Z[j][b]
-                sa += ha * za - hb * zb * pi0
-                sb += hb * za - ha * zb
-            Pb.append((sa % m, sb % m))
-        P[b] = Pb
-        sa = 0
-        for k in range(b + 1):
-            (za, zb), (xa, xb) = Z[k][b], Pb[k]
-            sa += za * xa + zb * xb * pi0
-        if sa % pc:  # S[b][b] is rational, its pi-component vanishes
+                if j <= b:
+                    za, zb = col[j]
+                    sa += ha * za - hb * zb * pi0
+                    sb += hb * za - ha * zb
+            sa, sb = sa % pc, sb % pc
+            Pb.append((sa, sb))
+            za, zb = col[k]
+            diagonal += za * sa + zb * sb * pi0
+        if diagonal % pc:  # S[b][b] is rational, its pi-component vanishes
             return False
+        P[b] = Pb
     eps = q.eps % p
-    R = [[0] * n for _ in range(n)]  # N modulo pi, alternating
+    R = [[0] * n for _ in range(n)] if t else None  # N modulo pi, alternating
     for b in range(n - 1, 0, -1):
         Pb = P[b]
         for a in range(b - 1, -1, -1):
@@ -450,8 +505,13 @@ def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
             if sa % pc or sb % pc1:
                 return False
             # N = pi*S / p^c = eps * sb/p^(c-1) + (sa/p^c)*pi
-            R[a][b] = sb // pc1 * eps % p
-            R[b][a] = -R[a][b] % p
+            x = sb % pc // pc1 * eps % p
+            if x:
+                if not t:  # r > 0 = t
+                    return False
+                R[a][b], R[b][a] = x, p - x
+    if not t:  # R = 0
+        return True
     r = 0
     for j in range(n):
         i = next((i for i in range(r, n) if R[i][j]), None)
@@ -493,7 +553,8 @@ def _contains(Zb, eb, Za, ea, q: _Quotient) -> bool:
             s = (sa % m, sb % m)
             if not q.has_order(s, eb[i]):
                 return False
-            col[i] = q.div_pi_power(s, eb[i])
+            if i:  # row 0 is the last to read it
+                col[i] = q.div_pi_power(s, eb[i])
     return True
 
 
@@ -528,48 +589,59 @@ def _canonical_basis(D, Z, a: int, q: _Quotient):
     p, m, pi0 = q.p, q.m, q.pi0
     cols = []
     for j in range(n):
-        zj = [Z[k][j] for k in range(j + 1)]
+        zj = [(k, Z[k][j]) for k in range(j + 1) if Z[k][j] != (0, 0)]
         col = []
         for row in D:
             sa = sb = 0
-            for (da, db), (za, zb) in zip(row, zj):
+            for k, (za, zb) in zj:
+                da, db = row[k]
                 sa += da * za + db * zb * pi0
                 sb += da * zb + db * za
             col.append((sa % m, sb % m))
         cols.append(col)
-    eps_a = (pow(q.eps, a, m), 0)  # pi^(2a) / p^a
+    eps_a = pow(q.eps, a, m)  # pi^(2a) / p^a
     inv_eps_a = pow(q.inv_eps, a, m)
     es, N = [0] * n, [[(0, 0)] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        orders = [q.ord(cols[j][i]) for j in range(i + 1)]
-        e = min(orders)
-        best = orders.index(e)
+        e, best = 2 * q.k, 0
+        for j in range(i + 1):  # the first column of least order
+            o = q.ord(cols[j][i])
+            if o < e:
+                e, best = o, j
+                if not o:
+                    break
         if e >= 2 * q.k:
             raise AssertionError("vertex basis is singular modulo p^K")
         cols[best], cols[i] = cols[i], cols[best]
         piv = cols[i]
-        ua, ub = q.div_pi_power(piv[i], e)
-        s = pow(ua * ua - ub * ub * pi0, -1, m) * inv_eps_a
-        unit = (ua * s % m, -ub * s % m)  # p^a * pi^e / piv[i]
-        for r in range(i):
-            piv[r] = q.mul(unit, piv[r])
+        es[i] = e - 2 * a
         mod_a, mod_b = p ** ((e + 1) // 2), p ** (e // 2)
+        Ni = N[i]
+        for j in range(i + 1, n):
+            x = cols[j][i]
+            Ni[j] = (x[0] % mod_a, x[1] % mod_b)
+        if not i:  # no row is left above to clear
+            break
+        ua, ub = q.div_pi_power(piv[i], e)
+        t = pow(ua * ua - ub * ub * pi0, -1, m) * inv_eps_a
+        ua, ub = ua * t % m, -ub * t % m  # p^a * pi^e / piv[i]
+        for r in range(i):
+            xa, xb = piv[r]
+            piv[r] = ((ua * xa + ub * xb * pi0) % m, (ua * xb + ub * xa) % m)
         for j in range(n):
             if j == i:
                 continue
-            x = cols[j][i]
-            if j > i:
-                ra, rb = x[0] % mod_a, x[1] % mod_b
-                N[i][j] = (ra, rb)
-                x = (x[0] - ra, x[1] - rb)
-            if x == (0, 0):
+            xa, xb = cols[j][i]
+            if j > i:  # what is left past the reduction N[i][j]
+                xa, xb = xa - Ni[j][0], xb - Ni[j][1]
+            if not (xa or xb):
                 continue
-            f = q.mul(q.div_pi_power(x, e), eps_a)  # x / (p^a * pi^e)
+            fa, fb = q.div_pi_power((xa, xb), e)
+            fa, fb = fa * eps_a, fb * eps_a  # x / (p^a * pi^e)
             col = cols[j]
             for r in range(i):
-                fa, fb = q.mul(f, piv[r])
-                col[r] = ((col[r][0] - fa) % m, (col[r][1] - fb) % m)
-        es[i] = e - 2 * a
+                (ya, yb), (ca, cb) = piv[r], col[r]
+                col[r] = ((ca - fa * ya - fb * yb * pi0) % m, (cb - fa * yb - fb * ya) % m)
     return es, N
 
 
@@ -580,16 +652,28 @@ def _fraction_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _basis_text(es, N, a: int, ctx: RamifiedContext):
+def _basis_text(es, N, den: int, printed: dict, ctx: RamifiedContext):
     """The (a, b) component strings, as str(Fraction) prints them, of the
-    basis _canonical_basis returns: pi^e_i at (i, i), N[i][j] / p^a right of
-    it and 0 left of it."""
-    den, rows = ctx.p**a, []
+    basis _canonical_basis returns: pi^e_i at (i, i), N[i][j] / den right of
+    it and 0 left of it.  ``printed`` keeps the strings printed so far for
+    the census, under the int x for x / den and under ("pi", e) for the
+    pivot pi^e, so each is printed once; it maps 0 to "0" from the start."""
+    rows = []
     for i, (e, row) in enumerate(zip(es, N)):
-        pivot = _fraction_text(*_pi0_power(ctx, e))
-        text = [("0", "0")] * i + [("0", pivot) if e % 2 else (pivot, "0")]
-        text += [(_fraction_text(x, den), _fraction_text(y, den)) for x, y in row[i + 1 :]]
-        rows.append(tuple(text))
+        pivot = printed.get(("pi", e))
+        if pivot is None:
+            text = _fraction_text(*_pi0_power(ctx, e))
+            pivot = printed["pi", e] = ("0", text) if e % 2 else (text, "0")
+        texts = [("0", "0")] * i + [pivot]
+        for xy in row[i + 1 :]:
+            pair = []
+            for x in xy:
+                text = printed.get(x)
+                if text is None:
+                    text = printed[x] = _fraction_text(x, den)
+                pair.append(text)
+            texts.append(tuple(pair))
+        rows.append(tuple(texts))
     return tuple(rows)
 
 
@@ -628,9 +712,12 @@ def enumerate_vertices(
       L.basis is the identity for a request from the command line
       (HermLattice.basis_det_ord, 0 without a determinant there).
 
-    The elimination runs F + h digits past the K of a <= ceil(F/2) + h,
-    p^h * L.basis integral, so H = p^c * G# and D modulo p^K are those of
-    the exact rational elimination (_jordan_chunks, _dual_jordan_basis).
+    K is computed with the bound a <= ceil(F/2) + h, p^h * L.basis
+    integral, in place of a, which only D gives: D is formed when the
+    census is named, so a verify that passes never forms it.  The
+    elimination runs F + h digits past that K, so H = p^c * G# and D modulo
+    p^K are those of the exact rational elimination (_jordan_chunks,
+    _dual_jordan_basis).
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -640,21 +727,24 @@ def enumerate_vertices(
             f"rank {L.n} exceeds enumeration bound {bounds.max_rank}"
         )
     ctx, p = L.ctx, L.ctx.p
-    h = max([0] + [-_val(y, p) for row in L.basis for x in row for y in (x.a, x.b) if y])
+    comps = [y for row in L.basis for x in row for y in (x.a, x.b)]
+    h = max([0] + [-_val(y, p) for y in comps if y.denominator % p == 0])
 
-    def need(fs):  # a <= ceil(F/2) + h, as pi^F * L^# <= L <= p^-h * O_H^n
+    def modulus(fs):  # a <= ceil(F/2) + h, as pi^F * L^# <= L <= p^-h * O_H^n
+        return _modulus(fs, (max(fs) + 1) // 2 + h, L.basis_det_ord())
+
+    def need(fs):
         if max(fs) > bounds.max_scale:
             raise EnumerationLimitError(
                 f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
             )
-        return _modulus(fs, (max(fs) + 1) // 2 + h, L.basis_det_ord()) + max(fs) + h
+        return modulus(fs) + max(fs) + h
 
-    fs, a, H, D, report = _dual_jordan_basis(L, h, need)
+    fs, H, dual, report = _dual_jordan_basis(L, h, need)
     c = max(1, (max(fs) + 1) // 2)
-    q = _Quotient(ctx, _modulus(fs, a, L.basis_det_ord()))
+    q = _Quotient(ctx, modulus(fs))
     m = q.m
     H = [[(j, (x % m, y % m)) for j, (x, y) in row] for row in H]
-    D = [[(x % m, y % m) for x, y in row] for row in D]
     found = _iter_candidates(fs, H, c, q, bounds.max_candidates)
     # Containment i < j needs the pivot exponents of i to dominate those of
     # j and to differ from them, as equal exponents mean equal covolumes.
@@ -676,8 +766,11 @@ def enumerate_vertices(
     max_type = max(types, default=-1)
 
     def name_walk():
+        a, D = dual()
+        D = [[(x % m, y % m) for x, y in row] for row in D]
+        den, printed = p**a, {0: "0"}
         return [
-            Vertex(t, _basis_text(*_canonical_basis(D, Z, a, q), a, ctx), L.ambient)
+            Vertex(t, _basis_text(*_canonical_basis(D, Z, a, q), den, printed, ctx), L.ambient)
             for t, _, Z in found
         ]
 

@@ -689,6 +689,63 @@ def test_verify_builds_no_canonical_basis_and_no_output_goes_through_json_dumps(
     assert code == 3 and out == dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+def test_the_census_is_written_without_the_generic_writer(monkeypatch):
+    # a cost guard that reads no clock: a vertices request prints its census
+    # straight from the basis strings (VertexSet.json_text), not by building
+    # to_json() dicts for cli._json to walk; verify still goes through it
+    from hermcycles import cli, vertices
+
+    written, to_json = [], vertices.VertexSet.to_json
+    real = cli._json
+
+    def counted(obj, indent=""):
+        written.append(obj)
+        return real(obj, indent)
+
+    def refused(self):
+        raise AssertionError("the census went through to_json")
+
+    monkeypatch.setattr(cli, "_json", counted)
+    monkeypatch.setattr(vertices.VertexSet, "to_json", refused)
+    plane = json.dumps({"gram": [[0, {"a": "0", "b": "1"}], [{"a": "0", "b": "-1"}, 0]]})
+    code, out = invoke(["vertices", "--p", "3"], stdin_text=plane)
+    assert code == 0 and written == []
+    monkeypatch.setattr(vertices.VertexSet, "to_json", to_json)
+    L = hermcycles.HermLattice.from_gram(hyperbolic_gram(RamifiedContext(3), 1))
+    doc = vertices.enumerate_vertices(L).to_json()
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    code, out = invoke(["verify", "--p", "3"], stdin_text=plane)
+    assert code == 0 and written and json.loads(out)["passed"]
+
+
+def test_a_passing_verify_never_forms_the_ambient_dual_basis(monkeypatch):
+    # a cost guard that reads no clock: D = p^a * C, the dual basis in
+    # ambient coordinates, is read by the canonical bases alone, so it is
+    # formed when the census is named, once, and a passing verify never
+    # forms it.  Forming it is the one place the enumerator reads p-orders
+    # of ints (vertices._int_val, for a), counted here
+    from hermcycles import vertices
+
+    calls = []
+    real = vertices._int_val
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vertices, "_int_val", counted)
+    h13 = [[0] * 4 for _ in range(4)]
+    h13[0][1], h13[1][0] = {"a": "0", "b": "1"}, {"a": "0", "b": "-1"}
+    h13[2][3], h13[3][2] = {"a": "0", "b": "3"}, {"a": "0", "b": "-3"}
+    text = json.dumps({"gram": h13})
+    code, out = invoke(["verify", "--p", "3", "--max-rank", "4"], stdin_text=text)
+    assert code == 0 and json.loads(out)["passed"]
+    assert calls == []
+    code, out = invoke(["vertices", "--p", "3", "--max-rank", "4"], stdin_text=text)
+    assert code == 0 and len(json.loads(out)["vertices"]) == 385
+    assert len(calls) == 2 * 4 * 4  # both components of each entry of E, once
+
+
 def test_negative_enumeration_bounds_are_refused():
     # --max-candidates -5 on H(1) used to report a limit error with count -4,
     # and -7 on [[1]] a full census

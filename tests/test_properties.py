@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from support import (
     acceptance_family,
+    block_sum_family,
     factor_outcome,
     factorize_oracle,
     hnf_canonicalize,
@@ -43,7 +44,7 @@ from hermcycles.lattice import _Quotient, mat_mul
 from hermcycles.padic import is_prime, parse_rational
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 RANK_2 = [case for case in acceptance_family(include_h13_primes=()) if case[2].n == 2]
@@ -421,3 +422,39 @@ def test_the_cli_writer_refuses_every_other_type(doc, bad, key):
     for wrapped in ([doc, bad], (bad, doc), {"k": doc, "z": bad}, {key: doc}):
         with pytest.raises(TypeError):
             cli._json(wrapped)
+
+
+# The acceptance and block-sum families up to rank 4, eps = 1, -1 and 1/2;
+# at p=5 only up to rank 3, as the p=5 H(1)+H(3) census alone takes seconds.
+CENSUS_CASES = [
+    case
+    for case in [*acceptance_family(), *block_sum_family()]
+    if case[1].p == 3 or case[2].n <= 3
+]
+UNIMODULAR, H13 = (
+    next(case for case in CENSUS_CASES if case[0] == label)
+    for label in ("p3,eps1:diag(pi0^0*1, pi0^0*1)", "p3,eps-1:H(1)+H(3)")
+)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(CENSUS_CASES), st.integers(0, 2**32 - 1))
+@example(UNIMODULAR, 0)  # the census of one vertex and no edge
+@example(H13, 1)  # 385 vertices, 1,184 edges
+def test_the_census_writer_writes_what_json_dumps_writes(case, seed):
+    # VertexSet.json_text is what json.dumps writes for to_json(), for a
+    # lattice in a random basis and for its Gram sent to the CLI, whose
+    # vertices output is that text and a newline
+    label, ctx, G = case
+    U = random_basis_change(random.Random(seed), ctx, G.n)
+    bounds = EnumerationBounds(max_rank=4, max_scale=4)
+    moved = transformed_gram(G, U)
+    for L in (HermLattice(G, U), HermLattice.from_gram(moved)):
+        text = enumerate_vertices(L, bounds).json_text()
+        doc = enumerate_vertices(L, bounds).to_json()
+        assert text == json.dumps(doc, indent=2, sort_keys=True), label
+    request = json.dumps({"gram": [[x.to_json() for x in row] for row in moved.entries]})
+    argv = ["vertices", "--p", str(ctx.p), "--epsilon", str(ctx.eps), "--max-rank", "4"]
+    assert invoke(argv + ["--max-scale", "4"], request) == (0, text + "\n"), label
+    if case is UNIMODULAR:
+        assert (len(doc["vertices"]), doc["poset_edges"]) == (1, []), label

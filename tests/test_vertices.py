@@ -286,7 +286,8 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual():
         L = HermLattice(G, random_basis_change(rng, ctx, G.n))
         exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
         assert exact_gram_dual == [list(r) for r in HermLattice(G, exact_dual).gram().entries], label
-        fs, a, H, D, report = vertices._dual_jordan_basis(L, 0, lambda fs: K)
+        fs, H, dual, report = vertices._dual_jordan_basis(L, 0, lambda fs: K)
+        a, D = dual()
         p, F = ctx.p, max(fs)
         c = max(1, (F + 1) // 2)
         assert fs == snf_dual_basis(L)[1], label
@@ -321,12 +322,13 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
     # f, a, K, H = p^c * G# and D = p^a * dual modulo p^K, as the enumeration
     # reads them, equal what the exact rational elimination (with the same
     # pivots) gives; so the modular elimination changes no residue the walk,
-    # the vertex test or the canonical bases see
+    # the vertex test or the canonical bases see.  K is the walk's modulus,
+    # computed with the bound a <= ceil(F/2) + h, p^h * L.basis integral
     seen = {}
     real = vertices._dual_jordan_basis
 
     def setup(L, h, need):
-        seen["setup"] = real(L, h, need)
+        seen["setup"], seen["h"] = real(L, h, need), h
         return seen["setup"]
 
     def candidates(fs, H, c, q, max_candidates):
@@ -350,10 +352,13 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
         p = L.ctx.p
         c = max(1, (max(fs) + 1) // 2)
         a = _denominator_exponent(dual, p)
-        m = p ** vertices._modulus(fs, a, mat_det(L.basis_rows(), L.ctx).ord())
+        bound = (max(fs) + 1) // 2 + seen["h"]
+        assert a <= bound, label
+        m = p ** vertices._modulus(fs, bound, mat_det(L.basis_rows(), L.ctx).ord())
         assert seen["fs"] == fs, label
         assert seen["m"] == m, label
-        fs_seen, a_seen, H_seen, D_seen, _ = seen["setup"]
+        fs_seen, H_seen, dual_seen, _ = seen["setup"]
+        a_seen, D_seen = dual_seen()
         assert (fs_seen, a_seen) == (fs, a), label
         assert [[(x % m, y % m) for x, y in row] for row in _dense(H_seen)] == _residues(gram_dual, p**c, m), label
         assert [[(x % m, y % m) for x, y in row] for row in D_seen] == _residues(dual, p**a, m), label
@@ -548,3 +553,12 @@ def test_vertex_set_json_shape():
     assert doc["max_type"] == 0 and doc["max_count"] == 1
     assert doc["vertices"][0]["type"] == 0
     assert doc["vertices"][0]["basis"][0][0] == {"a": "1", "b": "0"}
+
+
+def test_census_text_of_an_empty_census():
+    # no lattice of the families has an empty census, but the writer covers
+    # the empty arrays json.dumps writes as "[]"
+    ctx = RamifiedContext(3, 1)
+    report = enumerate_vertices(HermLattice.from_gram(diagonal_gram(ctx, [1]))).jordan
+    empty = vertices.VertexSet((), (), -1, 0, report, list)
+    assert empty.json_text() == json.dumps(empty.to_json(), indent=2, sort_keys=True)
