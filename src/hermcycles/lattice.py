@@ -514,11 +514,12 @@ def _precision_cap(G: HermGram, v: int, j: int) -> int:
 
 def _jordan_chunks(G: HermGram, track: bool = False, need=None):
     """The elimination of jordan_split on pairs of ints (a, b) = a + b*pi
-    modulo p^K (_Quotient): (K, chunks), a chunk (scale, Legendre symbol of
-    the unit part of the block determinant, pivot block, pivot vectors) per
-    pivot, scales ascending.  With ``track``, the coordinates of G's basis
-    take the same steps: lifted, they give U in GL_n(O_H) with U^T G conj(U)
-    block diagonal modulo pi^(2K) when G is integral.
+    modulo p^K: (ring, chunks), the ring O_H / p^K it certified (_Quotient)
+    and a chunk (scale, Legendre symbol of the unit part of the block
+    determinant, pivot block, pivot vectors) per pivot, scales ascending.
+    With ``track``, the coordinates of G's basis take the same steps:
+    lifted, they give U in GL_n(O_H) with U^T G conj(U) block diagonal
+    modulo pi^(2K) when G is integral.
 
     It runs on p^(2j) * G, p-integral for the least such j; p^(2j) = pi^(4j)
     * eps^(-2j) shifts every scale by 4j (shifted back) and unit parts by
@@ -535,7 +536,8 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
     bounds its integer det by prod_i sum_j (|A_ij| + |B_ij| * (isqrt|e*f| +
     1)), v_p det(p^(2j) G) <= E = floor(log_p of that) - n*v_p(den) + 2jn,
     and every pivot order is at most 2E < 2K - 1.  ``need`` maps the
-    certified scales to the least K the caller needs (asked once), or raises
+    certified scales, one per basis vector of G (a rank-2 block gives its
+    scale twice), to the least K the caller needs (asked once), or raises
     before any further pass.
     """
     ctx, n, p = G.ctx, G.n, G.ctx.p
@@ -557,9 +559,9 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
             continue
         if j:
             chunks = [(s - 4 * j, *rest) for s, *rest in chunks]
-        wanted, need = (need([c[0] for c in chunks]) if need else 0), None
+        wanted, need = (need([c[0] for c in chunks for _ in c[2]]) if need else 0), None
         if wanted <= k:
-            return k, chunks
+            return q, chunks
         k = wanted
 
 

@@ -32,7 +32,7 @@ from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
 from .lattice import HermGram, HermLattice, JordanReport, _int_val, _jordan_chunks, _jordan_report
 from .lattice import _Quotient, mat_inverse
-from .padic import _mod, _val
+from .padic import _val
 from .ramified import OHElement, RamifiedContext, _pi0_power
 
 
@@ -167,61 +167,83 @@ def _json_list(items, indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-def _dual_jordan_basis(L: HermLattice, h: int, need):
-    """The ascending scales f, H = p^c * G# as int pairs, a function
-    ``dual`` giving a and D = p^a * C as int pairs, and the JordanReport of
-    L, for a Jordan basis C of L^# with C * diag(pi^f) spanning L and Gram
-    G#; c = max(1, ceil(F/2)), F = max f, a the least exponent making p^a *
-    C integral, p^h * L.basis integral.  D is formed only when ``dual`` is
-    called, as only naming the census reads it.
+def _dual_jordan_basis(L: HermLattice, h: int, max_scale: int):
+    """The enumerator's setup and its one precision rule: the ascending
+    scales f, one per basis vector, c = max(1, ceil(F/2)) for F = max f, the
+    ring q = O_H / p^K' of the walk, H = p^c * G# modulo p^K' as int pairs, a
+    function ``dual`` giving a and D = p^a * C modulo p^K', and the
+    JordanReport of L, for a Jordan basis C of L^# with C * diag(pi^f)
+    spanning L and Gram G#; a is the least exponent making p^a * C integral,
+    p^h * L.basis integral.  D is formed only when ``dual`` is called, as
+    only naming the census reads it.  A scale above ``max_scale`` raises on
+    the first certified pass of the elimination, before the exact inverse.
 
-    The elimination of jordan_split on Gram(L), modulo the p^k ``need`` asks
-    for, gives U in GL_n(O_H) (each step adds O_H-multiples of pivot vectors
-    to the others, as the pivot has least order) and B = L.basis * U with
-    B^T G conj(B) = J + E: J block diagonal, scales ascending, E = 0 modulo
-    pi^(2k).  A block J_b of scale s is pi^s-modular (Jacobowitz): a rank-1
-    pivot is pi^s times a unit; a rank-2 pivot has off-diagonal entries of
-    order s, diagonal ones above s and det of order 2s.  So ord det J = d =
-    ord det G + 2 * ord det(L.basis), and W = conj(J)^-1 is block diagonal
-    of order >= -F.  C = B * W (see HermLattice.dual) has C^T G conj(B) =
-    W^T (J + E) = I + W^T E in GL_n(O_H), as J^T = conj(J), so C spans L^#;
-    B_b = C_b * conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the
-    Gram of C up to W^T E conj(W), of order >= 2k - 2F.
+    The elimination of jordan_split on Gram(L), modulo a p^k, gives U in
+    GL_n(O_H) (each step adds O_H-multiples of pivot vectors to the others,
+    as the pivot has least order) and B = L.basis * U with B^T G conj(B) = J
+    + E: J block diagonal, scales ascending, E = 0 modulo pi^(2k).  A block
+    J_b of scale s is pi^s-modular (Jacobowitz): a rank-1 pivot is pi^s
+    times a unit; a rank-2 pivot has off-diagonal entries of order s,
+    diagonal ones above s and det of order 2s.  So ord det J = d = ord det G
+    + 2 * ord det(L.basis), and W = conj(J)^-1 is block diagonal of order >=
+    -F.  C = B * W (see HermLattice.dual) has C^T G conj(B) = W^T (J + E) = I
+    + W^T E in GL_n(O_H), as J^T = conj(J), so C spans L^#; B_b = C_b *
+    conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the Gram of C up
+    to W^T E conj(W), of order >= 2k - 2F.
 
     W is the one exact inverse, of conj(J) lifted from J's residues a + b*pi
     as a - b*pi; past it the work runs on int pairs modulo p^k.  With w =
-    ceil(F/2), p^w * W is integral, and H = p^(c - w) * conj(p^w * W).  The tracked vectors are
-    the columns of U, so E = p^h * L.basis * U * p^w * W = p^(h + w) * C is
-    integral.  Against the exact elimination, U is off by order >= 2k - F
-    and W by order >= 2k - 2F, so E is off by order >= 2k - 2F + 2w, and H
-    (modulo p^k) by order >= 2k - 2F + 2c.  So E is known modulo p^(k - F +
-    w), which reaches past p^(h + w) as k >= F + h: that fixes a = h + w -
-    v, v the least p-order of E's components capped at h + w (a zero reads
-    as h + w).  D = E / p^v is then off by order >= 2k - 2F - 2h + 2a.
-    enumerate_vertices asks for k = K' + F + h, K' its modulus computed
-    with a <= ceil(F/2) + h, and D and H modulo p^K' are those of the exact
-    elimination.
+    ceil(F/2), p^w * W is integral, and H = p^(c - w) * conj(p^w * W).  The
+    tracked vectors are the columns of U, so E = p^h * L.basis * U * p^w * W
+    = p^(h + w) * C is integral.  Against the exact elimination, U is off by
+    order >= 2k - F and W by order >= 2k - 2F, so E is off by order >= 2k -
+    2F + 2w, and H (modulo p^k) by order >= 2k - 2F + 2c.  So E is known
+    modulo p^(k - F + w), which reaches past p^(h + w) as k >= F + h: that
+    fixes a = h + w - v, v the least p-order of E's components capped at h +
+    w (a zero reads as h + w).  D = E / p^v is then off by order >= 2k - 2F
+    - 2h + 2a.
+
+    The precision rule.  K' = _modulus(f, c, w + h, ord det L.basis) is the
+    least modulus the walk, the poset and the naming need (the K of
+    enumerate_vertices), computed with the bound a <= w + h (pi^F * L^# <= L
+    <= p^-h * O_H^n) in place of a, which only D gives.  The elimination is
+    asked for k = K' + F + h, with f one scale per basis vector as
+    _jordan_chunks hands it to ``need`` (a rank-2 block counts twice in d, so
+    K' is the walk's own), and both orders above are at least 2K': H and D
+    modulo p^K' are those of the exact elimination.  The walk, the poset and the
+    naming then run on q, not on the elimination's wider ring.
 
     W is read on the diagonal blocks only, where its nonzero entries lie.
     H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
     entries of the block of i.
     """
     n, ctx, p = L.n, L.ctx, L.ctx.p
-    k, chunks = _jordan_chunks(L.gram(), True, need)
-    m, pi0 = p**k, _mod(ctx.pi0, p**k)
+    rule = []  # f, w, c, K'
+
+    def need(fs):
+        F = max(fs)
+        if F > max_scale:
+            raise EnumerationLimitError(f"Jordan scale {F} exceeds enumeration bound {max_scale}")
+        w = (F + 1) // 2
+        c = max(1, w)
+        rule.extend((fs, w, c, _modulus(fs, c, w + h, L.basis_det_ord())))
+        return rule[-1] + F + h
+
+    ring, chunks = _jordan_chunks(L.gram(), True, need)
+    fs, w, c, K = rule
+    q = _Quotient(ctx, K)
+    m, pi0, mq = ring.m, ring.pi0, q.m
     zero = ctx.zero()
     conj_J = [[zero] * n for _ in range(n)]
-    vecs, fs, spans = [], [], []
-    for scale, _, block, pivots in chunks:
+    vecs, spans = [], []
+    for _, _, block, pivots in chunks:
         i = len(vecs)
         for r, row in enumerate(block):
             conj_J[i + r][i : i + len(row)] = [OHElement(x, -y, ctx) for x, y in row]
         vecs.extend(pivots)
-        fs.extend([scale] * len(pivots))
         spans.append(range(i, len(vecs)))
     W = mat_inverse(conj_J, ctx)
-    w = (max(fs) + 1) // 2
-    pw, pcw = p**w, p ** (max(1, w) - w)
+    pw, pcw = p**w, p ** (c - w)
     R = []  # p^w * W
     for span in spans:
         for i in span:
@@ -232,7 +254,7 @@ def _dual_jordan_basis(L: HermLattice, h: int, need):
                 if ra or rb:
                     row.append((j, (ra, rb)))
             R.append(row)
-    H = [[(j, (ra * pcw % m, -rb * pcw % m)) for j, (ra, rb) in row] for row in R]
+    H = [[(j, (ra * pcw % mq, -rb * pcw % mq)) for j, (ra, rb) in row] for row in R]
 
     def dual():
         ph, E = p**h, []
@@ -251,9 +273,9 @@ def _dual_jordan_basis(L: HermLattice, h: int, need):
             E.append([(x % m, y % m) for x, y in acc])
         v = min(_int_val(y, p, h + w) for row in E for pair in row for y in pair)
         t = p**v
-        return h + w - v, [[(x // t, y // t) for x, y in row] for row in E]
+        return h + w - v, [[(x // t % mq, y // t % mq) for x, y in row] for row in E]
 
-    return fs, H, dual, _jordan_report(chunks, p)
+    return fs, c, q, H, dual, _jordan_report(chunks, p)
 
 
 def _residue(y, s: int, m: int) -> int:
@@ -268,10 +290,11 @@ def _residue(y, s: int, m: int) -> int:
     return y.numerator * (s // g) * pow(y.denominator // g, -1, m) % m
 
 
-def _modulus(fs, a: int, ord_det_basis: int) -> int:
-    """The least K meeting the enumeration's three needs (enumerate_vertices)."""
+def _modulus(fs, c: int, a: int, ord_det_basis: int) -> int:
+    """The least K' meeting the enumeration's three needs (enumerate_vertices),
+    for f one scale per basis vector; _dual_jordan_basis states the rule that
+    asks it and the precision it makes exact."""
     n, d = len(fs), sum(fs)
-    c = max(1, (max(fs) + 1) // 2)
     return max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
 
 
@@ -712,12 +735,12 @@ def enumerate_vertices(
       L.basis is the identity for a request from the command line
       (HermLattice.basis_det_ord, 0 without a determinant there).
 
-    K is computed with the bound a <= ceil(F/2) + h, p^h * L.basis
-    integral, in place of a, which only D gives: D is formed when the
-    census is named, so a verify that passes never forms it.  The
-    elimination runs F + h digits past that K, so H = p^c * G# and D modulo
-    p^K are those of the exact rational elimination (_jordan_chunks,
-    _dual_jordan_basis).
+    K is computed (_modulus) with the bound a <= ceil(F/2) + h, p^h *
+    L.basis integral, in place of a, which only D gives: D is formed when
+    the census is named, so a verify that passes never forms it.  The Jordan
+    elimination runs on a wider ring of its own; the one precision rule,
+    in _dual_jordan_basis, sets it so that H = p^c * G# and D modulo p^K are
+    those of the exact rational elimination.
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -729,22 +752,7 @@ def enumerate_vertices(
     ctx, p = L.ctx, L.ctx.p
     comps = [y for row in L.basis for x in row for y in (x.a, x.b)]
     h = max([0] + [-_val(y, p) for y in comps if y.denominator % p == 0])
-
-    def modulus(fs):  # a <= ceil(F/2) + h, as pi^F * L^# <= L <= p^-h * O_H^n
-        return _modulus(fs, (max(fs) + 1) // 2 + h, L.basis_det_ord())
-
-    def need(fs):
-        if max(fs) > bounds.max_scale:
-            raise EnumerationLimitError(
-                f"Jordan scale {max(fs)} exceeds enumeration bound {bounds.max_scale}"
-            )
-        return modulus(fs) + max(fs) + h
-
-    fs, H, dual, report = _dual_jordan_basis(L, h, need)
-    c = max(1, (max(fs) + 1) // 2)
-    q = _Quotient(ctx, modulus(fs))
-    m = q.m
-    H = [[(j, (x % m, y % m)) for j, (x, y) in row] for row in H]
+    fs, c, q, H, dual, report = _dual_jordan_basis(L, h, bounds.max_scale)
     found = _iter_candidates(fs, H, c, q, bounds.max_candidates)
     # Containment i < j needs the pivot exponents of i to dominate those of
     # j and to differ from them, as equal exponents mean equal covolumes.
@@ -767,7 +775,6 @@ def enumerate_vertices(
 
     def name_walk():
         a, D = dual()
-        D = [[(x % m, y % m) for x, y in row] for row in D]
         den, printed = p**a, {0: "0"}
         return [
             Vertex(t, _basis_text(*_canonical_basis(D, Z, a, q), den, printed, ctx), L.ambient)

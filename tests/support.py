@@ -11,9 +11,10 @@ on unit square classes by Euler's criterion), the modular Jordan
 elimination against the exact-rational one, module lengths and the vertex
 oracle's dual basis against a standalone Smith form, the enumerator's
 modular canonical bases against a Fraction HNF, the vertex enumerator
-against an exact-rational enumerator, the walk-order checks of ``verify``
-against the same checks on the printed census, and the rho factorizer
-against plain trial division.  ``scaled_gram`` scales a form by a unit,
+against an exact-rational enumerator, the candidates its walk completes
+against the Birkhoff-Butler count of submodules (``birkhoff_count``), the
+walk-order checks of ``verify`` against the same checks on the printed
+census, and the rho factorizer against plain trial division.  ``scaled_gram`` scales a form by a unit,
 and ``invoke`` runs one CLI request in-process.
 """
 
@@ -24,7 +25,9 @@ import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import product
 from math import isqrt
+from unittest.mock import patch
 
 from hermcycles import (
     HermGram,
@@ -73,6 +76,7 @@ from hermcycles.padic import (
     legendre,
     rational_factorization,
 )
+from hermcycles import vertices
 from hermcycles.ramified import pi_power
 from hermcycles.vertices import EnumerationBounds, Vertex
 
@@ -734,6 +738,77 @@ def scaled_lattice(L: HermLattice, e: int) -> HermLattice:
     """The lattice pi^e * L."""
     s = pi_power(L.ctx, e)
     return HermLattice(L.ambient, [[x * s for x in row] for row in L.basis])
+
+
+# ---------------------------------------------------------------------------
+# the candidate count in closed form (completeness oracle for the walk of
+# hermcycles.vertices)
+
+
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def birkhoff_count(fs, p: int) -> int:
+    """The number of O_H-submodules of M = sum of O_H / pi^(f_i) of length in
+    [d - hi, d - lo], d = sum f, lo = max(0, ceil((d - n)/2)), hi = floor(d/2),
+    on pure ints: the candidates V of the enumerator, as V/L <= L^#/L = M
+    has length d minus the sum of V's pivot exponents (the walk's window).
+
+    M is a finite module over the DVR O_H with residue field F_p, of type
+    the partition lam = sorted f.  Its submodules of type mu, mu <= lam,
+    number prod over i of p^(mu'_(i+1) * (lam'_i - mu'_i)) times [lam'_i -
+    mu'_(i+1) choose mu'_i - mu'_(i+1)]_p, primes marking conjugate
+    partitions (Birkhoff 1935; Butler, Mem. AMS 539, 1994).  It shares
+    nothing with the walk's triangular scheme."""
+    lam = sorted(fs, reverse=True)
+    n, d = len(lam), sum(lam)
+    lo, hi = max(0, (d - n + 1) // 2), d // 2
+
+    def conjugate(part):
+        return [sum(x >= i for x in part) for i in range(1, lam[0] + 2)]
+
+    lam_c, total = conjugate(lam), 0
+    for mu in product(*(range(x + 1) for x in lam)):
+        if any(x < y for x, y in zip(mu, mu[1:])) or not d - hi <= sum(mu) <= d - lo:
+            continue
+        mu_c, term = conjugate(mu), 1
+        for i in range(lam[0]):
+            low = mu_c[i + 1]
+            term *= p ** (low * (lam_c[i] - mu_c[i])) * _gaussian_binomial(lam_c[i] - low, mu_c[i] - low, p)
+        total += term
+    return total
+
+
+def completed_candidates(L: HermLattice, bounds: EnumerationBounds) -> int:
+    """The candidates ``enumerate_vertices(L, bounds)`` completes: at rank 2
+    and up the residues its last slot asks _last_diagonal's ``vanishes``
+    about, at rank 1 (no slot) its _is_vertex calls."""
+    calls = [0]
+    last_diagonal, is_vertex = vertices._last_diagonal, vertices._is_vertex
+
+    def counting_last_diagonal(*args):
+        vanishes = last_diagonal(*args)
+
+        def counted(za, zb):
+            calls[0] += 1
+            return vanishes(za, zb)
+
+        return counted
+
+    def counting_is_vertex(Z, *args):
+        calls[0] += len(Z) == 1
+        return is_vertex(Z, *args)
+
+    with patch.object(vertices, "_last_diagonal", counting_last_diagonal):
+        with patch.object(vertices, "_is_vertex", counting_is_vertex):
+            vertices.enumerate_vertices(L, bounds)
+    return calls[0]
 
 
 # ---------------------------------------------------------------------------

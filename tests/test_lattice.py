@@ -244,8 +244,8 @@ def test_modular_jordan_core_tracks_a_basis_modulo_its_precision():
     for label, ctx, G in block_sum_family():
         for basis in (None, random_basis_change(rng, ctx, G.n)):
             L = HermLattice.from_gram(G) if basis is None else HermLattice(G, basis)
-            k, chunks = _jordan_chunks(L.gram(), True)
-            m = ctx.p**k
+            ring, chunks = _jordan_chunks(L.gram(), True)
+            k, m = ring.k, ring.m
             scales = [chunk[0] for chunk in chunks]
             assert scales == sorted(scales), label
             U = [[_lift(v[i], m, ctx) for *_, vs in chunks for v in vs] for i in range(G.n)]
@@ -286,7 +286,8 @@ def test_jordan_restarts_at_twice_the_precision_until_certified(monkeypatch):
         ctx = RamifiedContext(p, eps)
         for G in (diagonal_gram(ctx, [1, ctx.pi0**20]), hyperbolic_gram(ctx, 41)):
             passes.clear()
-            k, chunks = _jordan_chunks(G)
+            ring, chunks = _jordan_chunks(G)
+            k = ring.k
             assert passes == [8, 16, k] and k == min(32, lattice._precision_cap(G, 0, 0))
             assert [chunk[0] for chunk in chunks][-1] in (40, 41)
             assert jordan_split(G) == jordan_split_oracle(G)

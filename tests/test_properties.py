@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from support import (
     acceptance_family,
+    birkhoff_count,
     block_sum_family,
+    completed_candidates,
     factor_outcome,
     factorize_oracle,
     hnf_canonicalize,
@@ -19,6 +21,7 @@ from support import (
     random_basis_change,
     scaled_gram,
     smallest_nonresidue,
+    snf_dual_basis,
     transformed_gram,
     trial_limit,
 )
@@ -44,7 +47,7 @@ from hermcycles.lattice import _Quotient, mat_mul
 from hermcycles.padic import is_prime, parse_rational
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 RANK_2 = [case for case in acceptance_family(include_h13_primes=()) if case[2].n == 2]
@@ -66,20 +69,20 @@ def test_canonical_bases_and_census_in_random_bases(case, seed):
 
 
 @st.composite
-def _random_lattices(draw):
-    """(label, L): an integral lattice L of rank 1 to 3 and scale at most 3
-    (the default bounds) at p in {3, 5, 7}, in a random basis of its ambient
-    Gram, an orthogonal sum of rank-1 blocks u * pi0^e (scale 0 or 2) and
-    hyperbolic planes u * H(i), i from 0 to 3, with u a rational unit of
-    either square class.  Every integral lattice of that rank and scale is
-    isometric to such a sum (Jacobowitz).  The label names the sum and the
-    seed of the basis, so a shrunk counterexample reads as one."""
+def _random_lattices(draw, max_rank=3):
+    """(label, L): an integral lattice L of rank 1 to ``max_rank`` (3 by the
+    default bounds) and scale at most 3 at p in {3, 5, 7}, in a random basis
+    of its ambient Gram, an orthogonal sum of rank-1 blocks u * pi0^e (scale
+    0 or 2) and hyperbolic planes u * H(i), i from 0 to 3, with u a rational
+    unit of either square class.  Every integral lattice of that rank and
+    scale is isometric to such a sum (Jacobowitz).  The label names the sum
+    and the seed of the basis, so a shrunk counterexample reads as one."""
     p = draw(st.sampled_from([3, 5, 7]))
     r = smallest_nonresidue(p)
     eps = draw(st.sampled_from([1, -1, r]))
     ctx = RamifiedContext(p, eps)
     units = [Fraction(u) for u in (1, r, -1, Fraction(1, 2))]
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_rank))
     blocks, names = [], []
     while sum(b.n for b in blocks) < n:
         u = draw(st.sampled_from(units))
@@ -124,6 +127,19 @@ def _last_column_entry(Z, H, q: _Quotient) -> int:
         za, zb = Z[k][b]
         sa += za * (pa % m) + zb * (pb % m) * pi0
     return sa
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_random_lattices(max_rank=4))
+def test_the_walk_completes_the_birkhoff_count_on_random_lattices(case):
+    # The walk's completed candidates against the Birkhoff-Butler count of
+    # the submodules of L^#/L, up to rank 4 at p in {3, 5, 7}.  The cap on
+    # the count keeps the 200 examples near 1 s; the drawn family's largest
+    # below it, (pi0) + H(2) + (pi0) at p=3, has 18,021 candidates.
+    label, L = case
+    expected = birkhoff_count(snf_dual_basis(L)[1], L.ctx.p)
+    assume(expected <= 20_000)
+    assert completed_candidates(L, EnumerationBounds(max_rank=4)) == expected, label
 
 
 @st.composite

@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 from support import (
     acceptance_family,
+    birkhoff_count,
     block_sum_family,
+    completed_candidates,
     contains,
     elementary_divisor_exponents,
     jordan_chunks_oracle,
@@ -221,6 +223,17 @@ def test_vertex_test_meets_only_the_survivors_of_the_last_diagonal(monkeypatch):
         assert (len(calls), len(vs._types)) == (tests, found), label
 
 
+def test_the_walk_completes_the_birkhoff_count_of_candidates():
+    # A completeness check that shares nothing with the walk's triangular
+    # scheme: the candidates it completes number the submodules of L^#/L of
+    # length in the walk's window (Birkhoff-Butler, on the scales of the
+    # Smith-form oracle).  H(1)+H(3) at p=3 has 2,712.
+    bounds = EnumerationBounds(max_rank=4, max_scale=4)
+    for label, ctx, G in acceptance_family():
+        L = HermLattice.from_gram(G)
+        assert completed_candidates(L, bounds) == birkhoff_count(snf_dual_basis(L)[1], ctx.p), label
+
+
 def _det_bookkeeping_holds(L, fs):
     # the Jordan basis is L.basis times a matrix in GL_n(O_H), so the scales
     # add up to ord det Gram(L) = ord det G + 2 * ord det(L.basis); the
@@ -270,31 +283,31 @@ def _residues(A, scale, m):
     return [[(_mod(x.a * scale, m), _mod(x.b * scale, m)) for x in row] for row in A]
 
 
-def test_dual_basis_is_a_jordan_basis_of_the_dual():
+def test_dual_basis_is_a_jordan_basis_of_the_dual(monkeypatch):
     # the dual columns span L^#, dual * diag(pi^f) spans L, f ascends as the
     # oracle's Smith form says, and G# is the Gram of the dual columns: exactly
     # when built on the exact elimination, and modulo pi^(20 - 2F) on the
-    # modular one asked for K = 11 digits (its lifted Jordan basis is
-    # orthogonal modulo pi^(2K) only, and G# = H / p^c is read modulo
-    # pi^(2K - 2c), c <= F + 1); the int residues D = p^a * dual and
-    # H = p^c * G# modulo p^K are those of the exact elimination modulo
-    # pi^(2K - 2F + 2a) and pi^(2K - 2F + 2c); the report is that of
-    # jordan_split
+    # modular one with the walk's modulus forced to K = 11 (the elimination
+    # then runs at K + F; G# = H / p^c is read modulo pi^(2K - 2c)); the int
+    # residues D = p^a * dual and H = p^c * G# modulo p^K are those of the
+    # exact elimination, which is the precision rule of _dual_jordan_basis;
+    # the report is that of jordan_split
     rng = random.Random(42)
     K = 11
+    monkeypatch.setattr(vertices, "_modulus", lambda fs, c, a, ord_det_basis: K)
     for label, ctx, G in block_sum_family():
         L = HermLattice(G, random_basis_change(rng, ctx, G.n))
         exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
         assert exact_gram_dual == [list(r) for r in HermLattice(G, exact_dual).gram().entries], label
-        fs, H, dual, report = vertices._dual_jordan_basis(L, 0, lambda fs: K)
+        fs, c, q, H, dual, report = vertices._dual_jordan_basis(L, 0, 4)
         a, D = dual()
         p, F = ctx.p, max(fs)
-        c = max(1, (F + 1) // 2)
+        assert (c, q.k) == (max(1, (F + 1) // 2), K), label
         assert fs == snf_dual_basis(L)[1], label
         assert a == _denominator_exponent(exact_dual, p), label
         for residues, exact, e in ((D, exact_dual, a), (_dense(H), exact_gram_dual, c)):
             assert all(
-                (x - y * p**e).ord() >= min(2 * K, 2 * K - 2 * F + 2 * e)
+                (x - y * p**e).ord() >= 2 * K
                 for r, t in zip(_lift(residues, ctx, 1), exact)
                 for x, y in zip(r, t)
             ), label
@@ -310,7 +323,7 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual():
         assert _det_bookkeeping_holds(L, fs), label
     for label, G, B in _off_identity_cases():
         L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
-        fs, *_ = vertices._dual_jordan_basis(L, _denominator_exponent(L.basis, G.ctx.p), lambda fs: 0)
+        fs, *_ = vertices._dual_jordan_basis(L, _denominator_exponent(L.basis, G.ctx.p), 4)
         assert _det_bookkeeping_holds(L, fs), label
 
 
@@ -327,8 +340,8 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
     seen = {}
     real = vertices._dual_jordan_basis
 
-    def setup(L, h, need):
-        seen["setup"], seen["h"] = real(L, h, need), h
+    def setup(L, h, max_scale):
+        seen["setup"], seen["h"] = real(L, h, max_scale), h
         return seen["setup"]
 
     def candidates(fs, H, c, q, max_candidates):
@@ -354,14 +367,53 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
         a = _denominator_exponent(dual, p)
         bound = (max(fs) + 1) // 2 + seen["h"]
         assert a <= bound, label
-        m = p ** vertices._modulus(fs, bound, mat_det(L.basis_rows(), L.ctx).ord())
+        m = p ** vertices._modulus(fs, c, bound, mat_det(L.basis_rows(), L.ctx).ord())
         assert seen["fs"] == fs, label
         assert seen["m"] == m, label
-        fs_seen, H_seen, dual_seen, _ = seen["setup"]
+        fs_seen, c_seen, _, H_seen, dual_seen, _ = seen["setup"]
         a_seen, D_seen = dual_seen()
-        assert (fs_seen, a_seen) == (fs, a), label
+        assert (fs_seen, c_seen, a_seen) == (fs, c, a), label
         assert [[(x % m, y % m) for x, y in row] for row in _dense(H_seen)] == _residues(gram_dual, p**c, m), label
         assert [[(x % m, y % m) for x, y in row] for row in D_seen] == _residues(dual, p**a, m), label
+
+
+def test_the_elimination_is_asked_for_one_scale_per_basis_vector(monkeypatch):
+    # The enumerator asks the Jordan elimination for k = K' + F + h digits,
+    # K' the walk's modulus (_modulus) of the scales one per basis vector, so
+    # a rank-2 block counts twice.  Counted once per block, H(1)+H(3) would
+    # ask for k = 7 and H(3)+(pi0^2) for k = 8, fewer digits than
+    # _dual_jordan_basis needs to be exact, and the first pass at k = 8
+    # would be kept for both.
+    seen = {}
+    real = vertices._jordan_chunks
+
+    def chunks(G, track=False, need=None):
+        def asked(fs):
+            seen["fs"] = fs
+            return need(fs)
+
+        seen["ring"], _ = real(G, track, asked)
+        raise _SetupSeen
+
+    monkeypatch.setattr(vertices, "_jordan_chunks", chunks)
+    bounds = EnumerationBounds(max_rank=4, max_scale=4)
+    cases = []
+    for p in (3, 5):
+        ctx = RamifiedContext(p, 1)
+        cases.append((f"p{p}:H(1)+H(3)", orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), 10))
+    ctx = RamifiedContext(3, 1)
+    cases.append(("p3:H(3)+(pi0^2)", orthogonal_sum(hyperbolic_gram(ctx, 3), diagonal_gram(ctx, [ctx.pi0**2])), 9))
+    for label, G, least in cases:
+        L = HermLattice.from_gram(G)
+        seen.clear()
+        with pytest.raises(_SetupSeen):
+            enumerate_vertices(L, bounds)
+        fs = seen["fs"]
+        assert len(fs) == L.n, label
+        k = seen["ring"].k
+        w = (max(fs) + 1) // 2
+        assert k >= vertices._modulus(fs, max(1, w), w, 0) + max(fs), label
+        assert k >= least, label
 
 
 def _off_identity_cases():
