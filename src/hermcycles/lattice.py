@@ -536,9 +536,9 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
     bounds its integer det by prod_i sum_j (|A_ij| + |B_ij| * (isqrt|e*f| +
     1)), v_p det(p^(2j) G) <= E = floor(log_p of that) - n*v_p(den) + 2jn,
     and every pivot order is at most 2E < 2K - 1.  ``need`` maps the
-    certified scales, one per basis vector of G (a rank-2 block gives its
-    scale twice), to the least K the caller needs (asked once), or raises
-    before any further pass.
+    certified scales, one per basis vector of G (_vector_scales), to the
+    least K the caller needs (asked once), or raises before any further
+    pass.
     """
     ctx, n, p = G.ctx, G.n, G.ctx.p
     comps = [y for row in G.entries for x in row for y in (x.a, x.b)]
@@ -559,10 +559,16 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
             continue
         if j:
             chunks = [(s - 4 * j, *rest) for s, *rest in chunks]
-        wanted, need = (need([c[0] for c in chunks for _ in c[2]]) if need else 0), None
+        wanted, need = (need(_vector_scales(chunks)) if need else 0), None
         if wanted <= k:
             return q, chunks
         k = wanted
+
+
+def _vector_scales(chunks) -> list:
+    """The scales of the chunks of _jordan_chunks, one per basis vector: a
+    rank-2 block gives its scale twice."""
+    return [s for s, _, block, _ in chunks for _ in block]
 
 
 def _jordan_report(chunks, p: int) -> JordanReport:

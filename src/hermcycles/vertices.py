@@ -31,7 +31,7 @@ from typing import Callable
 from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
 from .lattice import HermGram, HermLattice, JordanReport, _int_val, _jordan_chunks, _jordan_report
-from .lattice import _Quotient, mat_inverse
+from .lattice import _Quotient, _vector_scales, mat_inverse
 from .padic import _val
 from .ramified import OHElement, RamifiedContext, _pi0_power
 
@@ -203,34 +203,31 @@ def _dual_jordan_basis(L: HermLattice, h: int, max_scale: int):
     w (a zero reads as h + w).  D = E / p^v is then off by order >= 2k - 2F
     - 2h + 2a.
 
-    The precision rule.  K' = _modulus(f, c, w + h, ord det L.basis) is the
-    least modulus the walk, the poset and the naming need (the K of
-    enumerate_vertices), computed with the bound a <= w + h (pi^F * L^# <= L
-    <= p^-h * O_H^n) in place of a, which only D gives.  The elimination is
-    asked for k = K' + F + h, with f one scale per basis vector as
-    _jordan_chunks hands it to ``need`` (a rank-2 block counts twice in d, so
-    K' is the walk's own), and both orders above are at least 2K': H and D
-    modulo p^K' are those of the exact elimination.  The walk, the poset and the
-    naming then run on q, not on the elimination's wider ring.
+    The precision rule (_precision).  K' is the least modulus the walk, the
+    poset and the naming need (the K of enumerate_vertices), computed with
+    the bound a <= w + h (pi^F * L^# <= L <= p^-h * O_H^n) in place of a,
+    which only D gives, and with f one scale per basis vector as
+    _jordan_chunks hands it to ``need`` (a rank-2 block counts twice in d,
+    so K' is the walk's own).  The elimination is asked for k = K' + F + h
+    (its ring may be wider: its first pass is at p^8), and both orders above
+    are then at least 2K': H and D modulo p^K' are those of the exact
+    elimination.  The walk, the poset and the naming run on q, not on the
+    elimination's wider ring.
 
     W is read on the diagonal blocks only, where its nonzero entries lie.
     H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
     entries of the block of i.
     """
     n, ctx, p = L.n, L.ctx, L.ctx.p
-    rule = []  # f, w, c, K'
 
     def need(fs):
-        F = max(fs)
-        if F > max_scale:
-            raise EnumerationLimitError(f"Jordan scale {F} exceeds enumeration bound {max_scale}")
-        w = (F + 1) // 2
-        c = max(1, w)
-        rule.extend((fs, w, c, _modulus(fs, c, w + h, L.basis_det_ord())))
-        return rule[-1] + F + h
+        if max(fs) > max_scale:
+            raise EnumerationLimitError(f"Jordan scale {max(fs)} exceeds enumeration bound {max_scale}")
+        return _precision(fs, h, L.basis_det_ord())[3]
 
     ring, chunks = _jordan_chunks(L.gram(), True, need)
-    fs, w, c, K = rule
+    fs = _vector_scales(chunks)
+    w, c, K, _ = _precision(fs, h, L.basis_det_ord())
     q = _Quotient(ctx, K)
     m, pi0, mq = ring.m, ring.pi0, q.m
     zero = ctx.zero()
@@ -290,12 +287,16 @@ def _residue(y, s: int, m: int) -> int:
     return y.numerator * (s // g) * pow(y.denominator // g, -1, m) % m
 
 
-def _modulus(fs, c: int, a: int, ord_det_basis: int) -> int:
-    """The least K' meeting the enumeration's three needs (enumerate_vertices),
-    for f one scale per basis vector; _dual_jordan_basis states the rule that
-    asks it and the precision it makes exact."""
-    n, d = len(fs), sum(fs)
-    return max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
+def _precision(fs, h: int, ord_det_basis: int):
+    """The precision rule of _dual_jordan_basis for the scales f, one per
+    basis vector, and p^h * L.basis integral: w = ceil(F/2), c = max(1, w),
+    the walk's modulus K', the least meeting the enumeration's three needs
+    (enumerate_vertices) with a <= w + h, and the elimination's k = K' + F +
+    h."""
+    n, d, w = len(fs), sum(fs), (max(fs) + 1) // 2
+    c, a = max(1, w), w + h
+    K = max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
+    return w, c, K, K + max(fs) + h
 
 
 def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
@@ -735,7 +736,7 @@ def enumerate_vertices(
       L.basis is the identity for a request from the command line
       (HermLattice.basis_det_ord, 0 without a determinant there).
 
-    K is computed (_modulus) with the bound a <= ceil(F/2) + h, p^h *
+    K is computed (_precision) with the bound a <= ceil(F/2) + h, p^h *
     L.basis integral, in place of a, which only D gives: D is formed when
     the census is named, so a verify that passes never forms it.  The Jordan
     elimination runs on a wider ring of its own; the one precision rule,

@@ -287,40 +287,62 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual(monkeypatch):
     # the dual columns span L^#, dual * diag(pi^f) spans L, f ascends as the
     # oracle's Smith form says, and G# is the Gram of the dual columns: exactly
     # when built on the exact elimination, and modulo pi^(20 - 2F) on the
-    # modular one with the walk's modulus forced to K = 11 (the elimination
-    # then runs at K + F; G# = H / p^c is read modulo pi^(2K - 2c)); the int
-    # residues D = p^a * dual and H = p^c * G# modulo p^K are those of the
-    # exact elimination, which is the precision rule of _dual_jordan_basis;
-    # the report is that of jordan_split
+    # modular one, run twice per lattice (G# = H / p^c is read modulo
+    # pi^(2K - 2c), c <= F + 1): once with the walk's modulus forced to
+    # K = 11, so the elimination runs at k = K + F, and once with the
+    # elimination forced to k = 11 and H and D kept modulo p^K, K = k.  In
+    # both, the int residues D = p^a * dual and H = p^c * G# modulo p^K are
+    # those of the exact elimination modulo pi^min(2K, 2k - 2F + 2a) and
+    # pi^min(2K, 2k - 2F + 2c), the orders _dual_jordan_basis's precision
+    # rule rests on: exactness modulo p^K in the first run, the tight bound
+    # in the second.  The report is that of jordan_split
     rng = random.Random(42)
     K = 11
-    monkeypatch.setattr(vertices, "_modulus", lambda fs, c, a, ord_det_basis: K)
+    real_precision, real_chunks, rings = vertices._precision, vertices._jordan_chunks, []
+
+    def chunks(*args):
+        ring, found = real_chunks(*args)
+        rings.append(ring.k)
+        return ring, found
+
+    forced = {  # the walk's modulus and the elimination's k, for scales f
+        "walk": lambda fs, h: (K, K + max(fs) + h),
+        "elimination": lambda fs, h: (K - max(fs) - h, K),
+    }
+    monkeypatch.setattr(vertices, "_jordan_chunks", chunks)
     for label, ctx, G in block_sum_family():
         L = HermLattice(G, random_basis_change(rng, ctx, G.n))
         exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
         assert exact_gram_dual == [list(r) for r in HermLattice(G, exact_dual).gram().entries], label
-        fs, c, q, H, dual, report = vertices._dual_jordan_basis(L, 0, 4)
-        a, D = dual()
-        p, F = ctx.p, max(fs)
-        assert (c, q.k) == (max(1, (F + 1) // 2), K), label
-        assert fs == snf_dual_basis(L)[1], label
-        assert a == _denominator_exponent(exact_dual, p), label
-        for residues, exact, e in ((D, exact_dual, a), (_dense(H), exact_gram_dual, c)):
+        for mode, moduli in forced.items():
+            with monkeypatch.context() as mp:
+                mp.setattr(vertices, "_precision", lambda fs, h, o: (*real_precision(fs, h, o)[:2], *moduli(fs, h)))
+                if mode == "elimination":
+                    mp.setattr(vertices, "_Quotient", lambda ctx, _: _Quotient(ctx, K))
+                rings.clear()
+                fs, c, q, H, dual, report = vertices._dual_jordan_basis(L, 0, 4)
+                a, D = dual()
+            p, F = ctx.p, max(fs)
+            k = rings[0]
+            assert (c, q.k, rings) == (max(1, (F + 1) // 2), K, [moduli(fs, 0)[1]]), (label, mode)
+            assert fs == snf_dual_basis(L)[1], label
+            assert a == _denominator_exponent(exact_dual, p), label
+            for residues, exact, e in ((D, exact_dual, a), (_dense(H), exact_gram_dual, c)):
+                assert all(
+                    (x - y * p**e).ord() >= min(2 * K, 2 * k - 2 * F + 2 * e)
+                    for r, t in zip(_lift(residues, ctx, 1), exact)
+                    for x, y in zip(r, t)
+                ), (label, mode)
+            dual, gram_dual = _lift(D, ctx, p**a), _lift(_dense(H), ctx, p**c)
+            assert same_lattice(HermLattice(G, dual), L.dual()), label
+            scaled = [[x * pi_power(ctx, f) for x, f in zip(row, fs)] for row in dual]
+            assert same_lattice(HermLattice(G, scaled), L), label
+            gram = HermLattice(G, dual).gram().entries
             assert all(
-                (x - y * p**e).ord() >= 2 * K
-                for r, t in zip(_lift(residues, ctx, 1), exact)
-                for x, y in zip(r, t)
-            ), label
-        dual, gram_dual = _lift(D, ctx, p**a), _lift(_dense(H), ctx, p**c)
-        assert same_lattice(HermLattice(G, dual), L.dual()), label
-        scaled = [[x * pi_power(ctx, f) for x, f in zip(row, fs)] for row in dual]
-        assert same_lattice(HermLattice(G, scaled), L), label
-        gram = HermLattice(G, dual).gram().entries
-        assert all(
-            (x - y).ord() >= 20 - 2 * max(fs) for r, t in zip(gram_dual, gram) for x, y in zip(r, t)
-        ), label
-        assert report == jordan_split(L.gram()), label
-        assert _det_bookkeeping_holds(L, fs), label
+                (x - y).ord() >= 20 - 2 * F for r, t in zip(gram_dual, gram) for x, y in zip(r, t)
+            ), (label, mode)
+            assert report == jordan_split(L.gram()), label
+            assert _det_bookkeeping_holds(L, fs), label
     for label, G, B in _off_identity_cases():
         L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
         fs, *_ = vertices._dual_jordan_basis(L, _denominator_exponent(L.basis, G.ctx.p), 4)
@@ -367,7 +389,7 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
         a = _denominator_exponent(dual, p)
         bound = (max(fs) + 1) // 2 + seen["h"]
         assert a <= bound, label
-        m = p ** vertices._modulus(fs, c, bound, mat_det(L.basis_rows(), L.ctx).ord())
+        m = p ** vertices._precision(fs, seen["h"], mat_det(L.basis_rows(), L.ctx).ord())[2]
         assert seen["fs"] == fs, label
         assert seen["m"] == m, label
         fs_seen, c_seen, _, H_seen, dual_seen, _ = seen["setup"]
@@ -379,7 +401,7 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
 
 def test_the_elimination_is_asked_for_one_scale_per_basis_vector(monkeypatch):
     # The enumerator asks the Jordan elimination for k = K' + F + h digits,
-    # K' the walk's modulus (_modulus) of the scales one per basis vector, so
+    # K' the walk's modulus (_precision) of the scales one per basis vector, so
     # a rank-2 block counts twice.  Counted once per block, H(1)+H(3) would
     # ask for k = 7 and H(3)+(pi0^2) for k = 8, fewer digits than
     # _dual_jordan_basis needs to be exact, and the first pass at k = 8
@@ -411,8 +433,7 @@ def test_the_elimination_is_asked_for_one_scale_per_basis_vector(monkeypatch):
         fs = seen["fs"]
         assert len(fs) == L.n, label
         k = seen["ring"].k
-        w = (max(fs) + 1) // 2
-        assert k >= vertices._modulus(fs, max(1, w), w, 0) + max(fs), label
+        assert k >= vertices._precision(fs, 0, 0)[2] + max(fs), label
         assert k >= least, label
 
 
