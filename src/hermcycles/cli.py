@@ -290,15 +290,9 @@ def run(argv=None) -> int:
         else:
             args = build_parser().parse_args(argv)
         payload = args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, DomainError, ResourceError) as exc:
         _emit_error(exc)
-        return 1
-    except DomainError as exc:
-        _emit_error(exc)
-        return 2
-    except ResourceError as exc:
-        _emit_error(exc)
-        return 3
+        return exc.exit_code
     _emit(payload)
     return 0
 

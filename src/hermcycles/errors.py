@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every error carries a short machine-readable ``code`` used by the CLI; the
-exception class decides the exit code (schema 1, domain 2, resource 3).
+exception class decides the exit code through its ``exit_code`` (schema 1,
+domain 2, resource 3).
 """
 
 
@@ -17,12 +18,14 @@ class SchemaError(Error):
     """Malformed request or input document."""
 
     code = "schema-violation"
+    exit_code = 1
 
 
 class DomainError(Error):
     """Input is well-formed but outside an operation's domain."""
 
     code = "domain-error"
+    exit_code = 2
 
 
 class HermitianViolationError(DomainError):
@@ -57,6 +60,7 @@ class ResourceError(Error):
     """A configurable work limit was exceeded."""
 
     code = "resource-limit"
+    exit_code = 3
 
 
 class EnumerationLimitError(ResourceError):

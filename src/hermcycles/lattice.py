@@ -512,14 +512,19 @@ def _precision_cap(G: HermGram, v: int, j: int) -> int:
     return e - n * v + 2 * j * n + 1
 
 
-def _jordan_chunks(G: HermGram, track: bool = False, need=None):
+def _p_denominator(comps, p: int) -> int:
+    """The least e >= 0 making p^e * y p-integral for every rational y in comps."""
+    return max([0] + [-_val(y, p) for y in comps if y.denominator % p == 0])
+
+
+def _jordan_chunks(G: HermGram, track: bool = False, k: int = 8):
     """The elimination of jordan_split on pairs of ints (a, b) = a + b*pi
-    modulo p^K: (ring, chunks), the ring O_H / p^K it certified (_Quotient)
-    and a chunk (scale, Legendre symbol of the unit part of the block
-    determinant, pivot block, pivot vectors) per pivot, scales ascending.
-    With ``track``, the coordinates of G's basis take the same steps:
-    lifted, they give U in GL_n(O_H) with U^T G conj(U) block diagonal
-    modulo pi^(2K) when G is integral.
+    modulo p^K: (ring, chunks), the ring O_H / p^K it certified (_Quotient),
+    K >= k, and a chunk (scale, Legendre symbol of the unit part of the
+    block determinant, pivot block, pivot vectors) per pivot, scales
+    ascending.  With ``track``, the coordinates of G's basis take the same
+    steps: lifted, they give U in GL_n(O_H) with U^T G conj(U) block
+    diagonal modulo pi^(2K) when G is integral.
 
     It runs on p^(2j) * G, p-integral for the least such j; p^(2j) = pi^(4j)
     * eps^(-2j) shifts every scale by 4j (shifted back) and unit parts by
@@ -530,39 +535,33 @@ def _jordan_chunks(G: HermGram, track: bool = False, need=None):
     congruent to that of the exact elimination, whose choices read orders
     below 2K repeat; tracked vectors agree modulo pi^(2K - max scale).  A
     pass is certified when every pivot reads below 2K - 1, which fixes each
-    unit part modulo pi^2; otherwise it restarts at 2K, up to K = E + 1
-    (_precision_cap), where failing proves G singular: with pi0 = e/f, den *
-    f * G has entries A + B*pi', A and B integers, pi'^2 = e*f, so Hadamard
-    bounds its integer det by prod_i sum_j (|A_ij| + |B_ij| * (isqrt|e*f| +
-    1)), v_p det(p^(2j) G) <= E = floor(log_p of that) - n*v_p(den) + 2jn,
-    and every pivot order is at most 2E < 2K - 1.  ``need`` maps the
-    certified scales, one per basis vector of G (_vector_scales), to the
-    least K the caller needs (asked once), or raises before any further
-    pass.
+    unit part modulo pi^2; the first pass runs at K = k, and an uncertified
+    one restarts at 2K, up to K = E + 1 (_precision_cap), where failing
+    proves G singular: with pi0 = e/f, den * f * G has entries A + B*pi', A
+    and B integers, pi'^2 = e*f, so Hadamard bounds its integer det by
+    prod_i sum_j (|A_ij| + |B_ij| * (isqrt|e*f| + 1)), v_p det(p^(2j) G) <=
+    E = floor(log_p of that) - n*v_p(den) + 2jn, and every pivot order is at
+    most 2E < 2K - 1.  The certified scales do not depend on K, so a caller
+    that needs more digits than a certified pass gave asks again with a
+    larger k.
     """
     ctx, n, p = G.ctx, G.n, G.ctx.p
     comps = [y for row in G.entries for x in row for y in (x.a, x.b)]
-    v = max([0] + [-_val(y, p) for y in comps if y.denominator % p == 0])
+    v = _p_denominator(comps, p)
     j = (v + 1) // 2
     comps = [y * p ** (2 * j) for y in comps] if j else comps
     eye = [[(int(r == c), 0) for c in range(n)] if track else [] for r in range(n)]
-    k, cap = 8, None
+    cap = None
     while True:
         q = _Quotient(ctx, k)
         res = iter([y.numerator % q.m if y.denominator == 1 else _mod(y, q.m) for y in comps])
         chunks = _eliminate([[(next(res), next(res)) for _ in range(n)] + row for row in eye], q)
-        if chunks is None:
-            cap = cap or _precision_cap(G, v, j)
-            if k >= cap:
-                raise SingularMatrixError("Gram matrix is singular")
-            k = min(2 * k, cap)
-            continue
-        if j:
-            chunks = [(s - 4 * j, *rest) for s, *rest in chunks]
-        wanted, need = (need(_vector_scales(chunks)) if need else 0), None
-        if wanted <= k:
-            return q, chunks
-        k = wanted
+        if chunks is not None:
+            return q, [(s - 4 * j, *rest) for s, *rest in chunks] if j else chunks
+        cap = cap or _precision_cap(G, v, j)
+        if k >= cap:
+            raise SingularMatrixError("Gram matrix is singular")
+        k = min(2 * k, cap)
 
 
 def _vector_scales(chunks) -> list:

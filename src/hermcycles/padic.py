@@ -145,9 +145,14 @@ def _val(q: Fraction, p: int):
     return -k
 
 
-def _mod(q: Fraction, m: int) -> int:
-    """The residue modulo m of a rational whose denominator is prime to m."""
-    return q.numerator * pow(q.denominator, -1, m) % m
+def _mod(q: Fraction, m: int, s: int = 1) -> int:
+    """The residue modulo m of s * q, for a rational q and an int s with s * q
+    of denominator prime to m, read off q's numerator and denominator: no
+    Fraction is built."""
+    if q.denominator == 1:
+        return q.numerator * s % m
+    g = math.gcd(q.denominator, s)
+    return q.numerator * (s // g) * pow(q.denominator // g, -1, m) % m
 
 
 def legendre(n: int, p: int) -> int:

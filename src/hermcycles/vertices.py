@@ -25,14 +25,15 @@ own dual basis from a Smith form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from math import gcd
 from typing import Callable
 
 from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
 from .lattice import HermGram, HermLattice, JordanReport, _int_val, _jordan_chunks, _jordan_report
-from .lattice import _Quotient, _vector_scales, mat_inverse
-from .padic import _val
+from .lattice import _p_denominator, _Quotient, _vector_scales, mat_inverse
+from .padic import _mod
 from .ramified import OHElement, RamifiedContext, _pi0_power
 
 
@@ -90,29 +91,27 @@ class VertexSet:
     max_count: int
     jordan: JordanReport = field(repr=False)  # of L
     _name_walk: Callable[[], list[Vertex]] = field(repr=False)  # the vertices in walk order
-    _named: tuple | None = field(default=None, init=False, repr=False)
 
+    @cached_property
     def _census(self):
-        if self._named is None:
-            walk = self._name_walk()
-            order = sorted(range(len(walk)), key=lambda i: (walk[i].type, walk[i].basis))
-            index = [0] * len(order)
-            for i, w in enumerate(order):
-                index[w] = i
-            edges = tuple(sorted((index[a], index[b]) for a, b in self._edges))
-            object.__setattr__(self, "_named", (tuple(walk[w] for w in order), edges))
-        return self._named
+        walk = self._name_walk()
+        order = sorted(range(len(walk)), key=lambda i: (walk[i].type, walk[i].basis))
+        index = [0] * len(order)
+        for i, w in enumerate(order):
+            index[w] = i
+        edges = tuple(sorted((index[a], index[b]) for a, b in self._edges))
+        return tuple(walk[w] for w in order), edges
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
-        return self._census()[0]
+        return self._census[0]
 
     @property
     def poset_edges(self) -> tuple[tuple[int, int], ...]:
-        return self._census()[1]
+        return self._census[1]
 
     def _key(self):
-        return (*self._census(), self.max_type, self.max_count)
+        return (*self._census, self.max_type, self.max_count)
 
     def __eq__(self, other):
         if not isinstance(other, VertexSet):
@@ -167,16 +166,17 @@ def _json_list(items, indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-def _dual_jordan_basis(L: HermLattice, h: int, max_scale: int):
+def _dual_jordan_basis(L: HermLattice, max_scale: int):
     """The enumerator's setup and its one precision rule: the ascending
     scales f, one per basis vector, c = max(1, ceil(F/2)) for F = max f, the
     ring q = O_H / p^K' of the walk, H = p^c * G# modulo p^K' as int pairs, a
     function ``dual`` giving a and D = p^a * C modulo p^K', and the
     JordanReport of L, for a Jordan basis C of L^# with C * diag(pi^f)
     spanning L and Gram G#; a is the least exponent making p^a * C integral,
-    p^h * L.basis integral.  D is formed only when ``dual`` is called, as
-    only naming the census reads it.  A scale above ``max_scale`` raises on
-    the first certified pass of the elimination, before the exact inverse.
+    h the least making p^h * L.basis integral.  D is formed only when
+    ``dual`` is called, as only naming the census reads it.  A scale above
+    ``max_scale`` raises on the first certified pass of the elimination,
+    before the exact inverse.
 
     The elimination of jordan_split on Gram(L), modulo a p^k, gives U in
     GL_n(O_H) (each step adds O_H-multiples of pivot vectors to the others,
@@ -206,28 +206,29 @@ def _dual_jordan_basis(L: HermLattice, h: int, max_scale: int):
     The precision rule (_precision).  K' is the least modulus the walk, the
     poset and the naming need (the K of enumerate_vertices), computed with
     the bound a <= w + h (pi^F * L^# <= L <= p^-h * O_H^n) in place of a,
-    which only D gives, and with f one scale per basis vector as
-    _jordan_chunks hands it to ``need`` (a rank-2 block counts twice in d,
-    so K' is the walk's own).  The elimination is asked for k = K' + F + h
-    (its ring may be wider: its first pass is at p^8), and both orders above
-    are then at least 2K': H and D modulo p^K' are those of the exact
-    elimination.  The walk, the poset and the naming run on q, not on the
-    elimination's wider ring.
+    which only D gives, and with f one scale per basis vector
+    (_vector_scales: a rank-2 block counts twice in d, so K' is the walk's
+    own).  The setup eliminates once at the default k = 8, reads f off that
+    certified pass, and asks the elimination again at k = K' + F + h only
+    when the certified ring is narrower; both orders above are then at
+    least 2K': H and D modulo p^K' are those of the exact elimination.  The
+    walk, the poset and the naming run on q, not on the elimination's wider
+    ring.
 
     W is read on the diagonal blocks only, where its nonzero entries lie.
     H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
     entries of the block of i.
     """
     n, ctx, p = L.n, L.ctx, L.ctx.p
-
-    def need(fs):
-        if max(fs) > max_scale:
-            raise EnumerationLimitError(f"Jordan scale {max(fs)} exceeds enumeration bound {max_scale}")
-        return _precision(fs, h, L.basis_det_ord())[3]
-
-    ring, chunks = _jordan_chunks(L.gram(), True, need)
+    h = _p_denominator([y for row in L.basis for x in row for y in (x.a, x.b)], p)
+    G = L.gram()
+    ring, chunks = _jordan_chunks(G, True)
     fs = _vector_scales(chunks)
-    w, c, K, _ = _precision(fs, h, L.basis_det_ord())
+    if fs[-1] > max_scale:
+        raise EnumerationLimitError(f"Jordan scale {fs[-1]} exceeds enumeration bound {max_scale}")
+    w, c, K, k = _precision(fs, h, L.basis_det_ord())
+    if k > ring.k:
+        ring, chunks = _jordan_chunks(G, True, k)
     q = _Quotient(ctx, K)
     m, pi0, mq = ring.m, ring.pi0, q.m
     zero = ctx.zero()
@@ -247,7 +248,7 @@ def _dual_jordan_basis(L: HermLattice, h: int, max_scale: int):
             row = []
             for j in span:
                 x = W[i][j]
-                ra, rb = _residue(x.a, pw, m), _residue(x.b, pw, m)
+                ra, rb = _mod(x.a, m, pw), _mod(x.b, m, pw)
                 if ra or rb:
                     row.append((j, (ra, rb)))
             R.append(row)
@@ -256,7 +257,7 @@ def _dual_jordan_basis(L: HermLattice, h: int, max_scale: int):
     def dual():
         ph, E = p**h, []
         for row in L.basis:
-            P = [(j, _residue(x.a, ph, m), _residue(x.b, ph, m)) for j, x in enumerate(row) if x]
+            P = [(j, _mod(x.a, m, ph), _mod(x.b, m, ph)) for j, x in enumerate(row) if x]
             acc = [[0, 0] for _ in range(n)]
             for vec, R_r in zip(vecs, R):  # (p^h * L.basis * U)[i][r] times row r of p^w * W
                 ba = bb = 0
@@ -273,18 +274,6 @@ def _dual_jordan_basis(L: HermLattice, h: int, max_scale: int):
         return h + w - v, [[(x // t % mq, y // t % mq) for x, y in row] for row in E]
 
     return fs, c, q, H, dual, _jordan_report(chunks, p)
-
-
-def _residue(y, s: int, m: int) -> int:
-    """The residue modulo m of s * y, for a Fraction y and a power s of p with
-    s * y p-integral, read off y's numerator and denominator: no Fraction is
-    built."""
-    if not y:
-        return 0
-    if y.denominator == 1:
-        return y.numerator * s % m
-    g = gcd(y.denominator, s)
-    return y.numerator * (s // g) * pow(y.denominator // g, -1, m) % m
 
 
 def _precision(fs, h: int, ord_det_basis: int):
@@ -739,9 +728,11 @@ def enumerate_vertices(
     K is computed (_precision) with the bound a <= ceil(F/2) + h, p^h *
     L.basis integral, in place of a, which only D gives: D is formed when
     the census is named, so a verify that passes never forms it.  The Jordan
-    elimination runs on a wider ring of its own; the one precision rule,
-    in _dual_jordan_basis, sets it so that H = p^c * G# and D modulo p^K are
-    those of the exact rational elimination.
+    elimination runs on a wider ring of its own.  _dual_jordan_basis owns
+    the one precision rule: after the elimination's first certified pass it
+    knows f, and it asks for k = K + F + h digits when that pass gave
+    fewer, so that H = p^c * G# and D modulo p^K are those of the exact
+    rational elimination.
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -751,9 +742,7 @@ def enumerate_vertices(
             f"rank {L.n} exceeds enumeration bound {bounds.max_rank}"
         )
     ctx, p = L.ctx, L.ctx.p
-    comps = [y for row in L.basis for x in row for y in (x.a, x.b)]
-    h = max([0] + [-_val(y, p) for y in comps if y.denominator % p == 0])
-    fs, c, q, H, dual, report = _dual_jordan_basis(L, h, bounds.max_scale)
+    fs, c, q, H, dual, report = _dual_jordan_basis(L, bounds.max_scale)
     found = _iter_candidates(fs, H, c, q, bounds.max_candidates)
     # Containment i < j needs the pivot exponents of i to dominate those of
     # j and to differ from them, as equal exponents mean equal covolumes.
@@ -811,19 +800,8 @@ class VerificationReport:
         )
 
     def to_json(self):
-        return {
-            "formula_t": self.formula_t,
-            "max_type": self.max_type,
-            "max_count": self.max_count,
-            "predicted_unique": self.predicted_unique,
-            "max_type_matches": self.max_type_matches,
-            "saturation": self.saturation,
-            "uniqueness_matches": self.uniqueness_matches,
-            "all_types_even": self.all_types_even,
-            "poset_transitive": self.poset_transitive,
-            "passed": self.passed,
-            "counterexamples": list(self.counterexamples),
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**record, "counterexamples": list(self.counterexamples), "passed": self.passed}
 
 
 def _poset_faults(types, edges, max_type: int):

@@ -553,12 +553,14 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # identity basis of a request from the command line (seeded by
     # HermLattice.from_gram), and one Fraction determinant, of the basis
     # alone, for any other basis.  verify reads the closed-form invariants
-    # off the same elimination, so lattice._jordan_chunks (behind
-    # jordan_split) is counted too.
+    # off the same elimination, so its passes (lattice._eliminate, behind
+    # jordan_split too) are counted: H(1)+H(3) at p=3 is certified at p^8,
+    # then asked once for the k = 10 of the precision rule, and a separate
+    # jordan_split would add a pass.
     from hermcycles import lattice, vertices
 
-    calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 0}
-    inverted, determinants = [], []
+    calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0}
+    inverted, determinants, passes = [], [], []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -577,8 +579,8 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         monkeypatch.setattr(lattice, name, wrapped)
         monkeypatch.setattr(vertices, name, wrapped, raising=False)  # vertices imports no mat_mul
     monkeypatch.setattr(lattice, "mat_det", counting("mat_det", lattice.mat_det))
-    monkeypatch.setattr(vertices, "_jordan_chunks", counting("_jordan_chunks", vertices._jordan_chunks))
-    monkeypatch.setattr(lattice, "_jordan_chunks", counting("_jordan_chunks", lattice._jordan_chunks))
+    real_eliminate = lattice._eliminate
+    monkeypatch.setattr(lattice, "_eliminate", lambda M, q: passes.append(q.k) or real_eliminate(M, q))
     h13 = json.dumps(
         {
             "gram": [
@@ -594,9 +596,11 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
             calls[name] = 0
         inverted.clear()
         determinants.clear()
+        passes.clear()
         code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
         assert code == 0
-        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 0, "mat_det": 0, "_jordan_chunks": 1}
+        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 0, "mat_det": 0}
+        assert passes == [8, 10]
         (J,) = inverted
         assert all(J[i][j].is_zero() for i in range(4) for j in range(4) if i // 2 != j // 2)
     ctx = RamifiedContext(3, 1)

@@ -37,7 +37,7 @@ from hermcycles import (
     poset_dot,
     verify_structure_theorems,
 )
-from hermcycles import vertices
+from hermcycles import lattice, vertices
 from hermcycles.lattice import _Quotient, mat_conj, mat_det, mat_inverse, mat_mul
 from hermcycles.padic import _mod
 from hermcycles.ramified import OHElement
@@ -290,26 +290,21 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual(monkeypatch):
     # modular one, run twice per lattice (G# = H / p^c is read modulo
     # pi^(2K - 2c), c <= F + 1): once with the walk's modulus forced to
     # K = 11, so the elimination runs at k = K + F, and once with the
-    # elimination forced to k = 11 and H and D kept modulo p^K, K = k.  In
-    # both, the int residues D = p^a * dual and H = p^c * G# modulo p^K are
-    # those of the exact elimination modulo pi^min(2K, 2k - 2F + 2a) and
+    # elimination forced to k = 11 and H and D kept modulo p^K, K = k.  The
+    # setup eliminates at p^8, then asks for the forced k.  In both, the int
+    # residues D = p^a * dual and H = p^c * G# modulo p^K are those of the
+    # exact elimination modulo pi^min(2K, 2k - 2F + 2a) and
     # pi^min(2K, 2k - 2F + 2c), the orders _dual_jordan_basis's precision
     # rule rests on: exactness modulo p^K in the first run, the tight bound
     # in the second.  The report is that of jordan_split
     rng = random.Random(42)
     K = 11
-    real_precision, real_chunks, rings = vertices._precision, vertices._jordan_chunks, []
-
-    def chunks(*args):
-        ring, found = real_chunks(*args)
-        rings.append(ring.k)
-        return ring, found
-
+    real_precision, real_eliminate, passes = vertices._precision, lattice._eliminate, []
     forced = {  # the walk's modulus and the elimination's k, for scales f
         "walk": lambda fs, h: (K, K + max(fs) + h),
         "elimination": lambda fs, h: (K - max(fs) - h, K),
     }
-    monkeypatch.setattr(vertices, "_jordan_chunks", chunks)
+    monkeypatch.setattr(lattice, "_eliminate", lambda M, q: passes.append(q.k) or real_eliminate(M, q))
     for label, ctx, G in block_sum_family():
         L = HermLattice(G, random_basis_change(rng, ctx, G.n))
         exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
@@ -319,12 +314,12 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual(monkeypatch):
                 mp.setattr(vertices, "_precision", lambda fs, h, o: (*real_precision(fs, h, o)[:2], *moduli(fs, h)))
                 if mode == "elimination":
                     mp.setattr(vertices, "_Quotient", lambda ctx, _: _Quotient(ctx, K))
-                rings.clear()
-                fs, c, q, H, dual, report = vertices._dual_jordan_basis(L, 0, 4)
+                passes.clear()
+                fs, c, q, H, dual, report = vertices._dual_jordan_basis(L, 4)
                 a, D = dual()
             p, F = ctx.p, max(fs)
-            k = rings[0]
-            assert (c, q.k, rings) == (max(1, (F + 1) // 2), K, [moduli(fs, 0)[1]]), (label, mode)
+            k = passes[-1]
+            assert (c, q.k, passes) == (max(1, (F + 1) // 2), K, [8, moduli(fs, 0)[1]]), (label, mode)
             assert fs == snf_dual_basis(L)[1], label
             assert a == _denominator_exponent(exact_dual, p), label
             for residues, exact, e in ((D, exact_dual, a), (_dense(H), exact_gram_dual, c)):
@@ -345,7 +340,7 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual(monkeypatch):
             assert _det_bookkeeping_holds(L, fs), label
     for label, G, B in _off_identity_cases():
         L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
-        fs, *_ = vertices._dual_jordan_basis(L, _denominator_exponent(L.basis, G.ctx.p), 4)
+        fs, *_ = vertices._dual_jordan_basis(L, 4)
         assert _det_bookkeeping_holds(L, fs), label
 
 
@@ -362,8 +357,8 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
     seen = {}
     real = vertices._dual_jordan_basis
 
-    def setup(L, h, max_scale):
-        seen["setup"], seen["h"] = real(L, h, max_scale), h
+    def setup(L, max_scale):
+        seen["setup"] = real(L, max_scale)
         return seen["setup"]
 
     def candidates(fs, H, c, q, max_candidates):
@@ -387,9 +382,9 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
         p = L.ctx.p
         c = max(1, (max(fs) + 1) // 2)
         a = _denominator_exponent(dual, p)
-        bound = (max(fs) + 1) // 2 + seen["h"]
-        assert a <= bound, label
-        m = p ** vertices._precision(fs, seen["h"], mat_det(L.basis_rows(), L.ctx).ord())[2]
+        h = _denominator_exponent(L.basis, p)
+        assert a <= (max(fs) + 1) // 2 + h, label
+        m = p ** vertices._precision(fs, h, mat_det(L.basis_rows(), L.ctx).ord())[2]
         assert seen["fs"] == fs, label
         assert seen["m"] == m, label
         fs_seen, c_seen, _, H_seen, dual_seen, _ = seen["setup"]
@@ -405,36 +400,41 @@ def test_the_elimination_is_asked_for_one_scale_per_basis_vector(monkeypatch):
     # a rank-2 block counts twice.  Counted once per block, H(1)+H(3) would
     # ask for k = 7 and H(3)+(pi0^2) for k = 8, fewer digits than
     # _dual_jordan_basis needs to be exact, and the first pass at k = 8
-    # would be kept for both.
-    seen = {}
-    real = vertices._jordan_chunks
+    # would be kept for both.  The rule is read once, on the scales of that
+    # first certified pass, and the elimination makes exactly one more pass,
+    # at the rule's k: 10, 10 and 9.  H(1)'s rule asks for k = 3, which the
+    # first pass already gives, so it makes none.
+    scales, passes = [], []
+    real_precision, real_eliminate = vertices._precision, lattice._eliminate
 
-    def chunks(G, track=False, need=None):
-        def asked(fs):
-            seen["fs"] = fs
-            return need(fs)
+    def precision(fs, h, ord_det_basis):
+        scales.append(fs)
+        return real_precision(fs, h, ord_det_basis)
 
-        seen["ring"], _ = real(G, track, asked)
+    def candidates(fs, H, c, q, max_candidates):
         raise _SetupSeen
 
-    monkeypatch.setattr(vertices, "_jordan_chunks", chunks)
+    monkeypatch.setattr(vertices, "_precision", precision)
+    monkeypatch.setattr(vertices, "_iter_candidates", candidates)
+    monkeypatch.setattr(lattice, "_eliminate", lambda M, q: passes.append(q.k) or real_eliminate(M, q))
     bounds = EnumerationBounds(max_rank=4, max_scale=4)
     cases = []
     for p in (3, 5):
         ctx = RamifiedContext(p, 1)
-        cases.append((f"p{p}:H(1)+H(3)", orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), 10))
+        cases.append((f"p{p}:H(1)+H(3)", orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), [8, 10]))
     ctx = RamifiedContext(3, 1)
-    cases.append(("p3:H(3)+(pi0^2)", orthogonal_sum(hyperbolic_gram(ctx, 3), diagonal_gram(ctx, [ctx.pi0**2])), 9))
-    for label, G, least in cases:
+    cases.append(("p3:H(3)+(pi0^2)", orthogonal_sum(hyperbolic_gram(ctx, 3), diagonal_gram(ctx, [ctx.pi0**2])), [8, 9]))
+    cases.append(("p3:H(1)", hyperbolic_gram(ctx, 1), [8]))
+    for label, G, expected in cases:
         L = HermLattice.from_gram(G)
-        seen.clear()
+        scales.clear()
+        passes.clear()
         with pytest.raises(_SetupSeen):
             enumerate_vertices(L, bounds)
-        fs = seen["fs"]
+        (fs,) = scales
         assert len(fs) == L.n, label
-        k = seen["ring"].k
-        assert k >= vertices._precision(fs, 0, 0)[2] + max(fs), label
-        assert k >= least, label
+        assert passes == expected, label
+        assert passes[-1] == max(8, real_precision(fs, 0, 0)[3]), label
 
 
 def _off_identity_cases():
