@@ -22,8 +22,8 @@ from .padic import (
     RAMIFIED,
     _splitting,
     check_quadratic_field,
+    factorize,
     format_rational,
-    rational_factorization,
 )
 from .ramified import OHElement, QuadContext, RamifiedContext
 
@@ -60,9 +60,11 @@ def is_positive_definite(T, delta: int) -> bool:
 
 
 def _diff0(det: Fraction, delta: int, bound: int) -> tuple[int, ...]:
-    """Inert primes of odd valuation in a nonzero det, for a checked field."""
+    """Inert primes of odd valuation in a nonzero det, for a checked field.
+    det is that of a matrix over O_k, a rational algebraic integer, so an
+    integer."""
     return tuple(
-        p for p, k in rational_factorization(det, bound).items()
+        p for p, k in factorize(det.numerator, bound).items()
         if k % 2 and _splitting(delta, p) == INERT
     )
 

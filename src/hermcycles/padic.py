@@ -299,18 +299,6 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def rational_factorization(q, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Signed prime exponents of a nonzero rational."""
-    q = Fraction(q)
-    if q == 0:
-        raise PreconditionError("cannot factor 0")
-    out = factorize(q.numerator, bound)
-    if q.denominator != 1:
-        for p, k in factorize(q.denominator, bound).items():
-            out[p] = out.get(p, 0) - k
-    return dict(sorted(out.items()))
-
-
 def check_quadratic_field(delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, ...]:
     """Validate delta as a negative squarefree integer; returns its primes.
 

@@ -24,6 +24,7 @@ own dual basis from a Smith form.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import gcd
@@ -31,7 +32,7 @@ from typing import Callable
 
 from .cycles import CycleInvariants, invariants_from_report
 from .errors import EnumerationLimitError, NonIntegralLatticeError, PreconditionError
-from .lattice import HermGram, HermLattice, JordanReport, _int_val, _jordan_chunks, _jordan_report
+from .lattice import HermGram, HermLattice, JordanReport, _jordan_chunks, _jordan_report
 from .lattice import _p_denominator, _Quotient, _vector_scales, mat_inverse
 from .padic import _mod
 from .ramified import OHElement, RamifiedContext, _pi0_power
@@ -65,9 +66,6 @@ class Vertex:
     def lattice(self) -> HermLattice:
         ctx = self.ambient.ctx
         return HermLattice(self.ambient, [[OHElement(x, y, ctx) for x, y in row] for row in self.basis])
-
-    def to_json(self):
-        return {"basis": [[{"a": x, "b": y} for x, y in row] for row in self.basis], "type": self.type}
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,16 +120,14 @@ class VertexSet:
         return hash(self._key())
 
     def to_json(self):
-        return {
-            "vertices": [v.to_json() for v in self.vertices],
-            "poset_edges": [list(e) for e in self.poset_edges],
-            "max_type": self.max_type,
-            "max_count": self.max_count,
-        }
+        """The census as json_text prints it, read back."""
+        return json.loads(self.json_text())
 
     def json_text(self) -> str:
-        """json.dumps(self.to_json(), indent=2, sort_keys=True), written in
-        one pass from the basis strings, which need no escaping."""
+        """The census JSON, {"max_count", "max_type", "poset_edges",
+        "vertices": [{"basis": rows of {"a", "b"}, "type"}]}, as json.dumps
+        writes it with indent=2 and sort_keys=True, in one pass from the
+        basis strings, which need no escaping."""
         entries = {}  # (a, b) -> its object as printed, at the depth of an entry
         vertices = []
         for v in self.vertices:
@@ -168,15 +164,14 @@ def _json_list(items, indent: str) -> str:
 
 def _dual_jordan_basis(L: HermLattice, max_scale: int):
     """The enumerator's setup and its one precision rule: the ascending
-    scales f, one per basis vector, c = max(1, ceil(F/2)) for F = max f, the
-    ring q = O_H / p^K' of the walk, H = p^c * G# modulo p^K' as int pairs, a
-    function ``dual`` giving a and D = p^a * C modulo p^K', and the
-    JordanReport of L, for a Jordan basis C of L^# with C * diag(pi^f)
-    spanning L and Gram G#; a is the least exponent making p^a * C integral,
-    h the least making p^h * L.basis integral.  D is formed only when
-    ``dual`` is called, as only naming the census reads it.  A scale above
-    ``max_scale`` raises on the first certified pass of the elimination,
-    before the exact inverse.
+    scales f, one per basis vector, c = max(1, ceil(F/2)) for F = max f,
+    a = ceil(F/2) + h for p^h * L.basis integral (h least), the ring q =
+    O_H / p^K' of the walk, H = p^c * G# modulo p^K' as int pairs, a
+    function ``dual`` giving D = p^a * C modulo p^K', and the JordanReport
+    of L, for a Jordan basis C of L^# with C * diag(pi^f) spanning L and
+    Gram G#.  D is formed only when ``dual`` is called, as only naming the
+    census reads it.  A scale above ``max_scale`` raises on the first
+    certified pass of the elimination, before the exact inverse.
 
     The elimination of jordan_split on Gram(L), modulo a p^k, gives U in
     GL_n(O_H) (each step adds O_H-multiples of pivot vectors to the others,
@@ -194,26 +189,22 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     W is the one exact inverse, of conj(J) lifted from J's residues a + b*pi
     as a - b*pi; past it the work runs on int pairs modulo p^k.  With w =
     ceil(F/2), p^w * W is integral, and H = p^(c - w) * conj(p^w * W).  The
-    tracked vectors are the columns of U, so E = p^h * L.basis * U * p^w * W
-    = p^(h + w) * C is integral.  Against the exact elimination, U is off by
-    order >= 2k - F and W by order >= 2k - 2F, so E is off by order >= 2k -
-    2F + 2w, and H (modulo p^k) by order >= 2k - 2F + 2c.  So E is known
-    modulo p^(k - F + w), which reaches past p^(h + w) as k >= F + h: that
-    fixes a = h + w - v, v the least p-order of E's components capped at h +
-    w (a zero reads as h + w).  D = E / p^v is then off by order >= 2k - 2F
-    - 2h + 2a.
+    tracked vectors are the columns of U, so D = p^h * L.basis * U * p^w * W
+    = p^a * C is integral; a need not be the least such exponent, and the
+    canonical bases print the same strings for any (_canonical_basis).
+    Against the exact elimination, U is off by order >= 2k - F and W by
+    order >= 2k - 2F, so D is off by order >= 2k - 2F + 2w, and H (modulo
+    p^k) by order >= 2k - 2F + 2c, no less as c >= w.
 
     The precision rule (_precision).  K' is the least modulus the walk, the
-    poset and the naming need (the K of enumerate_vertices), computed with
-    the bound a <= w + h (pi^F * L^# <= L <= p^-h * O_H^n) in place of a,
-    which only D gives, and with f one scale per basis vector
-    (_vector_scales: a rank-2 block counts twice in d, so K' is the walk's
-    own).  The setup eliminates once at the default k = 8, reads f off that
-    certified pass, and asks the elimination again at k = K' + F + h only
-    when the certified ring is narrower; both orders above are then at
-    least 2K': H and D modulo p^K' are those of the exact elimination.  The
-    walk, the poset and the naming run on q, not on the elimination's wider
-    ring.
+    poset and the naming need (the K of enumerate_vertices) for this a,
+    with f one scale per basis vector (_vector_scales: a rank-2 block
+    counts twice in d, so K' is the walk's own).  The setup eliminates once
+    at the default k = 8, reads f off that certified pass, and asks the
+    elimination again at k = K' + floor(F/2) = K' + F - w only when the
+    certified ring is narrower; both orders above are then at least 2K': H
+    and D modulo p^K' are those of the exact elimination.  The walk, the
+    poset and the naming run on q, not on the elimination's wider ring.
 
     W is read on the diagonal blocks only, where its nonzero entries lie.
     H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
@@ -226,7 +217,8 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     fs = _vector_scales(chunks)
     if fs[-1] > max_scale:
         raise EnumerationLimitError(f"Jordan scale {fs[-1]} exceeds enumeration bound {max_scale}")
-    w, c, K, k = _precision(fs, h, L.basis_det_ord())
+    a, c, K, k = _precision(fs, h, L.basis_det_ord())
+    w = a - h
     if k > ring.k:
         ring, chunks = _jordan_chunks(G, True, k)
     q = _Quotient(ctx, K)
@@ -255,7 +247,7 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     H = [[(j, (ra * pcw % mq, -rb * pcw % mq)) for j, (ra, rb) in row] for row in R]
 
     def dual():
-        ph, E = p**h, []
+        ph, D = p**h, []
         for row in L.basis:
             P = [(j, _mod(x.a, m, ph), _mod(x.b, m, ph)) for j, x in enumerate(row) if x]
             acc = [[0, 0] for _ in range(n)]
@@ -268,24 +260,23 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
                 for j, (ra, rb) in R_r:
                     acc[j][0] += ba * ra + bb * rb * pi0
                     acc[j][1] += ba * rb + bb * ra
-            E.append([(x % m, y % m) for x, y in acc])
-        v = min(_int_val(y, p, h + w) for row in E for pair in row for y in pair)
-        t = p**v
-        return h + w - v, [[(x // t % mq, y // t % mq) for x, y in row] for row in E]
+            D.append([(x % mq, y % mq) for x, y in acc])
+        return D
 
-    return fs, c, q, H, dual, _jordan_report(chunks, p)
+    return fs, a, c, q, H, dual, _jordan_report(chunks, p)
 
 
 def _precision(fs, h: int, ord_det_basis: int):
     """The precision rule of _dual_jordan_basis for the scales f, one per
-    basis vector, and p^h * L.basis integral: w = ceil(F/2), c = max(1, w),
-    the walk's modulus K', the least meeting the enumeration's three needs
-    (enumerate_vertices) with a <= w + h, and the elimination's k = K' + F +
-    h."""
-    n, d, w = len(fs), sum(fs), (max(fs) + 1) // 2
-    c, a = max(1, w), w + h
+    basis vector, and p^h * L.basis integral: the census's a = ceil(F/2) +
+    h, c = max(1, ceil(F/2)), the walk's modulus K', the least meeting the
+    enumeration's three needs (enumerate_vertices) for that a, and the
+    elimination's k = K' + floor(F/2)."""
+    n, d, F = len(fs), sum(fs), max(fs)
+    w = (F + 1) // 2
+    a, c = w + h, max(1, w)
     K = max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
-    return w, c, K, K + max(fs) + h
+    return a, c, K, K + F // 2
 
 
 def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
@@ -576,7 +567,9 @@ def _canonical_basis(D, Z, a: int, q: _Quotient):
     tests/support.py), computed from M = D * Z over O_H / p^K, where
     D = p^a * dual is integral, as ints over p^a: (es, N), V's pivot at
     (i, i) being pi^es[i] and its entry at (i, j), j > i, N[i][j] / p^a for
-    the int pair N[i][j] (_basis_text prints it).
+    the int pair N[i][j] (_basis_text prints it).  Any a making D integral
+    will do, the least or not: the fractions N[i][j] / p^a, and so the
+    printed strings, do not depend on it.
 
     M spans p^a * V, and its canonical basis is p^a times that of V: the
     pivot of V's column i is pi^e, so the pivot of M's is p^a * pi^e, of
@@ -717,22 +710,21 @@ def enumerate_vertices(
     - the back-substitutions of the candidates and the poset need
       2K >= d = f_1 + ... + f_n;
     - the canonical bases need 2K >= ord det M + 1 (_canonical_basis).
-      With a the least exponent making D = p^a * dual integral in ambient
-      coordinates (ceil(F/2) for a request from the command line, where L
-      is O_H^n), a vertex's M = D * Z has ord det M = ord det D + e_1 + ...
-      + e_n, at most ord det D + floor(d/2) by the candidates' pivot window;
-      ord det D = 2an + ord det(L.basis) - d (_dual_jordan_basis), and
-      L.basis is the identity for a request from the command line
-      (HermLattice.basis_det_ord, 0 without a determinant there).
+      With a = ceil(F/2) + h, p^h * L.basis integral (h = 0 for a request
+      from the command line, where L is O_H^n), D = p^a * dual is integral
+      in ambient coordinates, and a vertex's M = D * Z has ord det M = ord
+      det D + e_1 + ... + e_n, at most ord det D + floor(d/2) by the
+      candidates' pivot window; ord det D = 2an + ord det(L.basis) - d
+      (_dual_jordan_basis), and L.basis is the identity for a request from
+      the command line (HermLattice.basis_det_ord, 0 without a determinant
+      there).
 
-    K is computed (_precision) with the bound a <= ceil(F/2) + h, p^h *
-    L.basis integral, in place of a, which only D gives: D is formed when
-    the census is named, so a verify that passes never forms it.  The Jordan
-    elimination runs on a wider ring of its own.  _dual_jordan_basis owns
-    the one precision rule: after the elimination's first certified pass it
-    knows f, and it asks for k = K + F + h digits when that pass gave
-    fewer, so that H = p^c * G# and D modulo p^K are those of the exact
-    rational elimination.
+    D is formed when the census is named, so a verify that passes never
+    forms it.  The Jordan elimination runs on a wider ring of its own.
+    _dual_jordan_basis owns the one precision rule (_precision): after the
+    elimination's first certified pass it knows f, and it asks for k = K +
+    floor(F/2) digits when that pass gave fewer, so that H = p^c * G# and D
+    modulo p^K are those of the exact rational elimination.
     """
     gram_l = L.gram()
     if not gram_l.is_integral():
@@ -742,7 +734,7 @@ def enumerate_vertices(
             f"rank {L.n} exceeds enumeration bound {bounds.max_rank}"
         )
     ctx, p = L.ctx, L.ctx.p
-    fs, c, q, H, dual, report = _dual_jordan_basis(L, bounds.max_scale)
+    fs, a, c, q, H, dual, report = _dual_jordan_basis(L, bounds.max_scale)
     found = _iter_candidates(fs, H, c, q, bounds.max_candidates)
     # Containment i < j needs the pivot exponents of i to dominate those of
     # j and to differ from them, as equal exponents mean equal covolumes.
@@ -764,8 +756,7 @@ def enumerate_vertices(
     max_type = max(types, default=-1)
 
     def name_walk():
-        a, D = dual()
-        den, printed = p**a, {0: "0"}
+        D, den, printed = dual(), p**a, {0: "0"}
         return [
             Vertex(t, _basis_text(*_canonical_basis(D, Z, a, q), den, printed, ctx), L.ambient)
             for t, _, Z in found

@@ -71,10 +71,10 @@ from hermcycles.padic import (
     _splitting,
     _val,
     check_quadratic_field,
+    factorize,
     hilbert_symbol,
     is_prime,
     legendre,
-    rational_factorization,
 )
 from hermcycles import vertices
 from hermcycles.ramified import pi_power
@@ -211,7 +211,8 @@ def self_dual_oracle(T, delta: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool |
     """
     check_quadratic_field(delta, bound)
     det = HermGram(T).det_rational()
-    primes = {2, *rational_factorization(det, bound), *rational_factorization(delta, bound)}
+    assert det.denominator == 1  # T is integral
+    primes = {2, *factorize(int(det), bound), *factorize(delta, bound)}
     if not positive_definite_oracle(T, delta):
         return None
     return all(
@@ -930,7 +931,10 @@ def oracle_vertex_census(L: HermLattice, bounds: EnumerationBounds):
     ]
     max_type = max((v.type for v in vertices), default=-1)
     census = {
-        "vertices": [v.to_json() for v in vertices],
+        "vertices": [
+            {"basis": [[{"a": x, "b": y} for x, y in row] for row in v.basis], "type": v.type}
+            for v in vertices
+        ],
         "poset_edges": [list(e) for e in edges],
         "max_type": max_type,
         "max_count": sum(1 for v in vertices if v.type == max_type),

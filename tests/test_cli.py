@@ -84,6 +84,24 @@ def test_schema_violations_exit_1(tmp_path):
         assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
 
 
+def test_an_empty_matrix_and_a_string_delta_are_schema_violations():
+    empty = {"code": "schema-violation", "message": "matrix must be a nonempty array of rows"}
+    cases = (
+        (["jordan", "--p", "3"], '{"gram": []}', {**empty, "location": "gram"}),
+        (["vertices", "--p", "3"], '{"gram": []}', {**empty, "location": "gram"}),
+        (["cycle", "--p", "3"], '{"matrix": []}', {**empty, "location": "matrix"}),
+        (
+            ["global"],
+            '{"delta": "-3", "matrix": [[1]]}',
+            {"code": "schema-violation", "message": "delta must be an integer"},
+        ),
+    )
+    for argv, text, error in cases:
+        code, out = invoke(argv, stdin_text=text)
+        assert code == 1
+        assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+
+
 def test_domain_errors_exit_2():
     code, out = invoke(
         ["jordan", "--p", "3"], stdin_text='{"gram": [[1, 1], [1, 1]]}'
@@ -555,7 +573,7 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # alone, for any other basis.  verify reads the closed-form invariants
     # off the same elimination, so its passes (lattice._eliminate, behind
     # jordan_split too) are counted: H(1)+H(3) at p=3 is certified at p^8,
-    # then asked once for the k = 10 of the precision rule, and a separate
+    # which meets the k = 8 of the precision rule, and a separate
     # jordan_split would add a pass.
     from hermcycles import lattice, vertices
 
@@ -600,7 +618,7 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
         assert code == 0
         assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 0, "mat_det": 0}
-        assert passes == [8, 10]
+        assert passes == [8]
         (J,) = inverted
         assert all(J[i][j].is_zero() for i in range(4) for j in range(4) if i // 2 != j // 2)
     ctx = RamifiedContext(3, 1)
@@ -726,18 +744,23 @@ def test_a_passing_verify_never_forms_the_ambient_dual_basis(monkeypatch):
     # a cost guard that reads no clock: D = p^a * C, the dual basis in
     # ambient coordinates, is read by the canonical bases alone, so it is
     # formed when the census is named, once, and a passing verify never
-    # forms it.  Forming it is the one place the enumerator reads p-orders
-    # of ints (vertices._int_val, for a), counted here
+    # forms it.  Forming it is the ``dual`` function the enumerator's setup
+    # returns, whose calls are counted here
     from hermcycles import vertices
 
     calls = []
-    real = vertices._int_val
+    real = vertices._dual_jordan_basis
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def setup(L, max_scale):
+        *head, dual, report = real(L, max_scale)
 
-    monkeypatch.setattr(vertices, "_int_val", counted)
+        def counted():
+            calls.append(L)
+            return dual()
+
+        return (*head, counted, report)
+
+    monkeypatch.setattr(vertices, "_dual_jordan_basis", setup)
     h13 = [[0] * 4 for _ in range(4)]
     h13[0][1], h13[1][0] = {"a": "0", "b": "1"}, {"a": "0", "b": "-1"}
     h13[2][3], h13[3][2] = {"a": "0", "b": "3"}, {"a": "0", "b": "-3"}
@@ -747,7 +770,7 @@ def test_a_passing_verify_never_forms_the_ambient_dual_basis(monkeypatch):
     assert calls == []
     code, out = invoke(["vertices", "--p", "3", "--max-rank", "4"], stdin_text=text)
     assert code == 0 and len(json.loads(out)["vertices"]) == 385
-    assert len(calls) == 2 * 4 * 4  # both components of each entry of E, once
+    assert len(calls) == 1
 
 
 def test_negative_enumeration_bounds_are_refused():

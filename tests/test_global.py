@@ -18,7 +18,9 @@ from hermcycles import (
     HermitianViolationError,
     IntegralityError,
     InvalidFieldError,
+    PreconditionError,
     QuadContext,
+    RamifiedContext,
     SingularMatrixError,
     global_report,
 )
@@ -34,7 +36,7 @@ from hermcycles.padic import (
     RAMIFIED,
     SPLIT,
     _splitting,
-    rational_factorization,
+    factorize,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -140,8 +142,9 @@ def test_diff0_examples():
 
 
 def test_each_request_factors_delta_once(monkeypatch):
-    # the checked field is the only factorization of delta; det T adds one
-    # more, and one for its denominator when that is not 1
+    # the checked field is the only factorization of delta; det T, an
+    # integer for a matrix over O_k, adds one more
+    import hermcycles.global_cycles as global_cycles
     import hermcycles.padic as padic
 
     calls = []
@@ -152,6 +155,7 @@ def test_each_request_factors_delta_once(monkeypatch):
         return factorize(n, bound)
 
     monkeypatch.setattr(padic, "factorize", counting)
+    monkeypatch.setattr(global_cycles, "factorize", counting)
     cases = (
         (lambda: global_report(diag(-3, [2, 5]), -3), [-3, 10]),
         (lambda: global_report(diag(-15, [1, 1]), -15), [-15, 1]),
@@ -224,7 +228,8 @@ def test_self_dual_exists_matches_the_hilbert_symbol_oracle():
                 assert got == _outcome(self_dual_oracle, T, delta, bound), (delta, T, bound)
                 answers.add(got[0] if isinstance(got, tuple) else got)
             det = HermGram(T).det_rational()
-            for q, k in rational_factorization(det).items():
+            assert det.denominator == 1  # T is integral
+            for q, k in factorize(int(det)).items():
                 if _splitting(delta, q) == INERT:
                     inert_parities.add((q == 2, k % 2))
     assert answers == {True, False, None, "FactorizationLimitError"}
@@ -296,6 +301,10 @@ def test_global_errors():
         global_report(diag(-3, [F(1, 2), 1]), -3)
     with pytest.raises(SingularMatrixError):
         global_report(diag(-3, [0, 1]), -3)
+    # a local context whose pi^2 is 3, not delta = -3
+    with pytest.raises(PreconditionError, match="^context uniformizer does not square to delta$"):
+        embed_matrix(diag(-3, [1, 1]), -3, RamifiedContext(3, 1))
+    assert embed_matrix(diag(-3, [1, 1]), -3, local_context(-3, 3)).n == 2
 
 
 def test_embedding_is_ring_map_on_determinants():

@@ -26,6 +26,7 @@ from hermcycles import (
     HermitianViolationError,
     JordanBlock,
     OHElement,
+    PreconditionError,
     RamifiedContext,
     SingularMatrixError,
     diagonal_gram,
@@ -59,6 +60,21 @@ def test_validate_gram():
         HermGram([[pi]], ctx).check_nonsingular()
     with pytest.raises(SingularMatrixError):
         HermGram([[ctx.one(), ctx.one()], [ctx.one(), ctx.one()]], ctx).check_nonsingular()
+
+
+def test_malformed_grams_and_bases_are_refused():
+    ctx, other = RamifiedContext(3, 1), RamifiedContext(5, 1)
+    one = ctx.one()
+    for rows in ([], [[one, one]], [[one, one], [one]]):
+        with pytest.raises(PreconditionError, match=r"^Gram matrix must be square and nonempty$"):
+            HermGram(rows, ctx)
+    for rows in ([[other.one()]], [[one, 0], [0, one]]):
+        with pytest.raises(PreconditionError, match=r"^entry \((0,0|0,1)\) is not in the given ring$"):
+            HermGram(rows, ctx)
+    G = HermGram([[one, ctx.zero()], [ctx.zero(), one]], ctx)
+    for basis in ([[one, one]], [[one], [one]], [[one, one], [one, one], [one, one]]):
+        with pytest.raises(PreconditionError, match=r"^basis matrix must match the ambient rank$"):
+            HermLattice(G, basis)
 
 
 def test_dual_examples():

@@ -289,42 +289,51 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual(monkeypatch):
     # when built on the exact elimination, and modulo pi^(20 - 2F) on the
     # modular one, run twice per lattice (G# = H / p^c is read modulo
     # pi^(2K - 2c), c <= F + 1): once with the walk's modulus forced to
-    # K = 11, so the elimination runs at k = K + F, and once with the
-    # elimination forced to k = 11 and H and D kept modulo p^K, K = k.  The
-    # setup eliminates at p^8, then asks for the forced k.  In both, the int
-    # residues D = p^a * dual and H = p^c * G# modulo p^K are those of the
-    # exact elimination modulo pi^min(2K, 2k - 2F + 2a) and
-    # pi^min(2K, 2k - 2F + 2c), the orders _dual_jordan_basis's precision
-    # rule rests on: exactness modulo p^K in the first run, the tight bound
-    # in the second.  The report is that of jordan_split
+    # K = 11, so the elimination runs at the rule's k = K + floor(F/2), and
+    # once with the elimination forced to k = 11 and H and D kept modulo p^K,
+    # K = k.  The setup eliminates at p^8, then asks for the forced k.  In
+    # both, the int residues D = p^a * dual and H = p^c * G# modulo p^K are
+    # those of the exact elimination modulo pi^min(2K, 2k - 2F + 2w) and
+    # pi^min(2K, 2k - 2F + 2c), w = ceil(F/2), the orders
+    # _dual_jordan_basis's precision rule rests on: exactness modulo p^K in
+    # the first run, the tight bound in the second.  The lattices are the
+    # block sums in random bases (h = 0) and the lattices off the identity
+    # basis, some with h = 1.  The report is that of jordan_split
     rng = random.Random(42)
     K = 11
     real_precision, real_eliminate, passes = vertices._precision, lattice._eliminate, []
     forced = {  # the walk's modulus and the elimination's k, for scales f
-        "walk": lambda fs, h: (K, K + max(fs) + h),
-        "elimination": lambda fs, h: (K - max(fs) - h, K),
+        "walk": lambda fs: (K, K + max(fs) // 2),
+        "elimination": lambda fs: (K - max(fs) // 2, K),
     }
     monkeypatch.setattr(lattice, "_eliminate", lambda M, q: passes.append(q.k) or real_eliminate(M, q))
-    for label, ctx, G in block_sum_family():
-        L = HermLattice(G, random_basis_change(rng, ctx, G.n))
+    cases = [
+        (label, HermLattice(G, random_basis_change(rng, ctx, G.n))) for label, ctx, G in block_sum_family()
+    ]
+    for label, G, B in _off_identity_cases():
+        cases.append((label, HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))))
+    for label, L in cases:
+        ctx, G, p = L.ctx, L.ambient, L.ctx.p
         exact_dual, _, exact_gram_dual = _exact_dual_jordan_basis(L)
         assert exact_gram_dual == [list(r) for r in HermLattice(G, exact_dual).gram().entries], label
         for mode, moduli in forced.items():
             with monkeypatch.context() as mp:
-                mp.setattr(vertices, "_precision", lambda fs, h, o: (*real_precision(fs, h, o)[:2], *moduli(fs, h)))
+                mp.setattr(vertices, "_precision", lambda fs, h, o: (*real_precision(fs, h, o)[:2], *moduli(fs)))
                 if mode == "elimination":
                     mp.setattr(vertices, "_Quotient", lambda ctx, _: _Quotient(ctx, K))
                 passes.clear()
-                fs, c, q, H, dual, report = vertices._dual_jordan_basis(L, 4)
-                a, D = dual()
-            p, F = ctx.p, max(fs)
-            k = passes[-1]
-            assert (c, q.k, passes) == (max(1, (F + 1) // 2), K, [8, moduli(fs, 0)[1]]), (label, mode)
+                fs, a, c, q, H, dual, report = vertices._dual_jordan_basis(L, 4)
+                D = dual()
+            F, h = max(fs), _denominator_exponent(L.basis, p)
+            w, k = (F + 1) // 2, passes[-1]
+            assert (a, c, q.k, passes) == (w + h, max(1, w), K, [8, moduli(fs)[1]]), (label, mode)
             assert fs == snf_dual_basis(L)[1], label
-            assert a == _denominator_exponent(exact_dual, p), label
-            for residues, exact, e in ((D, exact_dual, a), (_dense(H), exact_gram_dual, c)):
+            assert _denominator_exponent(exact_dual, p) <= a, label
+            if mode == "walk":
+                assert 2 * k - 2 * F + 2 * w == 2 * K, label
+            for residues, exact, e, s in ((D, exact_dual, w, a), (_dense(H), exact_gram_dual, c, c)):
                 assert all(
-                    (x - y * p**e).ord() >= min(2 * K, 2 * k - 2 * F + 2 * e)
+                    (x - y * p**s).ord() >= min(2 * K, 2 * k - 2 * F + 2 * e)
                     for r, t in zip(_lift(residues, ctx, 1), exact)
                     for x, y in zip(r, t)
                 ), (label, mode)
@@ -338,10 +347,6 @@ def test_dual_basis_is_a_jordan_basis_of_the_dual(monkeypatch):
             ), (label, mode)
             assert report == jordan_split(L.gram()), label
             assert _det_bookkeeping_holds(L, fs), label
-    for label, G, B in _off_identity_cases():
-        L = HermLattice(G, mat_mul(B, random_basis_change(rng, G.ctx, 2)))
-        fs, *_ = vertices._dual_jordan_basis(L, 4)
-        assert _det_bookkeeping_holds(L, fs), label
 
 
 class _SetupSeen(Exception):
@@ -349,11 +354,12 @@ class _SetupSeen(Exception):
 
 
 def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
-    # f, a, K, H = p^c * G# and D = p^a * dual modulo p^K, as the enumeration
+    # f, K, H = p^c * G# and D = p^a * dual modulo p^K, as the enumeration
     # reads them, equal what the exact rational elimination (with the same
     # pivots) gives; so the modular elimination changes no residue the walk,
-    # the vertex test or the canonical bases see.  K is the walk's modulus,
-    # computed with the bound a <= ceil(F/2) + h, p^h * L.basis integral
+    # the vertex test or the canonical bases see.  The census's a is
+    # ceil(F/2) + h, p^h * L.basis integral, so p^a * dual is integral, and
+    # K is the walk's modulus for that a
     seen = {}
     real = vertices._dual_jordan_basis
 
@@ -381,29 +387,30 @@ def test_enumerator_setup_agrees_with_the_exact_elimination(monkeypatch):
         dual, fs, gram_dual = _exact_dual_jordan_basis(L)
         p = L.ctx.p
         c = max(1, (max(fs) + 1) // 2)
-        a = _denominator_exponent(dual, p)
         h = _denominator_exponent(L.basis, p)
-        assert a <= (max(fs) + 1) // 2 + h, label
+        a = (max(fs) + 1) // 2 + h
+        assert _denominator_exponent(dual, p) <= a, label
         m = p ** vertices._precision(fs, h, mat_det(L.basis_rows(), L.ctx).ord())[2]
         assert seen["fs"] == fs, label
         assert seen["m"] == m, label
-        fs_seen, c_seen, _, H_seen, dual_seen, _ = seen["setup"]
-        a_seen, D_seen = dual_seen()
+        fs_seen, a_seen, c_seen, _, H_seen, dual_seen, _ = seen["setup"]
+        D_seen = dual_seen()
         assert (fs_seen, c_seen, a_seen) == (fs, c, a), label
         assert [[(x % m, y % m) for x, y in row] for row in _dense(H_seen)] == _residues(gram_dual, p**c, m), label
         assert [[(x % m, y % m) for x, y in row] for row in D_seen] == _residues(dual, p**a, m), label
 
 
 def test_the_elimination_is_asked_for_one_scale_per_basis_vector(monkeypatch):
-    # The enumerator asks the Jordan elimination for k = K' + F + h digits,
-    # K' the walk's modulus (_precision) of the scales one per basis vector, so
-    # a rank-2 block counts twice.  Counted once per block, H(1)+H(3) would
-    # ask for k = 7 and H(3)+(pi0^2) for k = 8, fewer digits than
-    # _dual_jordan_basis needs to be exact, and the first pass at k = 8
-    # would be kept for both.  The rule is read once, on the scales of that
-    # first certified pass, and the elimination makes exactly one more pass,
-    # at the rule's k: 10, 10 and 9.  H(1)'s rule asks for k = 3, which the
-    # first pass already gives, so it makes none.
+    # The enumerator asks the Jordan elimination for k = K' + floor(F/2)
+    # digits, K' the walk's modulus (_precision) of the scales one per basis
+    # vector, so a rank-2 block counts twice.  The rule is read once, on the
+    # scales of the first certified pass at k = 8, and the elimination makes
+    # one more pass, at the rule's k, only when the rule asks for more.
+    # H(1)+H(3) (at p = 3 and 5), H(3)+(pi0^2) and H(1) ask for 8, 7 and 2,
+    # which the first pass gives.  H(1)+(1)+(pi0^2), of scales [0, 1, 1, 4],
+    # asks for k = 9 and makes the second pass; counted once per block,
+    # [0, 1, 4], its rule would ask for k = 7, fewer digits than
+    # _dual_jordan_basis needs to be exact, and the first pass would be kept.
     scales, passes = [], []
     real_precision, real_eliminate = vertices._precision, lattice._eliminate
 
@@ -421,10 +428,12 @@ def test_the_elimination_is_asked_for_one_scale_per_basis_vector(monkeypatch):
     cases = []
     for p in (3, 5):
         ctx = RamifiedContext(p, 1)
-        cases.append((f"p{p}:H(1)+H(3)", orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), [8, 10]))
+        cases.append((f"p{p}:H(1)+H(3)", orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), [8]))
     ctx = RamifiedContext(3, 1)
-    cases.append(("p3:H(3)+(pi0^2)", orthogonal_sum(hyperbolic_gram(ctx, 3), diagonal_gram(ctx, [ctx.pi0**2])), [8, 9]))
+    cases.append(("p3:H(3)+(pi0^2)", orthogonal_sum(hyperbolic_gram(ctx, 3), diagonal_gram(ctx, [ctx.pi0**2])), [8]))
     cases.append(("p3:H(1)", hyperbolic_gram(ctx, 1), [8]))
+    h1_1_pi4 = orthogonal_sum(hyperbolic_gram(ctx, 1), diagonal_gram(ctx, [1, ctx.pi0**2]))
+    cases.append(("p3:H(1)+(1)+(pi0^2)", h1_1_pi4, [8, 9]))
     for label, G, expected in cases:
         L = HermLattice.from_gram(G)
         scales.clear()
@@ -433,15 +442,17 @@ def test_the_elimination_is_asked_for_one_scale_per_basis_vector(monkeypatch):
             enumerate_vertices(L, bounds)
         (fs,) = scales
         assert len(fs) == L.n, label
-        assert passes == expected, label
+        assert passes == expected, (label, fs)
         assert passes[-1] == max(8, real_precision(fs, 0, 0)[3]), label
+    assert real_precision([0, 1, 4], 0, 0)[3] == 7  # H(1)+(1)+(pi0^2) once per block
 
 
 def _off_identity_cases():
     """Lattices that are not O_H^n in their ambient Gram, as (label, ambient,
-    basis): the canonical bases are then found with a, the least exponent
-    making p^a * L^# integral in the ambient, which differs from the
-    command-line value c = max(1, ceil(F/2)) in the last three."""
+    basis): the canonical bases are then found with a = ceil(F/2) + h, p^h *
+    L.basis integral, which differs from the command-line value c = max(1,
+    ceil(F/2)) in the third and fourth (h = 1).  In the last, p * L^# is
+    already integral in the ambient, so a = 2 is more than D needs."""
     for p, eps in ((3, F(1)), (3, F(1, 2)), (3, F(-5, 7)), (5, F(1, 2))):
         ctx = RamifiedContext(p, eps)
         zero = ctx.zero()
@@ -456,7 +467,7 @@ def _off_identity_cases():
         yield f"{tag}:span(pi*e1, e2) in H(1)", h1, diag(1, 0)  # a = c = 1
         yield f"{tag}:span(pi^-1*e1, e2) in diag(pi0^2, 1)", deep, diag(-1, 0)  # a = 2, c = 1
         yield f"{tag}:span(pi^-1*e1, e2) in H(3)", h3, diag(-1, 0)  # a = 2, c = 1
-        yield f"{tag}:pi*O^2 in H(1)", h1, diag(1, 1)  # a = 1, c = 2
+        yield f"{tag}:pi*O^2 in H(1)", h1, diag(1, 1)  # a = c = 2
 
 
 def test_canonical_bases_off_the_identity_basis_agree_with_the_oracle():
@@ -527,6 +538,32 @@ def test_verify_reports_a_vertex_outside_every_maximal_vertex(monkeypatch):
     assert rep.all_types_even and rep.poset_transitive
     assert rep.counterexamples == ("vertex 2 (type 0) lies in no maximal-type vertex",)
     assert cut.poset_edges == ((0, 4), (1, 4), (3, 4))
+
+
+def test_verify_reports_max_type_uniqueness_and_odd_type_counterexamples(monkeypatch):
+    # H(1) at p=3: the formula says t = 2 and a unique maximal vertex, and the
+    # census agrees; each check is made to fail on its own, by moving the
+    # formula's t or its irreducibility, or by giving one vertex an odd type
+    ctx = RamifiedContext(3, 1)
+    L = HermLattice.from_gram(hyperbolic_gram(ctx, 1))
+    vs = enumerate_vertices(L)
+    real = vertices.invariants_from_report
+    inv = real(vs.jordan, 3)
+    assert (inv.t, inv.irreducible, vs.max_type, vs.max_count) == (2, True, 2, 1)
+    odd = replace(vs, _types=tuple(1 if t == 0 else t for t in vs._types))
+    checks = ("max_type_matches", "saturation", "uniqueness_matches", "all_types_even", "poset_transitive")
+    cases = (
+        (vs, {"t": 4}, "max_type_matches", "formula t = 4 but enumeration found max type 2"),
+        (vs, {"irreducible": False}, "uniqueness_matches", "predicted unique=False but 1 maximal vertices"),
+        (odd, {}, "all_types_even", "odd vertex type found"),
+    )
+    for census, moved, check, message in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(vertices, "enumerate_vertices", lambda L, bounds: census)
+            mp.setattr(vertices, "invariants_from_report", lambda r, p: replace(real(r, p), **moved))
+            rep = verify_structure_theorems(L)
+        assert not rep.passed and rep.counterexamples == (message,), check
+        assert [name for name in checks if not getattr(rep, name)] == [check]
 
 
 def test_verify_reports_missing_transitive_edges_in_poset_order(monkeypatch):
