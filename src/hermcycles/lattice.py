@@ -418,14 +418,21 @@ def is_split_sum(blocks, p: int) -> bool:
     factors, which only needs the stored block data and the square class of
     -1 at p.
     """
-    rank = sum(b.rank for b in blocks)
+    rank, det_val = sum(b.rank for b in blocks), sum(b.det_val for b in blocks)
+    return _is_split(rank, det_val, sum(not b.det_unit_is_square for b in blocks), p)
+
+
+def _is_split(rank: int, det_val: int, non_squares: int, p: int) -> bool:
+    """The parity rule of is_split_sum, for a space of rank ``rank`` whose
+    determinant has pi-order ``det_val`` and a product of unit parts with
+    ``non_squares`` non-square factors; _jordan_report applies it to each
+    block.  An odd-scale block is split: its unit part is a norm, so a
+    square, and (rank/2) * (scale + 1) is even."""
     if rank % 2:
         return False
-    half_det_ord = sum(b.det_val for b in blocks) // 2
-    negatives = 0
+    negatives = non_squares
     if p % 4 == 3:
-        negatives += rank // 2 + half_det_ord
-    negatives += sum(1 for b in blocks if not b.det_unit_is_square)
+        negatives += rank // 2 + det_val // 2
     return negatives % 2 == 0
 
 
@@ -554,7 +561,7 @@ def _jordan_chunks(G: HermGram, track: bool = False, k: int = 8):
     cap = None
     while True:
         q = _Quotient(ctx, k)
-        res = iter([y.numerator % q.m if y.denominator == 1 else _mod(y, q.m) for y in comps])
+        res = iter([_mod(y, q.m) for y in comps])
         chunks = _eliminate([[(next(res), next(res)) for _ in range(n)] + row for row in eye], q)
         if chunks is not None:
             return q, [(s - 4 * j, *rest) for s, *rest in chunks] if j else chunks
@@ -577,11 +584,11 @@ def _jordan_report(chunks, p: int) -> JordanReport:
         group = groups.setdefault(scale, [0, 1])
         group[0] += len(block)
         group[1] *= sign
-    minus_one, blocks = legendre(-1, p), []
+    blocks = []
     for scale, (rank, sign) in sorted(groups.items()):
         if scale % 2 and rank % 2:
             raise AssertionError("odd-modular block of odd rank")
-        split = scale % 2 == 1 or (rank % 2 == 0 and sign * minus_one ** (rank // 2) == 1)
+        split = _is_split(rank, scale * rank, sign != 1, p)
         blocks.append(JordanBlock(scale, rank, scale * rank, sign == 1, split))
     return JordanReport(tuple(blocks))
 

@@ -201,8 +201,8 @@ class OHElement:
             return not self.b and self.a == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def __hash__(self):  # a rational element hashes as the int or Fraction it equals
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

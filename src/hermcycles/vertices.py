@@ -206,9 +206,9 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     and D modulo p^K' are those of the exact elimination.  The walk, the
     poset and the naming run on q, not on the elimination's wider ring.
 
-    W is read on the diagonal blocks only, where its nonzero entries lie.
-    H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
-    entries of the block of i.
+    The exact inverse of the block-diagonal conj(J) is exactly block
+    diagonal, so H comes as sparse rows: row i lists (j, H[i][j]) over the
+    nonzero entries of row i, all in the block of i.
     """
     n, ctx, p = L.n, L.ctx, L.ctx.p
     h = _p_denominator([y for row in L.basis for x in row for y in (x.a, x.b)], p)
@@ -225,25 +225,22 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     m, pi0, mq = ring.m, ring.pi0, q.m
     zero = ctx.zero()
     conj_J = [[zero] * n for _ in range(n)]
-    vecs, spans = [], []
+    vecs = []
     for _, _, block, pivots in chunks:
         i = len(vecs)
         for r, row in enumerate(block):
             conj_J[i + r][i : i + len(row)] = [OHElement(x, -y, ctx) for x, y in row]
         vecs.extend(pivots)
-        spans.append(range(i, len(vecs)))
     W = mat_inverse(conj_J, ctx)
     pw, pcw = p**w, p ** (c - w)
     R = []  # p^w * W
-    for span in spans:
-        for i in span:
-            row = []
-            for j in span:
-                x = W[i][j]
-                ra, rb = _mod(x.a, m, pw), _mod(x.b, m, pw)
-                if ra or rb:
-                    row.append((j, (ra, rb)))
-            R.append(row)
+    for W_i in W:
+        row = []
+        for j, x in enumerate(W_i):
+            ra, rb = _mod(x.a, m, pw), _mod(x.b, m, pw)
+            if ra or rb:
+                row.append((j, (ra, rb)))
+        R.append(row)
     H = [[(j, (ra * pcw % mq, -rb * pcw % mq)) for j, (ra, rb) in row] for row in R]
 
     def dual():
@@ -303,12 +300,13 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
 
     The last slot, (0, n - 1), completes a candidate.  There only z =
     Z[0][n-1] is still free, and the diagonal entry S[n-1][n-1] that
-    _is_vertex tests first is a quadratic in z (_last_diagonal): each
-    residue that passes the congruence is checked against it, and only the
-    survivors meet _is_vertex, which decides them.  Row 0 is the last row,
-    so its X is never read and the slot does not form it.  A rank-1 walk has
-    no slot: each candidate is counted, then goes straight to _is_vertex.
-    Only an accepted Z is copied.
+    _is_vertex tests first is a quadratic in z (_last_diagonal), read off
+    _is_vertex's own column product at z = 0: each residue that passes the
+    congruence is checked against it, and only the survivors meet
+    _is_vertex, which decides them.  Row 0 is the last row, so its X is
+    never read and the slot does not form it.  A rank-1 walk has no slot:
+    each candidate is counted, then goes straight to _is_vertex.  Only an
+    accepted Z is copied.
 
     Precision: X[j][j] = pi^(f_j - e_j) is exact and X[i][j] divides by
     pi^e_i, so s at slot (i, j) is known modulo pi^(2K - e_(i+1) - ... -
@@ -406,44 +404,47 @@ def _last_diagonal(Z, H, c: int, q: _Quotient):
     """Whether S[n-1][n-1] of _is_vertex vanishes modulo p^c, as a function
     of z = Z[0][n-1] = za + zb*pi alone, the rest of column n - 1 of Z fixed.
 
-    With z_k = Z[k][n-1], S[n-1][n-1] = sum over k, l of z_k H[k][l]
-    conj(z_l).  Split off k = 0 or l = 0: H is Hermitian (H[k][0] =
-    conj(H[0][k]), modulo p^K as G# is), so S[n-1][n-1] = z conj(z) H[0][0]
-    + (z A + conj(z A)) + S', with A = sum over l >= 1 of H[0][l] conj(z_l)
-    and S' the sum over k, l >= 1.  z conj(z) = za^2 - zb^2 * pi0, z A +
-    conj(z A) = 2 * (za * Aa + zb * Ab * pi0), H[0][0] = h00 and S' = C are
-    rational, so the condition reads h00 * (za^2 - zb^2 * pi0) + 2 * (za * Aa
-    + zb * Ab * pi0) + C = 0 modulo p^c: exactly the first check of
-    _is_vertex.  h00, A and C are formed once per completed column.
+    H is Hermitian (H[k][0] = conj(H[0][k]), modulo p^K as G# is), so S(z)
+    = S(0) + h00 * Nm(z) + 2 * Re(z * A), with h00 = H[0][0] rational and
+    A, S(0) the vertex test's own column product at z = 0 (_column_product):
+    A = P[0] and S(0) = C = s.  Nm(z) = za^2 - zb^2 * pi0 and Re(z * A) =
+    za * Aa + zb * Ab * pi0, so the condition reads h00 * (za^2 - zb^2 *
+    pi0) + 2 * (za * Aa + zb * Ab * pi0) + C = 0 modulo p^c: exactly the
+    first check of _is_vertex.  h00, A and C are formed once per completed
+    column.
     """
-    n = len(Z)
-    pi0, pc = q.pi0, q.p**c
-    col = [row[n - 1] for row in Z]
-    h00 = aa = ab = 0
-    for l, (ha, hb) in H[0]:
-        if l == 0:
-            h00 = ha
-        else:
-            za, zb = col[l]
-            aa += ha * za - hb * zb * pi0
-            ab += hb * za - ha * zb
-    C = 0
-    for k in range(1, n):
-        sa = sb = 0
-        for l, (ha, hb) in H[k]:
-            if l:
-                za, zb = col[l]
-                sa += ha * za - hb * zb * pi0
-                sb += hb * za - ha * zb
-        za, zb = col[k]
-        C += za * sa + zb * sb * pi0
-    h00, pi0 = h00 % pc, pi0 % pc
-    lin_a, lin_b, C = 2 * aa % pc, 2 * ab * pi0 % pc, C % pc
+    pc = q.p**c
+    col = [row[-1] for row in Z]
+    col[0] = (0, 0)  # z = 0
+    P, C = _column_product(H, col, q.pi0, pc)
+    h00, pi0 = dict(H[0]).get(0, (0, 0))[0] % pc, q.pi0 % pc
+    lin_a, lin_b, C = 2 * P[0][0] % pc, 2 * P[0][1] * pi0 % pc, C % pc
 
     def vanishes(za, zb):
         return (h00 * (za * za - zb * zb * pi0) + za * lin_a + zb * lin_b + C) % pc == 0
 
     return vanishes
+
+
+def _column_product(H, col, pi0: int, m: int):
+    """(P, s) for a column col of Z of length b + 1 (it vanishes below row
+    b): P, rows 0..b of H * conj(col) modulo m, and s = col^T * P, an int
+    congruent modulo m to the rational part of the diagonal entry of S =
+    Z^T * H * conj(Z) at that column (_is_vertex).  H comes as sparse rows
+    of (column, entry)."""
+    b = len(col) - 1
+    P, s = [], 0
+    for (ca, cb), row in zip(col, H):
+        sa = sb = 0
+        for j, (ha, hb) in row:
+            if j <= b:
+                za, zb = col[j]
+                sa += ha * za - hb * zb * pi0
+                sb += hb * za - ha * zb
+        sa, sb = sa % m, sb % m
+        P.append((sa, sb))
+        s += ca * sa + cb * sb * pi0
+    return P, s
 
 
 def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
@@ -463,36 +464,25 @@ def _is_vertex(Z, H, c: int, t: int, q: _Quotient) -> bool:
     times a rational), so r is even and an odd t is never accepted.
 
     The checks run cheapest-first: the diagonal of S from the last column
-    (S[b][b] needs column b of P = H * conj(Z) only, and most candidates
-    fail there), then the entries above it (S is Hermitian, so its upper
-    half decides), then the rank, which t = 0 skips: r = 0 exactly when N
-    vanishes modulo pi.  Every check reads S modulo p^c, so P is kept
-    modulo p^c.  H comes as sparse rows of (column,
-    entry), as G# is block diagonal (_dual_jordan_basis).
+    (S[b][b] needs column b of P = H * conj(Z) only, _column_product, and
+    most candidates fail there), then the entries above it (S is Hermitian,
+    so its upper half decides), then the rank, which t = 0 skips: r = 0
+    exactly when N vanishes modulo pi.  Every check reads S modulo p^c, so
+    P is kept modulo p^c.  H comes as sparse rows of (column, entry), as G#
+    is block diagonal (_dual_jordan_basis).
 
     The walk (_iter_candidates) checks the first of these, S[n-1][n-1],
-    itself on every candidate of rank 2 or more (_last_diagonal) and calls
-    this test only where it vanishes.  This stays the one complete test: it
-    checks S[n-1][n-1] again, for a rank-1 candidate and for any caller.
+    itself on every candidate of rank 2 or more (_last_diagonal, from this
+    test's own column product at z = Z[0][n-1] = 0) and calls this test
+    only where it vanishes.  This stays the one complete test: it checks
+    S[n-1][n-1] again, for a rank-1 candidate and for any caller.
     """
     n = len(Z)
     p, pi0 = q.p, q.pi0
     pc, pc1 = p**c, p ** (c - 1)
     P = [None] * n  # P[b][k] = (H * conj(Z))[k][b] modulo p^c, for k <= b
     for b in range(n - 1, -1, -1):
-        col = [Z[j][b] for j in range(b + 1)]  # column b of Z vanishes below row b
-        Pb, diagonal = [], 0
-        for k in range(b + 1):
-            sa = sb = 0
-            for j, (ha, hb) in H[k]:
-                if j <= b:
-                    za, zb = col[j]
-                    sa += ha * za - hb * zb * pi0
-                    sb += hb * za - ha * zb
-            sa, sb = sa % pc, sb % pc
-            Pb.append((sa, sb))
-            za, zb = col[k]
-            diagonal += za * sa + zb * sb * pi0
+        Pb, diagonal = _column_product(H, [Z[j][b] for j in range(b + 1)], pi0, pc)
         if diagonal % pc:  # S[b][b] is rational, its pi-component vanishes
             return False
         P[b] = Pb

@@ -445,15 +445,18 @@ def test_is_split_sum():
 
 
 def test_split_block_rule_agrees_with_is_split_sum():
-    # Jacobowitz's split criterion is stated twice: per block when the Jordan
-    # report is built, and for a set of blocks in is_split_sum (which decides
-    # t and irreducibility); on one block they must agree
+    # Jacobowitz's split criterion is applied twice: per block when the Jordan
+    # report is built, and to a set of blocks in is_split_sum (which decides
+    # t and irreducibility); on one block they must agree, on the block-sum
+    # family and on random Grams
     rng = random.Random(23)
     seen = {True: 0, False: 0}
+    grams = [(ctx.p, G) for _, ctx, G in block_sum_family()]
     for trial in range(300):
         p = rng.choice([3, 5, 7])
         ctx = RamifiedContext(p, rng.choice([1, smallest_nonresidue(p)]))
-        G = random_hermitian_gram(rng, ctx, rng.randint(1, 5), max_val=rng.randint(1, 3))
+        grams.append((p, random_hermitian_gram(rng, ctx, rng.randint(1, 5), max_val=rng.randint(1, 3))))
+    for p, G in grams:
         for b in jordan_split(G).blocks:
             assert b.is_split_block == is_split_sum((b,), p), (G.entries, b)
             seen[b.is_split_block] += 1

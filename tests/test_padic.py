@@ -27,10 +27,12 @@ from hermcycles.padic import (
     _MR_LIMIT,
     _MR_PREFIXES,
     INFINITY,
+    _rho,
     _splitting,
     _val,
     check_quadratic_field,
     is_prime,
+    legendre,
 )
 
 
@@ -367,3 +369,15 @@ def test_rational_parsing():
         parse_rational("1/0")
     with pytest.raises(SchemaError):
         parse_rational(None)
+
+
+def test_legendre_of_a_multiple_of_p_is_zero():
+    for p in (3, 5, 7):
+        assert [legendre(n, p) for n in (0, p, -p, 4 * p)] == [0, 0, 0, 0]
+    assert [legendre(n, 5) for n in (1, 2, 3, 4)] == [1, -1, -1, 1]
+
+
+def test_rho_leaves_a_collapsed_sequence_by_single_steps():
+    # on 25 the first batch of the c = 1 sequence multiplies its differences
+    # up to a multiple of 25, so rho steps back one difference at a time
+    assert _rho(25, 10**6) == 5

@@ -192,6 +192,21 @@ def test_element_json():
     assert ctx.element(F(1, 2), F(-3)).to_json() == {"a": "1/2", "b": "-3"}
 
 
+def test_a_rational_element_hashes_as_the_number_it_equals():
+    ctx = RamifiedContext(3, 1)
+    for x in (3, 0, -1, F(1, 2), F(-7, 9)):
+        element = ctx.element(x)
+        assert element == x and hash(element) == hash(x)
+        assert x in {element} and element in {x}
+        assert {x: "found"}[element] == "found"
+    assert ctx.element(3) == F(3) and hash(ctx.element(3)) == hash(F(3))
+    pi = ctx.element(0, 1)
+    assert pi != 0 and hash(pi) == hash(ctx.element(0, 1))
+    assert len({ctx.element(1, 1), ctx.element(1, 1), ctx.element(1)}) == 2
+    assert (ctx.element(1) == "1") is False
+    assert ctx.element(1) != "1"
+
+
 def test_arithmetic_with_plain_numbers():
     ctx = RamifiedContext(3, 1)
     pi = ctx.element(0, 1)

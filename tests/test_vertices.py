@@ -116,9 +116,9 @@ def test_types_match_quotient_lengths():
 
 
 def test_enumeration_is_basis_independent():
-    # equal censuses compare equal as VertexSets too: a Vertex compares its
-    # type and canonical basis, not the identity of a lattice object, and a
-    # census its printed poset, not the order of the walk
+    # equal censuses compare and hash equal as VertexSets too: a Vertex
+    # compares its type and canonical basis, not the identity of a lattice
+    # object, and a census its printed poset, not the order of the walk
     rng = random.Random(14)
     ctx = RamifiedContext(3, 1)
     G = orthogonal_sum(hyperbolic_gram(ctx, 1), diagonal_gram(ctx, [1]))
@@ -132,7 +132,9 @@ def test_enumeration_is_basis_independent():
         vs = enumerate_vertices(moved)
         assert vs.to_json() == reference
         assert vs == census and vs.vertices == census.vertices
+        assert hash(vs) == hash(census)
     assert census != replace(census, _edges=census._edges[1:])
+    assert (census == 3) is False
 
 
 def test_bounds_and_preconditions():
