@@ -237,6 +237,8 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     for W_i in W:
         row = []
         for j, x in enumerate(W_i):
+            if not x:
+                continue
             ra, rb = _mod(x.a, m, pw), _mod(x.b, m, pw)
             if ra or rb:
                 row.append((j, (ra, rb)))
@@ -417,7 +419,10 @@ def _last_diagonal(Z, H, c: int, q: _Quotient):
     col = [row[-1] for row in Z]
     col[0] = (0, 0)  # z = 0
     P, C = _column_product(H, col, q.pi0, pc)
-    h00, pi0 = dict(H[0]).get(0, (0, 0))[0] % pc, q.pi0 % pc
+    h00, pi0 = 0, q.pi0 % pc
+    for j, (ha, _) in H[0]:
+        if j == 0:
+            h00 = ha % pc
     lin_a, lin_b, C = 2 * P[0][0] % pc, 2 * P[0][1] * pi0 % pc, C % pc
 
     def vanishes(za, zb):

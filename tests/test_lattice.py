@@ -46,6 +46,7 @@ from hermcycles.lattice import (
     mat_mul,
     mat_transpose,
 )
+from hermcycles.padic import legendre
 
 
 def test_validate_gram():
@@ -447,8 +448,12 @@ def test_is_split_sum():
 def test_split_block_rule_agrees_with_is_split_sum():
     # Jacobowitz's split criterion is applied twice: per block when the Jordan
     # report is built, and to a set of blocks in is_split_sum (which decides
-    # t and irreducibility); on one block they must agree, on the block-sum
-    # family and on random Grams
+    # t and irreducibility).  Both share one parity rule, so each is checked
+    # against the criterion for one pi^scale-modular block written out on its
+    # own: an odd-scale block is split (it is hyperbolic, and its unit part a
+    # norm, so a square), an even-scale block exactly when its rank is even
+    # and its unit part times (-1)^(rank/2) is a square.  On the block-sum
+    # family and on random Grams, both eps classes, p in {3, 5, 7}.
     rng = random.Random(23)
     seen = {True: 0, False: 0}
     grams = [(ctx.p, G) for _, ctx, G in block_sum_family()]
@@ -456,10 +461,17 @@ def test_split_block_rule_agrees_with_is_split_sum():
         p = rng.choice([3, 5, 7])
         ctx = RamifiedContext(p, rng.choice([1, smallest_nonresidue(p)]))
         grams.append((p, random_hermitian_gram(rng, ctx, rng.randint(1, 5), max_val=rng.randint(1, 3))))
+    odd_scale = 0
     for p, G in grams:
         for b in jordan_split(G).blocks:
-            assert b.is_split_block == is_split_sum((b,), p), (G.entries, b)
+            if b.scale % 2:
+                assert b.det_unit_is_square, (G.entries, b)
+                odd_scale += 1
+            sign = 1 if b.det_unit_is_square else -1
+            split = b.scale % 2 == 1 or (b.rank % 2 == 0 and sign * legendre(-1, p) ** (b.rank // 2) == 1)
+            assert b.is_split_block == split == is_split_sum((b,), p), (G.entries, b)
             seen[b.is_split_block] += 1
+    assert odd_scale > 50
     assert min(seen.values()) > 100  # both answers are exercised
 
 

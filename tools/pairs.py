@@ -2,12 +2,13 @@
 write the paired summary as a BENCH_<n>.json.
 
     python3 tools/pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
-        [--workloads enum-small queries] [--pairs 10] [--seconds 20] \\
-        [--parent-rev REV] [--note TEXT]
+        [--note TEXT]
 
-Pair i (1..N) of a workload W runs
+DIR is a git checkout of the parent commit (its revision is recorded) and
+of the change.  For each workload W of the change's BENCHMARK.json, pair i
+(1..10) runs
 
-    python3 bench/run.py --workload W --seed i --seconds S --trace 0
+    python3 bench/run.py --workload W --seed i --seconds 20 --trace 0
 
 once in each checkout, one process at a time: the parent first in odd
 pairs, the change first in even ones.  The last line of a run's standard
@@ -34,6 +35,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+SECONDS = 20
 
 
 def parse_run(returncode: int, stdout: str, names):
@@ -99,14 +102,14 @@ def summarize(pairs, metrics):
     return summary
 
 
-def run_pairs(dirs, workload: str, n: int, seconds: float):
-    """The ``n`` alternating pairs of runs of one workload, as summarize reads them."""
+def run_pairs(dirs, workload: str):
+    """The PAIRS alternating pairs of runs of one workload, as summarize reads them."""
     pairs = []
-    for i in range(1, n + 1):
+    for i in range(1, PAIRS + 1):
         pair = {"pair": i}
         for side in SIDES if i % 2 else SIDES[::-1]:
             argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(i),
-                    "--seconds", str(seconds), "--trace", "0"]
+                    "--seconds", str(SECONDS), "--trace", "0"]
             proc = subprocess.run(argv, cwd=dirs[side], capture_output=True, text=True)
             pair[side] = (proc.returncode, proc.stdout)
             print(f"{workload} pair {i} {side}: exit {proc.returncode}", file=sys.stderr)
@@ -119,27 +122,25 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workloads", nargs="+", default=["enum-small", "queries"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--parent-rev", default="", help="the parent's commit, as recorded")
     parser.add_argument("--note", default="", help="what the change does, as recorded")
     args = parser.parse_args(argv)
     dirs = {"parent": args.parent, "change": args.change}
+    rev = ["git", "-C", str(args.parent), "rev-parse", "--short", "HEAD"]
+    parent_rev = subprocess.run(rev, capture_output=True, text=True, check=True).stdout.strip()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     workloads = {}
-    for workload in args.workloads:
-        workloads[workload] = summarize(run_pairs(dirs, workload, args.pairs, args.seconds), metrics)
+    for workload in (w["name"] for w in spec["workloads"]):
+        workloads[workload] = summarize(run_pairs(dirs, workload), metrics)
         for error in workloads[workload]["errors"]:
             print(f"{workload}: {error}", file=sys.stderr)
     doc = {
         "change": args.note,
-        "parent": args.parent_rev,
-        "command": f"python3 bench/run.py --workload W --seed PAIR --seconds {args.seconds:g} --trace 0",
-        "seed": f"the pair number, 1-{args.pairs}; both sides of a pair run the same seed",
-        "pairs": args.pairs,
-        "run_seconds": args.seconds,
+        "parent": parent_rev,
+        "command": f"python3 bench/run.py --workload W --seed PAIR --seconds {SECONDS} --trace 0",
+        "seed": f"the pair number, 1-{PAIRS}; both sides of a pair run the same seed",
+        "pairs": PAIRS,
+        "run_seconds": SECONDS,
         "order": "alternating: parent first in odd pairs (1, 3, ...), change first in even pairs",
         "host": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}",
         "quartiles": "statistics.quantiles(values, n=4) over the runs of one side",
