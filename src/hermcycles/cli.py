@@ -25,13 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import DomainError, ResourceError, SchemaError
 from .padic import DEFAULT_FACTOR_BOUND, REAL_PLACE, hilbert_symbol, parse_rational
-
-_ZERO = Fraction(0)
 
 # The enumeration flags of vertices and verify, one per field of
 # vertices.EnumerationBounds, which owns their defaults: an omitted flag is
@@ -79,15 +76,17 @@ def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset(
 
 def _parse_entry(obj, element, ctx, where: str, keys, noun):
     """One element, built by ``element(a, b, ctx)``: a number, or an object
-    with the coordinate ``keys``."""
+    with the coordinate ``keys``; a missing coordinate is 0, and each given
+    one, null included, goes through parse_rational."""
     if isinstance(obj, dict):
-        unknown = obj.keys() - keys
-        if unknown:
-            raise SchemaError(f"unknown fields {sorted(unknown)}", location=where)
-        a, b = (parse_rational(obj[k]) if k in obj else _ZERO for k in keys)
-        return element(a, b, ctx)
+        ka, kb = keys
+        has_a, has_b = ka in obj, kb in obj
+        if len(obj) != has_a + has_b:
+            raise SchemaError(f"unknown fields {sorted(obj.keys() - keys)}", location=where)
+        a = parse_rational(obj[ka]) if has_a else 0
+        return element(a, parse_rational(obj[kb]) if has_b else 0, ctx)
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return element(parse_rational(obj), _ZERO, ctx)
+        return element(parse_rational(obj), 0, ctx)
     raise SchemaError(f"not a {noun} element: {obj!r}", location=where)
 
 

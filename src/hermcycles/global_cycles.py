@@ -59,7 +59,7 @@ def is_positive_definite(T, delta: int) -> bool:
     return not swaps and len(pivots) == G.n and all(x.a > 0 for x in pivots)
 
 
-def _diff0(det: Fraction, delta: int, bound: int) -> tuple[int, ...]:
+def _diff0(det: int | Fraction, delta: int, bound: int) -> tuple[int, ...]:
     """Inert primes of odd valuation in a nonzero det, for a checked field.
     det is that of a matrix over O_k, a rational algebraic integer, so an
     integer."""
@@ -78,10 +78,11 @@ class GlobalReport:
     (det T, delta)_p = 1, and with det T = p**k * u, u a unit, the symbol is
     (-1)**k: at odd p, delta is a unit non-residue, and at p = 2,
     delta = 5 mod 8, so (u, delta)_2 = 1 and (2, delta)_2 = -1.  Hence a
-    self-dual lattice exists exactly when diff0 is empty."""
+    self-dual lattice exists exactly when diff0 is empty.  ``det`` is det T,
+    an exact rational: an int or a Fraction."""
 
     positive_definite: bool
-    det: Fraction
+    det: int | Fraction
     diff0: tuple[int, ...]
     status: str
     self_dual_exists: bool | None

@@ -176,7 +176,8 @@ class HermGram:
     def det(self) -> OHElement:
         return self.elimination()[2]
 
-    def det_rational(self) -> Fraction:
+    def det_rational(self) -> int | Fraction:
+        """The determinant as an exact rational, an int or a Fraction."""
         d = self.det()
         if d.b:
             raise PreconditionError("Hermitian determinant must be rational")

@@ -2,9 +2,10 @@
 
 Valuations, Legendre and Hilbert symbols, factorization, and prime splitting
 in an imaginary quadratic field.  Everything here works on exact
-arbitrary-precision rationals, with no truncated p-adic precision; the Jordan
-elimination and the vertex enumerator run modulo certified powers of p.
-Rationals are parsed and printed as decimal strings "n" or "n/d".
+arbitrary-precision rationals, ints or Fractions and never floats, with no
+truncated p-adic precision; the Jordan elimination and the vertex enumerator
+run modulo certified powers of p.  Rationals are parsed and printed as
+decimal strings "n" or "n/d"; the parser returns an int for an integral value.
 """
 
 from __future__ import annotations
@@ -50,8 +51,14 @@ _MR_PREFIXES = (
 )
 
 
-def parse_rational(value) -> Fraction:
-    """Parse "n" or "n/d" (also accepts int/Fraction) into an exact Fraction.
+def _rational(q: Fraction) -> int | Fraction:
+    """q as an int when it is integral, else as it is."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def parse_rational(value) -> int | Fraction:
+    """Parse "n" or "n/d" (also accepts int/Fraction) into an exact rational:
+    an int when the value is integral, a Fraction otherwise, never a float.
 
     Canonical literals, ASCII digits with an optional leading "-", take an
     integer path; every other form goes through the Fraction string parser,
@@ -65,13 +72,15 @@ def parse_rational(value) -> Fraction:
         digits = num[1:] if num[:1] == "-" else num
         if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
             try:  # int() refuses a digit string past the limit, as Fraction() does
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                return _rational(Fraction(int(num), int(den))) if slash else int(num)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"not a rational: {value!r}") from exc
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise SchemaError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return _rational(Fraction(value))
     if isinstance(value, str):
         e = max(value.rfind("e"), value.rfind("E"))
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -80,7 +89,7 @@ def parse_rational(value) -> Fraction:
             if len(digits) > len(str(limit)) or (digits.isdecimal() and int(digits) > limit):
                 raise SchemaError(f"not a rational: {value!r} (exponent beyond {limit})")
         try:
-            return Fraction(value.strip())
+            return _rational(Fraction(value.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"not a rational: {value!r}") from exc
     raise SchemaError(f"not a rational: {value!r}")
@@ -134,8 +143,8 @@ def _count_factor(n: int, p: int) -> tuple[int, int]:
     return k, n
 
 
-def _val(q: Fraction, p: int):
-    """Exact p-adic valuation of a Fraction, +inf for 0; p is not checked."""
+def _val(q: int | Fraction, p: int):
+    """Exact p-adic valuation of an int or Fraction, +inf for 0; p is not checked."""
     if not q:
         return INFINITY
     k, _ = _count_factor(q.numerator, p)
@@ -145,10 +154,12 @@ def _val(q: Fraction, p: int):
     return -k
 
 
-def _mod(q: Fraction, m: int, s: int = 1) -> int:
-    """The residue modulo m of s * q, for a rational q and an int s with s * q
-    of denominator prime to m, read off q's numerator and denominator: no
-    Fraction is built."""
+def _mod(q: int | Fraction, m: int, s: int = 1) -> int:
+    """The residue modulo m of s * q, for an int or Fraction q and an int s
+    with s * q of denominator prime to m, read off q's numerator and
+    denominator: no Fraction is built."""
+    if type(q) is int:
+        return q * s % m
     if q.denominator == 1:
         return q.numerator * s % m
     g = math.gcd(q.denominator, s)

@@ -2,7 +2,9 @@
 
 Locally g is the uniformizer pi of the ramified extension H = Q_p(pi) with
 pi**2 = pi0 = eps*p; globally it is sqrt(delta) in Q(sqrt(delta)) with
-pi0 = delta.  Elements are pairs of exact rationals.  Conjugation sends g to
+pi0 = delta.  Elements are pairs of exact rationals, each an int or a
+Fraction and never a float: integral coordinates may stay ints, and the one
+true division, in ``inverse``, is done in Fraction.  Conjugation sends g to
 -g, the norm of a + b*g is a**2 - b**2*pi0, and over H the pi-adic order of
 a + b*pi is min(2*val_p(a), 2*val_p(b) + 1).  All values are immutable and
 safe to share between threads.
@@ -66,18 +68,24 @@ class RamifiedContext(QuadContext):
         object.__setattr__(self, "pi0", self.eps * self.p)
 
 
+def _coordinate(x) -> int | Fraction:
+    """An int or Fraction as it is; any other number (a bool, a float) as a Fraction."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
 class OHElement:
-    """a + b*pi with exact rational coefficients; pi**2 rewrites to ctx.pi0."""
+    """a + b*pi with exact rational coefficients, each an int or a Fraction;
+    pi**2 rewrites to ctx.pi0."""
 
     __slots__ = ("a", "b", "ctx")
 
     def __init__(self, a, b, ctx: QuadContext):
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
+        self.a = _coordinate(a)
+        self.b = _coordinate(b)
         self.ctx = ctx
 
     @classmethod
-    def _raw(cls, a: Fraction, b: Fraction, ctx: QuadContext) -> "OHElement":
+    def _raw(cls, a: int | Fraction, b: int | Fraction, ctx: QuadContext) -> "OHElement":
         self = object.__new__(cls)
         self.a = a
         self.b = b
@@ -90,7 +98,7 @@ class OHElement:
                 raise PreconditionError("context mismatch between ring elements")
             return other
         if isinstance(other, (int, Fraction)):
-            return OHElement._raw(Fraction(other), _ZERO, self.ctx)
+            return OHElement._raw(_coordinate(other), 0, self.ctx)
         return None
 
     # Zero components cost no Fraction work: a zero addend leaves the other
@@ -155,18 +163,20 @@ class OHElement:
         return o * self.inverse()
 
     def inverse(self) -> "OHElement":
+        """The inverse, its coordinates divided in Fraction: 1/a of an int a
+        would be a float."""
         a, b = self.a, self.b
         n = self.norm() if b else a
         if n == 0:
             raise PreconditionError("division by zero in H")
         if not b:  # rational: one division
-            return OHElement._raw(1 / a, b, self.ctx)
-        return OHElement._raw(a / n if a else a, -b / n, self.ctx)
+            return OHElement._raw(Fraction(1, a), b, self.ctx)
+        return OHElement._raw(Fraction(a, n) if a else a, Fraction(-b, n), self.ctx)
 
     def conjugate(self) -> "OHElement":
         return OHElement._raw(self.a, -self.b, self.ctx) if self.b else self
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         """x * conj(x) = a**2 - b**2 * pi0, fixed by conjugation."""
         a, b = self.a, self.b
         if not b:
@@ -195,7 +205,11 @@ class OHElement:
         return self.a.denominator % p != 0 and self.b.denominator % p != 0
 
     def __eq__(self, other):
+        # a rational element (b = 0) is its number in every context, so that
+        # equality stays transitive across contexts through plain numbers
         if isinstance(other, OHElement):
+            if not self.b and not other.b:
+                return self.a == other.a
             return self.a == other.a and self.b == other.b and self.ctx == other.ctx
         if isinstance(other, (int, Fraction)):
             return not self.b and self.a == other

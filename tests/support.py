@@ -102,8 +102,15 @@ def invoke(argv, stdin_text=None):
 # rational literal oracle
 
 
-def parse_rational_oracle(value) -> Fraction:
-    """parse_rational with every string through the Fraction string parser."""
+def parse_rational_oracle(value) -> int | Fraction:
+    """parse_rational with every string through the Fraction string parser,
+    and the result normalised to the exactness contract: an int iff the
+    value is integral, else a Fraction."""
+    q = _fraction_oracle(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _fraction_oracle(value) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):

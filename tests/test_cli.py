@@ -384,6 +384,34 @@ def test_global_error_documents():
         assert out == json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
 
 
+def test_coordinate_parser_error_documents():
+    # a given coordinate, null included, goes through parse_rational, and
+    # unknown fields are named sorted before any coordinate is read
+    def error(message, location=None):
+        doc = {"code": "schema-violation", "message": message}
+        return {"error": {**doc, "location": location} if location else doc}
+
+    cases = (
+        (["jordan", "--p", "3"], '{"gram": [[{"a": null}]]}', error("not a rational: None")),
+        (["jordan", "--p", "3"], '{"gram": [[{"b": true}]]}', error("not a rational: True")),
+        (
+            ["jordan", "--p", "3"],
+            '{"gram": [[{"a": "1", "d": "0", "c": "0"}]]}',
+            error("unknown fields ['c', 'd']", "gram[0][0]"),
+        ),
+        (
+            ["jordan", "--p", "3"],
+            '{"gram": [[{"a": "x", "c": "0"}]]}',
+            error("unknown fields ['c']", "gram[0][0]"),
+        ),
+        (["jordan", "--p", "3"], '{"gram": [["1/0"]]}', error("not a rational: '1/0'")),
+        (["global"], '{"delta": -3, "matrix": [[{"x": null}]]}', error("not a rational: None")),
+    )
+    for argv, text, expected in cases:
+        code, out = invoke(argv, stdin_text=text)
+        assert (code, out) == (1, json.dumps(expected, indent=2, sort_keys=True) + "\n"), text
+
+
 def test_global_factor_bound_error_documents():
     # delta and det hit the factor bound alike; an invalid field is reported
     # from the same one factorization of delta; a negative bound is refused,

@@ -306,6 +306,8 @@ def _near_hermitian(draw, keys):
             b = draw(_RATIONALS) if i != j else Fraction(0)
             rows[i][j] = {keys[0]: str(a), keys[1]: str(b)}
             rows[j][i] = {keys[0]: str(a), keys[1]: str(-b)}
+            if i == j and a.denominator == 1 and draw(st.booleans()):
+                rows[i][i] = int(a)  # a bare JSON number
     if draw(st.integers(0, 3)) == 0:
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_JSON)
     return rows
@@ -359,12 +361,14 @@ _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 @st.composite
 def _literals(draw):
-    """A rational as a request may spell it: an int or a bool one time in
-    ten, else a string of a sign, digits (ASCII, or with "_", "٣" and "²"
-    mixed in, or one below or past the digit limit), a denominator (zero
-    too), a decimal part and an exponent, each optional, in whitespace."""
+    """A rational as a request may spell it: an int, a bool or a Fraction
+    (integral or not) one time in ten, else a string of a sign, digits
+    (ASCII, or with "_", "٣" and "²" mixed in, or one below or past the digit
+    limit), a denominator (zero too), a decimal part and an exponent, each
+    optional, in whitespace."""
     if draw(st.integers(0, 9)) == 0:
-        return draw(st.booleans() | st.integers(-(10**30), 10**30))
+        fractions = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 1, 2, 3]))
+        return draw(st.booleans() | st.integers(-(10**30), 10**30) | fractions)
     ascii_digits = st.text("0123456789", min_size=1, max_size=5)
     digits = ascii_digits | st.text("0123456789_٣²", max_size=5)
     if _DIGIT_LIMIT and draw(st.integers(0, 9)) == 0:

@@ -20,6 +20,7 @@ from hermcycles import (
     UnsupportedPrimeError,
     pi_power,
 )
+from hermcycles.lattice import diagonal_gram
 from hermcycles.padic import INFINITY, _val
 
 
@@ -45,6 +46,12 @@ def test_defining_relation_and_products():
     assert pi.conjugate() * pi == ctx.element(-ctx.pi0)
 
 
+def _assert_exact(*coordinates):
+    """The exactness contract: every coordinate an int or a Fraction, never a float."""
+    for x in coordinates:
+        assert type(x) in (int, F), (type(x), x)
+
+
 def test_inverse():
     ctx = RamifiedContext(3, 1)
     pi = ctx.element(0, 1)
@@ -64,7 +71,7 @@ def test_an_element_times_its_inverse_is_one():
     from hypothesis import strategies as st
 
     contexts = [RamifiedContext(3, 1), RamifiedContext(5, -1), RamifiedContext(7, F(1, 2))]
-    component = st.builds(F, st.integers(-60, 60), st.integers(1, 30))
+    component = st.integers(-60, 60) | st.builds(F, st.integers(-60, 60), st.integers(1, 30))
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(st.sampled_from(contexts), component, component, st.booleans())
@@ -73,10 +80,10 @@ def test_an_element_times_its_inverse_is_one():
         if x.is_zero():
             return
         inv = x.inverse()
-        assert type(inv.a) is F and type(inv.b) is F
+        _assert_exact(inv.a, inv.b)
         assert x * inv == ctx.one() == inv * x
         if rational:
-            assert inv == ctx.element(1 / a)
+            assert inv == ctx.element(F(1, a))
 
     check()
     for ctx in contexts:
@@ -207,6 +214,33 @@ def test_a_rational_element_hashes_as_the_number_it_equals():
     assert ctx.element(1) != "1"
 
 
+def test_a_rational_element_is_its_number_in_every_context():
+    # equality through a plain number is transitive across contexts: a set's
+    # size does not depend on the order its elements go in
+    a, b = RamifiedContext(3, 1).element(3), RamifiedContext(3, -1).element(3)
+    assert a == 3 == b and a == b and hash(a) == hash(b) == hash(3)
+    assert len({3, a, b}) == len({a, b, 3}) == len({b, 3, a}) == 1
+    pi_a, pi_b = RamifiedContext(3, 1).element(0, 1), RamifiedContext(3, -1).element(0, 1)
+    assert pi_a != pi_b and len({pi_a, pi_b}) == 2
+    assert QuadContext(-3).element(F(1, 2)) == RamifiedContext(5).element(F(1, 2))
+    grams = [diagonal_gram(RamifiedContext(3, eps), [1, 3]) for eps in (1, -1)]
+    assert grams[0].entries == grams[1].entries and grams[0] != grams[1]
+
+
+def test_a_rational_int_element_inverts_exactly():
+    ctx = RamifiedContext(3)
+    x = ctx.element(3)
+    assert type(x.a) is int
+    inv = x.inverse()
+    assert inv.a == F(1, 3) and type(inv.a) is F and inv.b == 0
+    y = ctx.element(2, 1)
+    n = F(2 * 2) - 1 * 1 * ctx.pi0
+    inv = y.inverse()
+    assert (inv.a, inv.b) == (F(2) / n, F(-1) / n)
+    assert type(inv.a) is F and type(inv.b) is F
+    assert y * inv == ctx.one()
+
+
 def test_arithmetic_with_plain_numbers():
     ctx = RamifiedContext(3, 1)
     pi = ctx.element(0, 1)
@@ -219,7 +253,7 @@ def test_arithmetic_with_plain_numbers():
 def _pair(x):
     """(a, b) of an element, or (x, 0) of a plain number, as Fractions."""
     if isinstance(x, OHElement):
-        return x.a, x.b
+        return F(x.a), F(x.b)
     return F(x), F(0)
 
 
@@ -233,9 +267,10 @@ def _pair_formulas(x, y, pi0):
 
 
 def test_zero_aware_arithmetic_matches_the_pair_formulas():
-    # the fast paths for zero components give what the general formulas give,
-    # with every component a Fraction, for int and Fraction scalars on either
-    # side, over the local and the global algebra
+    # the fast paths for zero components give what the general Fraction
+    # formulas give, with every component an int or a Fraction and never a
+    # float, for int and Fraction components and scalars on either side, over
+    # the local and the global algebra
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -244,7 +279,9 @@ def test_zero_aware_arithmetic_matches_the_pair_formulas():
         [RamifiedContext(3, -1), RamifiedContext(5, F(2, 3)), QuadContext(-3), QuadContext(F(7, 2))]
     )
     nonzero = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 12))
-    component = st.one_of(st.just(F(0)), nonzero, nonzero)  # zero about a third of the time
+    integer = st.integers(-30, 30)
+    # zero about a fifth of the time, as an int or a Fraction
+    component = st.one_of(st.just(F(0)), st.just(0), nonzero, nonzero, nonzero, integer)
     scalar = st.one_of(st.integers(-4, 4), component)
     ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}
 
@@ -256,10 +293,10 @@ def test_zero_aware_arithmetic_matches_the_pair_formulas():
             expected = _pair_formulas(left, right, ctx.pi0)
             for name, op in ops.items():
                 r = op(left, right)
-                assert type(r.a) is F and type(r.b) is F, (name, left, right)
+                _assert_exact(r.a, r.b)
                 assert (r.a, r.b) == expected[name], (name, left, right)
         for z in (x, -x, x.conjugate()):
-            assert type(z.norm()) is F
+            _assert_exact(z.norm())
             za, zb = _pair(z)
             assert z.norm() == za * za - zb * zb * ctx.pi0
         assert (-x).a == -a and (-x).b == -b and x.conjugate().b == -b
@@ -267,9 +304,9 @@ def test_zero_aware_arithmetic_matches_the_pair_formulas():
             with pytest.raises(PreconditionError):
                 x.inverse()
         else:
-            n = a * a - b * b * ctx.pi0
+            n = F(a) * a - F(b) * b * ctx.pi0
             inv = x.inverse()
-            assert type(inv.a) is F and type(inv.b) is F
-            assert (inv.a, inv.b) == (a / n, -b / n)
+            _assert_exact(inv.a, inv.b)
+            assert (inv.a, inv.b) == (F(a) / n, F(-b) / n)
 
     check()

@@ -2,7 +2,7 @@
 write the paired summary as a BENCH_<n>.json.
 
     python3 tools/pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
-        [--note TEXT]
+        [--note TEXT] [--claim WORKLOAD/METRIC]
 
 DIR is a git checkout of the parent commit (its revision is recorded) and
 of the change.  For each workload W of the change's BENCHMARK.json, pair i
@@ -21,8 +21,15 @@ Per workload the summary holds "pairs" (those with a result on both sides),
 "failed" and "attempted" per side (summed over its runs), "errors", and,
 per end-to-end metric of the change's BENCHMARK.json, each side's median,
 q1 and q3 (statistics.quantiles(n=4)), "change_wins" (complete pairs in
-which the change is better) and "median_change" (change median / parent
-median - 1).  Standard library only.
+which the change is better), "median_change" (change median / parent
+median - 1) and "within_bound": whether the change's median is worse than
+the parent's by at most the metric's relative bound in BENCHMARK.json (None
+when a side has no median).
+
+With --claim, the summary's "claim" is {"workload", "metric", "met"} for
+that one metric, under the gain rule: the change wins at least CLAIM_WINS
+of the PAIRS pairs, and its median is better than the parent's by more than
+the parent's interquartile range.  Standard library only.
 """
 
 import argparse
@@ -37,6 +44,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 PAIRS = 10
 SECONDS = 20
+CLAIM_WINS = 9  # of PAIRS
 
 
 def parse_run(returncode: int, stdout: str, names):
@@ -70,8 +78,9 @@ def _spread(values):
 def summarize(pairs, metrics):
     """The summary of one workload.  ``pairs`` lists {"pair": i, "parent":
     (returncode, stdout), "change": (returncode, stdout)}; ``metrics`` lists
-    (name, better) with better "higher" or "lower"."""
-    names = [name for name, _ in metrics]
+    (name, better, bound) with better "higher" or "lower" and bound the
+    largest relative worsening of the median that is within bound."""
+    names = [name for name, _, _ in metrics]
     results = {side: [] for side in SIDES}
     errors = []
     for pair in pairs:
@@ -88,7 +97,7 @@ def summarize(pairs, metrics):
         "errors": errors,
         "metrics": {},
     }
-    for name, better in metrics:
+    for name, better, bound in metrics:
         sign = 1 if better == "higher" else -1
         entry = {"better": better}
         for side in SIDES:
@@ -97,9 +106,24 @@ def summarize(pairs, metrics):
             sign * (c["values"][name] - p["values"][name]) > 0 for p, c in complete
         )
         before, after = entry["parent"]["median"], entry["change"]["median"]
-        entry["median_change"] = round(after / before - 1, 4) if before and after is not None else None
+        change = after / before - 1 if before and after is not None else None
+        entry["median_change"] = None if change is None else round(change, 4)
+        entry["within_bound"] = None if change is None else -sign * change <= bound
         summary["metrics"][name] = entry
     return summary
+
+
+def claim(summary, workload: str, metric: str) -> dict:
+    """The gain rule on one metric of a workload's summary: at least
+    CLAIM_WINS pair wins, and a median better than the parent's by more than
+    the parent's interquartile range."""
+    entry = summary["metrics"][metric]
+    parent, after = entry["parent"], entry["change"]["median"]
+    met = entry["change_wins"] >= CLAIM_WINS and after is not None and parent["median"] is not None
+    if met:
+        sign = 1 if entry["better"] == "higher" else -1
+        met = sign * (after - parent["median"]) > parent["q3"] - parent["q1"]
+    return {"workload": workload, "metric": metric, "met": met}
 
 
 def run_pairs(dirs, workload: str):
@@ -123,14 +147,20 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--note", default="", help="what the change does, as recorded")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC", help="the one gain claimed")
     args = parser.parse_args(argv)
     dirs = {"parent": args.parent, "change": args.change}
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    names = [w["name"] for w in spec["workloads"]]
+    claimed = args.claim.split("/") if args.claim else None
+    if claimed and (len(claimed) != 2 or claimed[0] not in names
+                    or claimed[1] not in [name for name, _, _ in metrics]):
+        parser.error(f"--claim {args.claim}: not a WORKLOAD/METRIC of BENCHMARK.json's end_to_end")
     rev = ["git", "-C", str(args.parent), "rev-parse", "--short", "HEAD"]
     parent_rev = subprocess.run(rev, capture_output=True, text=True, check=True).stdout.strip()
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     workloads = {}
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in names:
         workloads[workload] = summarize(run_pairs(dirs, workload), metrics)
         for error in workloads[workload]["errors"]:
             print(f"{workload}: {error}", file=sys.stderr)
@@ -144,9 +174,11 @@ def main(argv=None) -> int:
         "order": "alternating: parent first in odd pairs (1, 3, ...), change first in even pairs",
         "host": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}",
         "quartiles": "statistics.quantiles(values, n=4) over the runs of one side",
-        "claim": None,
+        "claim": claim(workloads[claimed[0]], *claimed) if claimed else None,
         "workloads": workloads,
     }
+    if claimed:
+        print(f"claim {args.claim}: met {doc['claim']['met']}", file=sys.stderr)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 1 if any(w["errors"] for w in workloads.values()) else 0
 
