@@ -77,17 +77,21 @@ def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset(
 def _parse_entry(obj, element, ctx, where: str, keys, noun):
     """One element, built by ``element(a, b, ctx)``: a number, or an object
     with the coordinate ``keys``; a missing coordinate is 0, and each given
-    one, null included, goes through parse_rational."""
-    if isinstance(obj, dict):
-        ka, kb = keys
-        has_a, has_b = ka in obj, kb in obj
-        if len(obj) != has_a + has_b:
-            raise SchemaError(f"unknown fields {sorted(obj.keys() - keys)}", location=where)
-        a = parse_rational(obj[ka]) if has_a else 0
-        return element(a, parse_rational(obj[kb]) if has_b else 0, ctx)
-    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return element(parse_rational(obj), 0, ctx)
-    raise SchemaError(f"not a {noun} element: {obj!r}", location=where)
+    one, null included, goes through parse_rational.  Every SchemaError
+    raised here is located at ``where``."""
+    try:
+        if isinstance(obj, dict):
+            ka, kb = keys
+            has_a, has_b = ka in obj, kb in obj
+            if len(obj) != has_a + has_b:
+                raise SchemaError(f"unknown fields {sorted(obj.keys() - keys)}")
+            a = parse_rational(obj[ka]) if has_a else 0
+            return element(a, parse_rational(obj[kb]) if has_b else 0, ctx)
+        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
+            return element(parse_rational(obj), 0, ctx)
+        raise SchemaError(f"not a {noun} element: {obj!r}")
+    except SchemaError as exc:
+        raise SchemaError(str(exc), location=where) from exc
 
 
 def _parse_matrix(obj, ctx, where: str, keys=("a", "b"), noun="ring"):

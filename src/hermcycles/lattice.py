@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm, prod
-from operator import attrgetter
 
 from .errors import (
     HermitianViolationError,
@@ -126,9 +125,6 @@ def mat_is_integral(A) -> bool:
 # ---------------------------------------------------------------------------
 # Gram matrices and lattices
 
-_ratio = attrgetter("numerator", "denominator")
-
-
 class HermGram:
     """A nonsingular conjugate-symmetric matrix over H, or over Q(sqrt(delta)).
 
@@ -149,11 +145,10 @@ class HermGram:
                 x = rows[i][j]
                 if not isinstance(x, OHElement) or (x.ctx is not ctx and x.ctx != ctx):
                     raise PreconditionError(f"entry ({i},{j}) is not in the given ring")
-        for i in range(n):  # on numerators and denominators: Fraction == is slow
+        for i in range(n):  # integral coordinates are ints, compared without a Fraction
             for j in range(i, n):
                 x, y = rows[i][j], rows[j][i]
-                (an, ad), (bn, bd) = _ratio(x.a), _ratio(x.b)
-                if _ratio(y.a) != (an, ad) or _ratio(y.b) != (-bn, bd):
+                if y.a != x.a or y.b != -x.b:
                     raise HermitianViolationError(
                         f"diagonal entry ({i},{i}) must be rational"
                         if i == j
@@ -306,15 +301,6 @@ class HermLattice:
 # O_H modulo p^K
 
 
-def _int_val(c: int, p: int, cap: int) -> int:
-    """val_p(c), capped at cap (so 0 reads as cap)."""
-    v = 0 if c else cap
-    while v < cap and c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
 class _Quotient:
     """O_H / p^K on pairs of ints (a, b) = a + b*pi reduced modulo p^K.
 
@@ -343,9 +329,10 @@ class _Quotient:
         return (xa * ya + xb * yb * self.pi0) % m, (xa * yb + xb * ya) % m
 
     def ord(self, x) -> int:
-        """pi-order of a + b*pi, read as 2K when both vanish modulo p^K."""
+        """pi-order of a + b*pi, read as 2K when both vanish modulo p^K.  Only
+        a's order is capped at K: when p^K divides b, b's term exceeds 2K."""
         (a, b), p, k = x, self.p, self.k
-        return 0 if a % p else min(2 * _int_val(a, p, k), 2 * _int_val(b, p, k) + 1)
+        return 0 if a % p else min(2 * min(_val(a, p), k), 2 * _val(b, p) + 1)
 
     def has_order(self, x, e: int) -> bool:
         """ord(a + b*pi) >= e: p^ceil(e/2) divides a and p^floor(e/2) divides b."""

@@ -35,20 +35,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Deterministic Miller-Rabin with these thirteen bases is valid below _MR_LIMIT,
 # the smallest strong pseudoprime to all of them (OEIS A014233).
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
-# (limit, k): the first k bases suffice below limit, the smallest strong
-# pseudoprime to all of them (the earlier terms of A014233).
-_MR_PREFIXES = (
-    (2_047, 1),
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (318_665_857_834_031_151_167_461, 12),
-    (_MR_LIMIT, 13),
-)
 
 
 def _rational(q: Fraction) -> int | Fraction:
@@ -100,7 +86,11 @@ def format_rational(q) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Exact below _MR_LIMIT; from there on, refuses n with no factor among the bases."""
+    """Exact below _MR_LIMIT; from there on, refuses n with no factor among the bases.
+
+    An n that reaches Miller-Rabin runs all thirteen bases: fewer suffice
+    below the earlier terms of A014233, but an extra base never changes the
+    answer below _MR_LIMIT."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -110,12 +100,11 @@ def is_prime(n: int) -> bool:
         return True  # no prime factor up to 41, none above sqrt(n)
     if n >= _MR_LIMIT:
         raise PreconditionError(f"primality of {n} is not certified at or above {_MR_LIMIT}")
-    k = next(k for limit, k in _MR_PREFIXES if n < limit)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES[:k]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

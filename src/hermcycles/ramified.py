@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, UnsupportedPrimeError
-from .padic import INFINITY, _val, is_prime
+from .padic import INFINITY, _check_prime, _val
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -60,8 +60,7 @@ class RamifiedContext(QuadContext):
     def __post_init__(self):
         if self.p == 2:
             raise UnsupportedPrimeError("p = 2 is not supported by the lattice layer")
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise PreconditionError(f"{self.p!r} is not prime")
+        _check_prime(self.p)
         object.__setattr__(self, "eps", Fraction(self.eps))
         if _val(self.eps, self.p) != 0:
             raise PreconditionError(f"eps = {self.eps} must be a unit at {self.p}")

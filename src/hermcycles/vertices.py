@@ -127,19 +127,11 @@ class VertexSet:
         """The census JSON, {"max_count", "max_type", "poset_edges",
         "vertices": [{"basis": rows of {"a", "b"}, "type"}]}, as json.dumps
         writes it with indent=2 and sort_keys=True, in one pass from the
-        basis strings, which need no escaping."""
-        entries = {}  # (a, b) -> its object as printed, at the depth of an entry
+        basis strings, which need no escaping; each entry object is
+        formatted where it stands, from the strings _basis_text shares."""
         vertices = []
         for v in self.vertices:
-            rows = []
-            for row in v.basis:
-                texts = []
-                for xy in row:
-                    text = entries.get(xy)
-                    if text is None:
-                        text = entries[xy] = _ENTRY % xy
-                    texts.append(text)
-                rows.append(_json_list(texts, " " * 8))
+            rows = [_json_list([_ENTRY % xy for xy in row], " " * 8) for row in v.basis]
             vertices.append(
                 f'{{\n      "basis": {_json_list(rows, " " * 6)},\n      "type": {v.type}\n    }}'
             )
@@ -270,11 +262,19 @@ def _precision(fs, h: int, ord_det_basis: int):
     basis vector, and p^h * L.basis integral: the census's a = ceil(F/2) +
     h, c = max(1, ceil(F/2)), the walk's modulus K', the least meeting the
     enumeration's three needs (enumerate_vertices) for that a, and the
-    elimination's k = K' + floor(F/2)."""
+    elimination's k = K' + floor(F/2).
+
+    K' is the larger of two terms: c, and the canonical bases' K3, the
+    least K with 2K >= 2an + ord det(L.basis) - d + floor(d/2) + 1.  K3
+    meets the back-substitutions' need, 2K > floor(d/2), too: p^h * L.basis
+    is integral, so ord det(L.basis) >= -2hn, and with w = ceil(F/2),
+    2an + ord det(L.basis) >= 2(a - h)n = 2wn >= Fn >= d; hence 2 * K3 >=
+    floor(d/2) + 1.
+    """
     n, d, F = len(fs), sum(fs), max(fs)
     w = (F + 1) // 2
     a, c = w + h, max(1, w)
-    K = max(c, (d + 1) // 2, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
+    K = max(c, (2 * a * n - d + ord_det_basis + d // 2 + 2) // 2)
     return a, c, K, K + F // 2
 
 
@@ -313,7 +313,8 @@ def _iter_candidates(fs, H, c: int, q: _Quotient, max_candidates: int):
     Precision: X[j][j] = pi^(f_j - e_j) is exact and X[i][j] divides by
     pi^e_i, so s at slot (i, j) is known modulo pi^(2K - e_(i+1) - ... -
     e_(j-1)).  Deciding whether it has order e_i then needs
-    2K >= e_i + ... + e_(j-1), which 2K >= d = f_1 + ... + f_n guarantees.
+    2K >= e_i + ... + e_(j-1), which 2K > floor(d/2) guarantees: the pivot
+    exponents sum to at most floor(d/2), the top of the window.
     """
     n = len(fs)
     p, m, pi0 = q.p, q.m, q.pi0
@@ -533,8 +534,8 @@ def _contains(Zb, eb, Za, ea, q: _Quotient) -> bool:
     Back-substitutes Zb * Y = Za column by column, stopping at the first
     non-integral entry: Y[j][j] = pi^(ea_j - eb_j), and Y[i][j] is
     (Za[i][j] - Zb[i][i+1] * Y[i+1][j] - ... - Zb[i][j] * Y[j][j]) / pi^eb_i.
-    The divisions lose eb_1 + ... + eb_n <= d <= 2K digits of pi in all,
-    as in _iter_candidates.
+    The divisions lose eb_1 + ... + eb_n <= floor(d/2) < 2K digits of pi
+    in all, as in _iter_candidates.
     """
     n = len(Za)
     m, pi0 = q.m, q.pi0
@@ -702,8 +703,9 @@ def enumerate_vertices(
 
     - the vertex test needs K >= c.  With F = max f, pi^F kills L^#/L, so
       pi^F * G# is integral, and so is p^c * G# for c = max(1, ceil(F/2));
-    - the back-substitutions of the candidates and the poset need
-      2K >= d = f_1 + ... + f_n;
+    - the back-substitutions of the candidates and the poset divide by the
+      pivot exponents of one candidate, which sum to at most floor(d/2), d =
+      f_1 + ... + f_n: 2K > floor(d/2) covers them;
     - the canonical bases need 2K >= ord det M + 1 (_canonical_basis).
       With a = ceil(F/2) + h, p^h * L.basis integral (h = 0 for a request
       from the command line, where L is O_H^n), D = p^a * dual is integral
@@ -712,7 +714,8 @@ def enumerate_vertices(
       candidates' pivot window; ord det D = 2an + ord det(L.basis) - d
       (_dual_jordan_basis), and L.basis is the identity for a request from
       the command line (HermLattice.basis_det_ord, 0 without a determinant
-      there).
+      there).  This need implies the second (_precision), so K is the
+      larger of c and the least K it allows.
 
     D is formed when the census is named, so a verify that passes never
     forms it.  The Jordan elimination runs on a wider ring of its own.

@@ -386,14 +386,15 @@ def test_global_error_documents():
 
 def test_coordinate_parser_error_documents():
     # a given coordinate, null included, goes through parse_rational, and
-    # unknown fields are named sorted before any coordinate is read
+    # unknown fields are named sorted before any coordinate is read; every
+    # error of an entry is located at it
     def error(message, location=None):
         doc = {"code": "schema-violation", "message": message}
         return {"error": {**doc, "location": location} if location else doc}
 
     cases = (
-        (["jordan", "--p", "3"], '{"gram": [[{"a": null}]]}', error("not a rational: None")),
-        (["jordan", "--p", "3"], '{"gram": [[{"b": true}]]}', error("not a rational: True")),
+        (["jordan", "--p", "3"], '{"gram": [[{"a": null}]]}', error("not a rational: None", "gram[0][0]")),
+        (["jordan", "--p", "3"], '{"gram": [[{"b": true}]]}', error("not a rational: True", "gram[0][0]")),
         (
             ["jordan", "--p", "3"],
             '{"gram": [[{"a": "1", "d": "0", "c": "0"}]]}',
@@ -404,8 +405,17 @@ def test_coordinate_parser_error_documents():
             '{"gram": [[{"a": "x", "c": "0"}]]}',
             error("unknown fields ['c']", "gram[0][0]"),
         ),
-        (["jordan", "--p", "3"], '{"gram": [["1/0"]]}', error("not a rational: '1/0'")),
-        (["global"], '{"delta": -3, "matrix": [[{"x": null}]]}', error("not a rational: None")),
+        (["jordan", "--p", "3"], '{"gram": [["1/0"]]}', error("not a rational: '1/0'", "gram[0][0]")),
+        (
+            ["jordan", "--p", "3"],
+            '{"gram": [["1", "0"], ["x", "1"]]}',
+            error("not a rational: 'x'", "gram[1][0]"),
+        ),
+        (
+            ["global"],
+            '{"delta": -3, "matrix": [[{"x": null}]]}',
+            error("not a rational: None", "matrix[0][0]"),
+        ),
     )
     for argv, text, expected in cases:
         code, out = invoke(argv, stdin_text=text)
