@@ -329,10 +329,9 @@ class _Quotient:
         return (xa * ya + xb * yb * self.pi0) % m, (xa * yb + xb * ya) % m
 
     def ord(self, x) -> int:
-        """pi-order of a + b*pi, read as 2K when both vanish modulo p^K.  Only
-        a's order is capped at K: when p^K divides b, b's term exceeds 2K."""
+        """pi-order of a + b*pi, read as 2K when both vanish modulo p^K."""
         (a, b), p, k = x, self.p, self.k
-        return 0 if a % p else min(2 * min(_val(a, p), k), 2 * _val(b, p) + 1)
+        return 0 if a % p else min(2 * _val(a, p), 2 * _val(b, p) + 1, 2 * k)
 
     def has_order(self, x, e: int) -> bool:
         """ord(a + b*pi) >= e: p^ceil(e/2) divides a and p^floor(e/2) divides b."""

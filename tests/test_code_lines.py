@@ -11,7 +11,7 @@ _spec.loader.exec_module(code_lines)
 SOURCE = '''"""The module docstring,
 on two lines."""
 
-import os  # a trailing comment counts as its line's code
+import os  # a trailing comment leaves its line a code line
 
 
 # a comment-only line
