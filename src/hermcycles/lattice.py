@@ -329,7 +329,8 @@ class _Quotient:
         return (xa * ya + xb * yb * self.pi0) % m, (xa * yb + xb * ya) % m
 
     def ord(self, x) -> int:
-        """pi-order of a + b*pi, read as 2K when both vanish modulo p^K."""
+        """pi-order of a + b*pi by padic's one valuation, read as 2K when
+        both vanish modulo p^K."""
         (a, b), p, k = x, self.p, self.k
         return 0 if a % p else min(2 * _val(a, p), 2 * _val(b, p) + 1, 2 * k)
 
