@@ -9,7 +9,7 @@ off the Jordan splitting of T itself.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .errors import PreconditionError
 from .lattice import HermGram, JordanReport, is_split_sum, jordan_split
@@ -42,10 +42,9 @@ class CycleInvariants:
         return self.status == STATUS_EMPTY
 
     def to_json(self) -> dict:
-        record = asdict(self)
         if self.is_empty:
             return {"status": self.status}
-        return record
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def invariants_from_report(report: JordanReport, p: int) -> CycleInvariants:

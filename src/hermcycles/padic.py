@@ -6,6 +6,8 @@ arbitrary-precision rationals, ints or Fractions and never floats, with no
 truncated p-adic precision; the Jordan elimination and the vertex enumerator
 run modulo certified powers of p.  Rationals are parsed and printed as
 decimal strings "n" or "n/d"; the parser returns an int for an integral value.
+The Hilbert symbol reads valuations and unit residues off the numerator and
+the denominator, and builds no Fraction for int arguments.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Deterministic Miller-Rabin with these thirteen bases is valid below _MR_LIMIT,
 # the smallest strong pseudoprime to all of them (OEIS A014233).
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _coordinate(x) -> int | Fraction:
+    """An int or Fraction as it is; any other number (a bool, a float) as a Fraction."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 def _rational(q: Fraction) -> int | Fraction:
@@ -163,30 +170,41 @@ def legendre(n: int, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
+def _unit_part(q: int | Fraction, p: int) -> tuple[int, int]:
+    """The valuation v of a nonzero int or Fraction q and num * den, where
+    num / den = q / p^v in lowest terms (p divides at most one of q's numerator
+    and denominator): num * den has the Legendre symbol of the unit q / p^v,
+    and at p = 2 its residue modulo 8, since den^-1 = den modulo 8."""
+    v, num = _count_factor(q.numerator, p)
+    w, den = _count_factor(q.denominator, p)
+    return v - w, num * den
+
+
 def hilbert_symbol(a, b, place) -> int:
     """Quadratic Hilbert symbol (a, b) at a finite prime or the real place.
 
-    ``place`` is a prime integer or the string "real".
+    ``place`` is a prime integer or the string "real".  An int or Fraction
+    argument is taken as it is, any other number as a Fraction.  The symbol
+    reads valuations and unit residues off the numerator and the
+    denominator, and builds no Fraction for int arguments.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _coordinate(a), _coordinate(b)
     if a == 0 or b == 0:
         raise PreconditionError("hilbert_symbol needs nonzero arguments")
     if place == REAL_PLACE:
         return -1 if a < 0 and b < 0 else 1
     p = _check_prime(place)
-    alpha, beta = _val(a, p), _val(b, p)
-    u = a / Fraction(p) ** alpha
-    v = b / Fraction(p) ** beta
+    (alpha, u), (beta, v) = _unit_part(a, p), _unit_part(b, p)
     if p == 2:
-        u8, v8 = _mod(u, 8), _mod(v, 8)
+        u8, v8 = u % 8, v % 8
         eps_u, eps_v = (u8 - 1) // 2 % 2, (v8 - 1) // 2 % 2
         omega_u, omega_v = (u8 * u8 - 1) // 8 % 2, (v8 * v8 - 1) // 8 % 2
         exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
     else:
         exponent = alpha * beta * ((p - 1) // 2)
-        if legendre(_mod(u, p), p) == -1:
+        if legendre(u, p) == -1:
             exponent += beta
-        if legendre(_mod(v, p), p) == -1:
+        if legendre(v, p) == -1:
             exponent += alpha
     return -1 if exponent % 2 else 1
 

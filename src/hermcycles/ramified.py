@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, UnsupportedPrimeError
-from .padic import INFINITY, _check_prime, _val
+from .padic import INFINITY, _check_prime, _coordinate, _val
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,11 +65,6 @@ class RamifiedContext(QuadContext):
         if _val(self.eps, self.p) != 0:
             raise PreconditionError(f"eps = {self.eps} must be a unit at {self.p}")
         object.__setattr__(self, "pi0", self.eps * self.p)
-
-
-def _coordinate(x) -> int | Fraction:
-    """An int or Fraction as it is; any other number (a bool, a float) as a Fraction."""
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 class OHElement:

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: the Hilbert
 symbol is compared against a primitive-solution search for the conic
-a x^2 + b y^2 = z^2 over Z/p^4, norm membership (the index-two norm group)
+a x^2 + b y^2 = z^2 over Z/p^4 and against its earlier Fraction formula
+(``hilbert_symbol_oracle``), norm membership (the index-two norm group)
 against an enumeration of norm residues, the self-dual field of
 ``global_report`` against the Hilbert symbols at the inert primes,
 positivity against the signs of the leading principal minors, the Jordan
@@ -65,6 +66,7 @@ from hermcycles.padic import (
     DEFAULT_FACTOR_BOUND,
     INERT,
     INFINITY,
+    REAL_PLACE,
     _check_prime,
     _count_factor,
     _mod,
@@ -201,6 +203,33 @@ def conic_has_primitive_zero(a, b, p: int) -> bool:
     # z = 1
     b_values = {bi_m * y * y % m for y in range(m)}
     return any((1 - ai_m * x * x) % m in b_values for x in range(m))
+
+
+def hilbert_symbol_oracle(a, b, place) -> int:
+    """The Hilbert symbol by the Fraction formula it had before it read
+    valuations off numerators and denominators: both arguments as
+    Fractions, the units a / p^alpha and b / p^beta by Fraction division."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise PreconditionError("hilbert_symbol needs nonzero arguments")
+    if place == REAL_PLACE:
+        return -1 if a < 0 and b < 0 else 1
+    p = _check_prime(place)
+    alpha, beta = _val(a, p), _val(b, p)
+    u = a / Fraction(p) ** alpha
+    v = b / Fraction(p) ** beta
+    if p == 2:
+        u8, v8 = _mod(u, 8), _mod(v, 8)
+        eps_u, eps_v = (u8 - 1) // 2 % 2, (v8 - 1) // 2 % 2
+        omega_u, omega_v = (u8 * u8 - 1) // 8 % 2, (v8 * v8 - 1) // 8 % 2
+        exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
+    else:
+        exponent = alpha * beta * ((p - 1) // 2)
+        if legendre(_mod(u, p), p) == -1:
+            exponent += beta
+        if legendre(_mod(v, p), p) == -1:
+            exponent += alpha
+    return -1 if exponent % 2 else 1
 
 
 # ---------------------------------------------------------------------------

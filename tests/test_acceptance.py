@@ -195,6 +195,16 @@ def test_criterion_7_hilbert_symbol():
         for p in factorize(2 * a * b):
             product *= hilbert_symbol(a, b, p)
         ok = ok and product == 1
+    # Fractions with even and p-divisible denominators: at p = 2 the unit
+    # residue modulo 8 is read off numerator times denominator
+    for _ in range(100):
+        a, b = (F(rng.choice([n for n in range(-50, 51) if n]),
+                  2 ** rng.randint(0, 3) * rng.choice([1, 3, 5, 7]) ** rng.randint(0, 2))
+                for _ in range(2))
+        product = hilbert_symbol(a, b, "real")
+        for p in factorize(2 * a.numerator * a.denominator * b.numerator * b.denominator):
+            product *= hilbert_symbol(a, b, p)
+        ok = ok and product == 1
     for p in (3, 5, 7):
         values = [1, -1, 2, -2, p, -p, 2 * p, -2 * p]
         for a in values:

@@ -273,6 +273,32 @@ def test_hilbert_command():
     assert code == 1
 
 
+def test_a_hilbert_request_with_integral_arguments_builds_no_fraction(monkeypatch):
+    # a cost guard that reads no clock: the symbol reads valuations and unit
+    # residues off the ints themselves, at the real place, at 2 and at odd p
+    built = []
+    new = Fraction.__new__
+
+    def fraction(cls, numerator=0, denominator=None, **kwargs):
+        built.append(numerator)
+        return new(cls, numerator, denominator, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(fraction))
+    requests = [
+        ({"a": "-12", "b": "-45", "place": "real"}, -1),
+        ({"a": -12, "b": 45, "place": 2}, 1),
+        ({"a": "-24", "b": 5, "place": 2}, -1),
+        ({"a": "-12", "b": "45", "place": 3}, -1),
+        ({"a": 14, "b": -7, "place": 7}, 1),
+    ]
+    for doc, symbol in requests:
+        assert invoke(["hilbert"], stdin_text=json.dumps(doc)) == (0, f'{{\n  "symbol": {symbol}\n}}\n')
+    assert built == []
+    # a Fraction argument is taken as it is: the parser builds the one Fraction
+    assert invoke(["hilbert"], stdin_text='{"a": "-3/4", "b": "20", "place": 2}')[0] == 0
+    assert len(built) == 1
+
+
 def test_determinism_byte_for_byte():
     doc = '{"delta": -3, "matrix": [[1, 0], [0, 1]]}'
     outs = {invoke(["global"], stdin_text=doc)[1] for _ in range(3)}

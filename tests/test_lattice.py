@@ -328,6 +328,22 @@ def test_a_singular_gram_is_refused_at_the_precision_cap(monkeypatch):
         jordan_split_oracle(G)
 
 
+def test_quotient_order_reads_2k_when_both_components_vanish():
+    # the documented reading of _Quotient.ord: an element known modulo p^K is
+    # of pi-order 2K when both components vanish, never infinity; below the
+    # cap the order is 2 v(a) or 2 v(b) + 1
+    for p in (3, 5, 7):
+        for eps in (1, -1):
+            for k in (1, 2, 4):
+                q = lattice._Quotient(RamifiedContext(p, eps), k)
+                assert q.ord((0, 0)) == 2 * q.k == 2 * k
+                assert q.ord((0, p ** (k - 1))) == 2 * k - 1
+                for j in range(k):
+                    for u in (1, p - 1, p + 1):
+                        assert q.ord((p**j * u % q.m, 0)) == 2 * j
+                        assert q.ord((p**j * u % q.m, p**j)) == 2 * j
+
+
 def test_jordan_split_does_no_element_arithmetic(monkeypatch):
     # a deterministic cost guard: the modular elimination reads components
     # and works on ints, so a regression to an elimination over OHElement

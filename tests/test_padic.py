@@ -7,6 +7,7 @@ from support import (
     conic_has_primitive_zero,
     factor_outcome,
     factorize_oracle,
+    hilbert_symbol_oracle,
     is_square_unit,
     smallest_nonresidue,
     squarefree_deltas,
@@ -136,6 +137,61 @@ def test_hilbert_agrees_with_conic_oracle():
             for b in values:
                 expected = 1 if conic_has_primitive_zero(a, b, p) else -1
                 assert hilbert_symbol(a, b, p) == expected, (a, b, p)
+
+
+HILBERT_GRID_PRIMES = (2, 3, 5, 7, 13)
+
+
+def _hilbert_outcome(symbol, a, b, place):
+    """symbol(a, b, place), or the type and message of the error it raises."""
+    try:
+        return symbol(a, b, place)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+
+
+def _hilbert_grid_arguments(rng, count):
+    """Ints and Fractions of both signs, each a ratio of two numbers with a
+    grid prime to a random power in each; the integral values are ints or,
+    now and then, Fractions of denominator 1."""
+    def factor():
+        return rng.randint(1, 30) * rng.choice(HILBERT_GRID_PRIMES) ** rng.randint(0, 3)
+
+    out = []
+    for _ in range(count):
+        q = F(rng.choice((-1, 1)) * factor(), factor() if rng.random() < 0.6 else 1)
+        out.append(q.numerator if q.denominator == 1 and rng.random() < 0.8 else q)
+    return out
+
+
+def test_hilbert_symbol_agrees_with_the_fraction_formula_on_a_seeded_grid():
+    rng = random.Random(32)
+    args = _hilbert_grid_arguments(rng, 56) + [True, 2.5, -0.75]
+    # the grid holds ints, integral Fractions, both signs and, for every grid
+    # prime, a negative valuation and a positive one
+    assert {type(x) for x in args} == {int, F, bool, float}
+    assert any(type(x) is F and x.denominator == 1 for x in args)
+    assert any(x < 0 for x in args) and any(x > 0 for x in args)
+    for p in HILBERT_GRID_PRIMES:
+        assert any(type(x) is F and x.denominator % p == 0 for x in args), p
+        assert any(type(x) is int and x % p == 0 for x in args), p
+    for place in ("real", *HILBERT_GRID_PRIMES):
+        for a in args:
+            for b in args:
+                expected = hilbert_symbol_oracle(a, b, place)
+                assert hilbert_symbol(a, b, place) == expected, (a, b, place)
+    # the errors, in the order of the checks: a zero argument before any
+    # place, then the place
+    zero = (PreconditionError, "hilbert_symbol needs nonzero arguments")
+    for place in ("real", 1, 4, True, *HILBERT_GRID_PRIMES):
+        for a, b in ((0, 3), (F(5, 4), 0), (F(0), -2), (0, 0)):
+            assert _hilbert_outcome(hilbert_symbol, a, b, place) == zero
+            assert _hilbert_outcome(hilbert_symbol_oracle, a, b, place) == zero
+    for place in (1, 4, True):
+        for a, b in ((3, 5), (F(-2, 9), 7)):
+            expected = (PreconditionError, f"{place!r} is not prime")
+            assert _hilbert_outcome(hilbert_symbol, a, b, place) == expected
+            assert _hilbert_outcome(hilbert_symbol_oracle, a, b, place) == expected
 
 
 def test_factorize():
