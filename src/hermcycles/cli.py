@@ -284,9 +284,7 @@ def _command_parser(name: str) -> _Parser:
     return parser
 
 
-def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def run(argv) -> int:
     try:
         if argv and argv[0] in _COMMANDS:
             args = _command_parser(argv[0]).parse_args(argv[1:])

@@ -15,9 +15,10 @@ arithmetic is exact (lattice._Quotient): the Jordan elimination of Gram(L),
 shared with jordan_split, gives a Jordan basis C of L^# with C * diag(pi^f)
 spanning L (_dual_jordan_basis), and the work in the finite module L^#/L
 runs modulo one p^K.  The one rational step is the exact inverse of the
-block-diagonal Jordan Gram; from there to the census JSON no Fraction is
-built: canonical bases come as ints over p^a, are printed from ints, and
-the census JSON is written from those strings (VertexSet.json_text).
+Jordan Gram, taken one 1x1 or 2x2 block at a time; from there to the
+census JSON no Fraction is built: canonical bases come as ints over p^a,
+are printed from ints, and the census JSON is written from those strings
+(VertexSet.json_text).
 tests/support.py keeps the exact-rational enumerator as an oracle, with its
 own dual basis from a Smith form.
 """
@@ -163,7 +164,7 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     of L, for a Jordan basis C of L^# with C * diag(pi^f) spanning L and
     Gram G#.  D is formed only when ``dual`` is called, as only naming the
     census reads it.  A scale above ``max_scale`` raises on the first
-    certified pass of the elimination, before the exact inverse.
+    certified pass of the elimination, before the exact block inverses.
 
     The elimination of jordan_split on Gram(L), modulo a p^k, gives U in
     GL_n(O_H) (each step adds O_H-multiples of pivot vectors to the others,
@@ -178,12 +179,15 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the Gram of C up
     to W^T E conj(W), of order >= 2k - 2F.
 
-    W is the one exact inverse, of conj(J) lifted from J's residues a + b*pi
-    as a - b*pi; past it the work runs on int pairs modulo p^k.  With w =
-    ceil(F/2), p^w * W is integral, and H = p^(c - w) * conj(p^w * W).  The
-    tracked vectors are the columns of U, so D = p^h * L.basis * U * p^w * W
-    = p^a * C is integral; a need not be the least such exponent, and the
-    canonical bases print the same strings for any (_canonical_basis).
+    W is the one exact step, taken one block at a time: W_b = conj(J_b)^-1,
+    the inverse of the 1x1 or 2x2 block lifted from J_b's residues a + b*pi
+    as a - b*pi, fills the rows and columns of that block, and W is zero off
+    the blocks; no n x n matrix is formed.  Past those inverses the work
+    runs on int pairs modulo p^k.  With w = ceil(F/2), p^w * W is integral,
+    and H = p^(c - w) * conj(p^w * W).  The tracked vectors are the columns
+    of U, so D = p^h * L.basis * U * p^w * W = p^a * C is integral; a need
+    not be the least such exponent, and the canonical bases print the same
+    strings for any (_canonical_basis).
     Against the exact elimination, U is off by order >= 2k - F and W by
     order >= 2k - 2F, so D is off by order >= 2k - 2F + 2w, and H (modulo
     p^k) by order >= 2k - 2F + 2c, no less as c >= w.
@@ -198,9 +202,9 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     and D modulo p^K' are those of the exact elimination.  The walk, the
     poset and the naming run on q, not on the elimination's wider ring.
 
-    The exact inverse of the block-diagonal conj(J) is exactly block
-    diagonal, so H comes as sparse rows: row i lists (j, H[i][j]) over the
-    nonzero entries of row i, all in the block of i.
+    H comes as sparse rows: row i lists (j, H[i][j]) over the nonzero
+    entries of row i, all in the block of i, read off that block's inverse
+    at the block's column offset.
     """
     n, ctx, p = L.n, L.ctx, L.ctx.p
     h = _p_denominator([y for row in L.basis for x in row for y in (x.a, x.b)], p)
@@ -215,26 +219,14 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
         ring, chunks = _jordan_chunks(G, True, k)
     q = _Quotient(ctx, K)
     m, pi0, mq = ring.m, ring.pi0, q.m
-    zero = ctx.zero()
-    conj_J = [[zero] * n for _ in range(n)]
-    vecs = []
+    pw, pcw = p**w, p ** (c - w)
+    vecs, R = [], []  # R = p^w * W, W = conj(J)^-1 one block at a time
     for _, _, block, pivots in chunks:
         i = len(vecs)
-        for r, row in enumerate(block):
-            conj_J[i + r][i : i + len(row)] = [OHElement(x, -y, ctx) for x, y in row]
+        for W_r in mat_inverse([[OHElement(x, -y, ctx) for x, y in row] for row in block], ctx):
+            row = [(i + j, (_mod(x.a, m, pw), _mod(x.b, m, pw))) for j, x in enumerate(W_r)]
+            R.append([e for e in row if e[1] != (0, 0)])
         vecs.extend(pivots)
-    W = mat_inverse(conj_J, ctx)
-    pw, pcw = p**w, p ** (c - w)
-    R = []  # p^w * W
-    for W_i in W:
-        row = []
-        for j, x in enumerate(W_i):
-            if not x:
-                continue
-            ra, rb = _mod(x.a, m, pw), _mod(x.b, m, pw)
-            if ra or rb:
-                row.append((j, (ra, rb)))
-        R.append(row)
     H = [[(j, (ra * pcw % mq, -rb * pcw % mq)) for j, (ra, rb) in row] for row in R]
 
     def dual():
@@ -696,10 +688,10 @@ def enumerate_vertices(
     (_last_diagonal), and runs _is_vertex only on what passes.
 
     The dual columns are a Jordan basis of L^#, times pi^f spanning L, with
-    G# their Gram (_dual_jordan_basis).  Past the one exact inverse there,
-    through the canonical bases of the vertices found, the work runs on
-    pairs of ints modulo one p^K (see _Quotient); K is the least meeting
-    three needs:
+    G# their Gram (_dual_jordan_basis).  Past the exact inverses there, one
+    per Jordan block, through the canonical bases of the vertices found,
+    the work runs on pairs of ints modulo one p^K (see _Quotient); K is the
+    least meeting three needs:
 
     - the vertex test needs K >= c.  With F = max f, pi^F kills L^#/L, so
       pi^F * G# is integral, and so is p^c * G# for c = max(1, ceil(F/2));

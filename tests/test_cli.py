@@ -629,16 +629,16 @@ def test_vertices_and_verify_check_integrality_and_rank_before_singularity(monke
 
 def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # The dual basis comes from one Jordan elimination of Gram(L): no dual
-    # lattice, one inverse (of the block-diagonal Jordan Gram), no product
-    # (the rest runs on int pairs), and no determinant: the enumerator's ord
-    # det of the dual needs the order of det(L.basis), which is 0 for the
-    # identity basis of a request from the command line (seeded by
-    # HermLattice.from_gram), and one Fraction determinant, of the basis
-    # alone, for any other basis.  verify reads the closed-form invariants
-    # off the same elimination, so its passes (lattice._eliminate, behind
-    # jordan_split too) are counted: H(1)+H(3) at p=3 is certified at p^8,
-    # which meets the k = 8 of the precision rule, and a separate
-    # jordan_split would add a pass.
+    # lattice, one inverse per Jordan block (of that 1x1 or 2x2 block alone,
+    # never of the n x n Jordan Gram), no product (the rest runs on int
+    # pairs), and no determinant: the enumerator's ord det of the dual needs
+    # the order of det(L.basis), which is 0 for the identity basis of a
+    # request from the command line (seeded by HermLattice.from_gram), and
+    # one Fraction determinant, of the basis alone, for any other basis.
+    # verify reads the closed-form invariants off the same elimination, so
+    # its passes (lattice._eliminate, behind jordan_split too) are counted:
+    # H(1)+H(3) at p=3 is certified at p^8, which meets the k = 8 of the
+    # precision rule, and a separate jordan_split would add a pass.
     from hermcycles import lattice, vertices
 
     calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0}
@@ -681,10 +681,9 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         passes.clear()
         code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
         assert code == 0
-        assert calls == {"dual": 0, "mat_inverse": 1, "mat_mul": 0, "mat_det": 0}
+        assert calls == {"dual": 0, "mat_inverse": 2, "mat_mul": 0, "mat_det": 0}
         assert passes == [8]
-        (J,) = inverted
-        assert all(J[i][j].is_zero() for i in range(4) for j in range(4) if i // 2 != j // 2)
+        assert [[len(row) for row in J] for J in inverted] == [[2, 2], [2, 2]]
     ctx = RamifiedContext(3, 1)
     U = random_basis_change(random.Random(5), ctx, 4)
     L = lattice.HermLattice(orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), U)
@@ -697,11 +696,11 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
 
 
 def test_enumeration_builds_no_fraction_past_the_jordan_block_inverse(monkeypatch):
-    # a cost guard that reads no clock: past the one exact inverse, of the
-    # block-diagonal Jordan Gram, the setup, the walk, the vertex test, the
-    # canonical bases, the poset and the census JSON run on ints, so the
-    # Fractions of a vertices or verify request do not grow with the
-    # candidates or the vertices
+    # a cost guard that reads no clock: past the exact inverses, one per
+    # Jordan block (one for H(1), two for H(1)+H(3)), the setup, the walk,
+    # the vertex test, the canonical bases, the poset and the census JSON
+    # run on ints, so the Fractions of a vertices or verify request do not
+    # grow with the candidates or the vertices
     from hermcycles import vertices
 
     built, at_inverse = [], []
@@ -722,7 +721,7 @@ def test_enumeration_builds_no_fraction_past_the_jordan_block_inverse(monkeypatc
     h13 = [[0] * 4 for _ in range(4)]
     h13[0][1], h13[1][0] = {"a": "0", "b": "1"}, {"a": "0", "b": "-1"}
     h13[2][3], h13[3][2] = {"a": "0", "b": "3"}, {"a": "0", "b": "-3"}
-    for gram, count in ((h1, 5), (h13, 385)):
+    for gram, count, blocks in ((h1, 5, 1), (h13, 385, 2)):
         for command in ("vertices", "verify"):
             built.clear()
             at_inverse.clear()
@@ -734,8 +733,9 @@ def test_enumeration_builds_no_fraction_past_the_jordan_block_inverse(monkeypatc
                 assert len(doc["vertices"]) == count
             else:
                 assert doc["passed"]
-            (before,) = at_inverse
-            assert before > 0 and len(built) == before, (command, count, built[before:][:5])
+            assert len(at_inverse) == blocks
+            before = at_inverse[-1]
+            assert at_inverse[0] > 0 and len(built) == before, (command, count, built[before:][:5])
 
 
 def test_verify_builds_no_canonical_basis_and_no_output_goes_through_json_dumps(monkeypatch):

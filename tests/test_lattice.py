@@ -93,6 +93,15 @@ def test_dual_examples():
     assert dual_gram.entries[0][0] == ctx.element(1 / ctx.pi0)
 
 
+def test_gram_equality_and_lattice_repr():
+    ctx = RamifiedContext(3, 1)
+    G = diagonal_gram(ctx, [1, ctx.pi0])
+    assert G == diagonal_gram(ctx, [1, ctx.pi0])
+    assert (G == 3) is False
+    L = HermLattice.from_gram(G)
+    assert repr(L) == "HermLattice(basis=(((1 + 0*pi), (0 + 0*pi)), ((0 + 0*pi), (1 + 0*pi))))"
+
+
 def test_dual_involution_and_det_bookkeeping():
     rng = random.Random(6)
     for trial in range(200):

@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 import weakref
 from fractions import Fraction as F
@@ -248,6 +249,18 @@ def test_arithmetic_with_plain_numbers():
     assert 2 * pi == ctx.element(0, 2)
     assert (pi + F(1, 2)) - F(1, 2) == pi
     assert 1 / ctx.element(2) == ctx.element(F(1, 2))
+
+
+def test_arithmetic_with_a_foreign_operand_raises_type_error():
+    # _coerce gives None for anything but an element, an int or a Fraction,
+    # so each operator returns NotImplemented and Python raises TypeError
+    x = RamifiedContext(3, 1).element(1, 1)
+    for other in ("1", None):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
 
 
 def _pair(x):

@@ -244,8 +244,9 @@ def _det_bookkeeping_holds(L, fs):
 
 
 def _exact_dual_jordan_basis(L):
-    """The dual columns, f and G# of _dual_jordan_basis, built the same way
-    on the exact rational elimination of tests/support.py."""
+    """The dual columns, f and G# of _dual_jordan_basis, built on the exact
+    rational elimination of tests/support.py with one dense inverse of the
+    n x n conj(J), independently of the setup's inverses per Jordan block."""
     ctx, n = L.ctx, L.n
     cols = [[L.basis[i][j] for i in range(n)] for j in range(n)]
     J = [[ctx.zero()] * n for _ in range(n)]
