@@ -84,20 +84,6 @@ def _forward_eliminate(M, n: int, ctx: QuadContext):
     return pivots, swaps
 
 
-def _signed_product(pivots, swaps: int, n: int, ctx: QuadContext) -> OHElement:
-    """The determinant from a forward elimination: zero when the pivots stop
-    short of n, else their product, negated per row swap."""
-    if len(pivots) < n:
-        return ctx.zero()
-    return prod(pivots, start=-ctx.one() if swaps % 2 else ctx.one())
-
-
-def mat_det(A, ctx: QuadContext) -> OHElement:
-    """The signed product of the pivots of one forward elimination of A."""
-    n = len(A)
-    return _signed_product(*_forward_eliminate([row[:] for row in A], n, ctx), n, ctx)
-
-
 def mat_inverse(A, ctx: RamifiedContext):
     """A**-1 by forward elimination of [A | I], then back substitution;
     SingularMatrixError when A has no inverse."""
@@ -162,10 +148,14 @@ class HermGram:
 
     def elimination(self):
         """(pivots, swaps, det) of one forward elimination (_forward_eliminate),
-        computed once; the determinant and positive definiteness read it."""
+        computed once; the determinant and positive definiteness read it.  The
+        determinant is zero when the pivots stop short of n, else their
+        product, negated per row swap."""
         if self._elimination is None:
-            pivots, swaps = _forward_eliminate([list(r) for r in self.entries], self.n, self.ctx)
-            self._elimination = pivots, swaps, _signed_product(pivots, swaps, self.n, self.ctx)
+            ctx = self.ctx
+            pivots, swaps = _forward_eliminate([list(r) for r in self.entries], self.n, ctx)
+            det = prod(pivots, start=-ctx.one() if swaps % 2 else ctx.one())
+            self._elimination = pivots, swaps, det if len(pivots) == self.n else ctx.zero()
         return self._elimination
 
     def det(self) -> OHElement:
@@ -231,7 +221,7 @@ def orthogonal_sum(*grams: HermGram) -> HermGram:
 class HermLattice:
     """An O_H-lattice inside the space of a fixed ambient Gram matrix."""
 
-    __slots__ = ("ambient", "basis", "_gram", "_basis_det_ord")
+    __slots__ = ("ambient", "basis", "_gram")
 
     def __init__(self, ambient: HermGram, basis):
         self.ambient = ambient
@@ -241,19 +231,17 @@ class HermLattice:
             raise PreconditionError("basis matrix must match the ambient rank")
         self.basis = tuple(rows)
         self._gram = None
-        self._basis_det_ord = None
 
     @classmethod
     def from_gram(cls, gram: HermGram) -> "HermLattice":
         """The lattice whose basis is the identity in the ambient ``gram``.
 
         Its Gram B^T * G * conj(B) is G itself, so ``gram`` seeds the cache
-        (with its elimination, when already computed), and the order of its
-        basis determinant is 0.
+        (with its elimination, when already computed), and ``L.gram() is
+        L.ambient`` tells the enumerator that det(basis) = 1.
         """
         lat = cls(gram, mat_identity(gram.n, gram.ctx))
         lat._gram = gram
-        lat._basis_det_ord = 0
         return lat
 
     @property
@@ -266,12 +254,6 @@ class HermLattice:
 
     def basis_rows(self):
         return [list(row) for row in self.basis]
-
-    def basis_det_ord(self) -> int:
-        """The pi-order of det(basis), computed once."""
-        if self._basis_det_ord is None:
-            self._basis_det_ord = mat_det(self.basis_rows(), self.ctx).ord()
-        return self._basis_det_ord
 
     def gram(self) -> HermGram:
         """Gram matrix of the lattice basis: B^T * G * conj(B)."""

@@ -1,14 +1,15 @@
 """Brute-force enumeration of the vertex lattices supporting an integral lattice.
 
-A vertex lattice satisfies pi*V <= V_dual <= V; the lattice L supports V when
-L <= V_dual, which pins every such V between L and its dual.  The oracle walks
-all intermediate lattices through their canonical triangular bases (pivot
-exponents bounded by the elementary divisors of L inside its dual), filters by
-the exact vertex conditions, and reports types, counts and the full inclusion
-poset.  It exists to double-check the closed-form invariants on small
-instances, so correctness beats speed throughout.  The census keeps the
-order of the walk until something reads it as printed: only then does each
-vertex get its canonical basis, and the census its sorted order (VertexSet).
+A vertex lattice satisfies pi*V <= V_dual <= V; the lattice L supports V
+when L <= V_dual, which pins every such V between L and its dual.  The
+enumerator walks all intermediate lattices through their canonical
+triangular bases (pivot exponents bounded by the elementary divisors of L
+inside its dual), filters by the exact vertex conditions, and reports types,
+counts and the full inclusion poset.  It exists to double-check the
+closed-form invariants on small instances, so correctness beats speed
+throughout.  The census keeps the order of the walk until something reads it
+as printed: only then does each vertex get its canonical basis, and the
+census its sorted order (VertexSet).
 
 Everything runs on pairs of Python ints modulo powers of p, where the
 arithmetic is exact (lattice._Quotient): the Jordan elimination of Gram(L),
@@ -173,11 +174,15 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     J_b of scale s is pi^s-modular (Jacobowitz): a rank-1 pivot is pi^s
     times a unit; a rank-2 pivot has off-diagonal entries of order s,
     diagonal ones above s and det of order 2s.  So ord det J = d = ord det G
-    + 2 * ord det(L.basis), and W = conj(J)^-1 is block diagonal of order >=
-    -F.  C = B * W (see HermLattice.dual) has C^T G conj(B) = W^T (J + E) = I
-    + W^T E in GL_n(O_H), as J^T = conj(J), so C spans L^#; B_b = C_b *
-    conj(J_b) spans C_b * pi^s; and G# = conj(W) = J^-1 is the Gram of C up
-    to W^T E conj(W), of order >= 2k - 2F.
+    + 2 * ord det(L.basis), which is how the setup reads ord det(L.basis):
+    0 with no elimination when Gram(L) is the ambient (HermLattice.from_gram,
+    as for every request from the command line), else (d - ord det G) / 2,
+    after the certified pass and off the ambient's cached determinant.  And
+    W = conj(J)^-1 is block diagonal of order >= -F.  C = B * W (see
+    HermLattice.dual) has C^T G conj(B) = W^T (J + E) = I + W^T E in
+    GL_n(O_H), as J^T = conj(J), so C spans L^#; B_b = C_b * conj(J_b) spans
+    C_b * pi^s; and G# = conj(W) = J^-1 is the Gram of C up to W^T E
+    conj(W), of order >= 2k - 2F.
 
     W is the one exact step, taken one block at a time: W_b = conj(J_b)^-1,
     the inverse of the 1x1 or 2x2 block lifted from J_b's residues a + b*pi
@@ -213,7 +218,8 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
     fs = _vector_scales(chunks)
     if fs[-1] > max_scale:
         raise EnumerationLimitError(f"Jordan scale {fs[-1]} exceeds enumeration bound {max_scale}")
-    a, c, K, k = _precision(fs, h, L.basis_det_ord())
+    ord_det_basis = 0 if G is L.ambient else (sum(fs) - L.ambient.det().ord()) // 2
+    a, c, K, k = _precision(fs, h, ord_det_basis)
     w = a - h
     if k > ring.k:
         ring, chunks = _jordan_chunks(G, True, k)
@@ -251,10 +257,11 @@ def _dual_jordan_basis(L: HermLattice, max_scale: int):
 
 def _precision(fs, h: int, ord_det_basis: int):
     """The precision rule of _dual_jordan_basis for the scales f, one per
-    basis vector, and p^h * L.basis integral: the census's a = ceil(F/2) +
-    h, c = max(1, ceil(F/2)), the walk's modulus K', the least meeting the
-    enumeration's three needs (enumerate_vertices) for that a, and the
-    elimination's k = K' + floor(F/2).
+    basis vector, p^h * L.basis integral and ord_det_basis = ord
+    det(L.basis), which _dual_jordan_basis reads off f: the census's a =
+    ceil(F/2) + h, c = max(1, ceil(F/2)), the walk's modulus K', the least
+    meeting the enumeration's three needs (enumerate_vertices) for that a,
+    and the elimination's k = K' + floor(F/2).
 
     K' is the larger of two terms: c, and the canonical bases' K3, the
     least K with 2K >= 2an + ord det(L.basis) - d + floor(d/2) + 1.  K3
@@ -704,9 +711,9 @@ def enumerate_vertices(
       in ambient coordinates, and a vertex's M = D * Z has ord det M = ord
       det D + e_1 + ... + e_n, at most ord det D + floor(d/2) by the
       candidates' pivot window; ord det D = 2an + ord det(L.basis) - d
-      (_dual_jordan_basis), and L.basis is the identity for a request from
-      the command line (HermLattice.basis_det_ord, 0 without a determinant
-      there).  This need implies the second (_precision), so K is the
+      (_dual_jordan_basis, which reads ord det(L.basis) off f and ord det
+      G, and takes 0 for the identity basis of a request from the command
+      line).  This need implies the second (_precision), so K is the
       larger of c and the least K it allows.
 
     D is formed when the census is named, so a verify that passes never

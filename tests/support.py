@@ -27,7 +27,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 from unittest.mock import patch
 
 from hermcycles import (
@@ -54,8 +54,8 @@ from hermcycles.errors import (
     UnsupportedPrimeError,
 )
 from hermcycles.lattice import (
+    _forward_eliminate,
     mat_conj,
-    mat_det,
     mat_inverse,
     mat_is_integral,
     mat_mul,
@@ -81,6 +81,19 @@ from hermcycles.padic import (
 from hermcycles import vertices
 from hermcycles.ramified import pi_power
 from hermcycles.vertices import EnumerationBounds, Vertex
+
+
+def mat_det(A, ctx: QuadContext) -> OHElement:
+    """det A of any square matrix over H, such as a basis matrix (the
+    package takes determinants of Gram matrices only, HermGram.det): the
+    product of the pivots of one forward elimination
+    (lattice._forward_eliminate), negated per row swap, or zero when the
+    pivots stop short."""
+    n = len(A)
+    pivots, swaps = _forward_eliminate([list(row) for row in A], n, ctx)
+    if len(pivots) < n:
+        return ctx.zero()
+    return prod(pivots, start=-ctx.one() if swaps % 2 else ctx.one())
 
 
 def invoke(argv, stdin_text=None):

@@ -631,26 +631,27 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
     # The dual basis comes from one Jordan elimination of Gram(L): no dual
     # lattice, one inverse per Jordan block (of that 1x1 or 2x2 block alone,
     # never of the n x n Jordan Gram), no product (the rest runs on int
-    # pairs), and no determinant: the enumerator's ord det of the dual needs
-    # the order of det(L.basis), which is 0 for the identity basis of a
-    # request from the command line (seeded by HermLattice.from_gram), and
-    # one Fraction determinant, of the basis alone, for any other basis.
+    # pairs), and no determinant of the basis: the enumerator's ord det of
+    # the dual needs ord det(L.basis), which the setup reads off the Jordan
+    # scales, as (sum f - ord det G) / 2 for the ambient Gram G.  For the
+    # identity basis of a request from the command line Gram(L) is G itself
+    # (HermLattice.from_gram) and the order is 0, with no elimination; for
+    # any other basis the one n-row forward elimination is that of G, cached
+    # on G and shared by every lattice in it.
     # verify reads the closed-form invariants off the same elimination, so
     # its passes (lattice._eliminate, behind jordan_split too) are counted:
     # H(1)+H(3) at p=3 is certified at p^8, which meets the k = 8 of the
     # precision rule, and a separate jordan_split would add a pass.
     from hermcycles import lattice, vertices
 
-    calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0, "mat_det": 0}
-    inverted, determinants, passes = [], [], []
+    calls = {"dual": 0, "mat_inverse": 0, "mat_mul": 0}
+    inverted, passes, eliminated = [], [], []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "mat_inverse":
                 inverted.append(args[0])
-            if name == "mat_det":
-                determinants.append(args[0])
             return fn(*args, **kwargs)
 
         return wrapper
@@ -660,9 +661,14 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         wrapped = counting(name, getattr(lattice, name))
         monkeypatch.setattr(lattice, name, wrapped)
         monkeypatch.setattr(vertices, name, wrapped, raising=False)  # vertices imports no mat_mul
-    monkeypatch.setattr(lattice, "mat_det", counting("mat_det", lattice.mat_det))
     real_eliminate = lattice._eliminate
     monkeypatch.setattr(lattice, "_eliminate", lambda M, q: passes.append(q.k) or real_eliminate(M, q))
+    real_forward = lattice._forward_eliminate
+    monkeypatch.setattr(
+        lattice,
+        "_forward_eliminate",
+        lambda M, n, ctx: eliminated.append([list(row) for row in M]) or real_forward(M, n, ctx),
+    )
     h13 = json.dumps(
         {
             "gram": [
@@ -677,22 +683,30 @@ def test_enumerator_setup_eliminates_the_gram_of_l_once(monkeypatch):
         for name in calls:
             calls[name] = 0
         inverted.clear()
-        determinants.clear()
         passes.clear()
+        eliminated.clear()
         code, _ = invoke([command, "--p", "3", "--max-rank", "4"], stdin_text=h13)
         assert code == 0
-        assert calls == {"dual": 0, "mat_inverse": 2, "mat_mul": 0, "mat_det": 0}
+        assert calls == {"dual": 0, "mat_inverse": 2, "mat_mul": 0}
         assert passes == [8]
         assert [[len(row) for row in J] for J in inverted] == [[2, 2], [2, 2]]
+        # the [J_b | I] of the two block inverses, and no n-row matrix
+        assert [len(M) for M in eliminated] == [2, 2], command
     ctx = RamifiedContext(3, 1)
+    G = orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3))
     U = random_basis_change(random.Random(5), ctx, 4)
-    L = lattice.HermLattice(orthogonal_sum(hyperbolic_gram(ctx, 1), hyperbolic_gram(ctx, 3)), U)
     for name in calls:
         calls[name] = 0
-    determinants.clear()
-    vertices.enumerate_vertices(L, vertices.EnumerationBounds(max_rank=4))
-    assert calls["mat_det"] == 1
-    assert determinants == [[list(row) for row in U]]
+    inverted.clear()
+    eliminated.clear()
+    for L in (lattice.HermLattice(G, U), lattice.HermLattice(G, U)):
+        vertices.enumerate_vertices(L, vertices.EnumerationBounds(max_rank=4))
+    # two products per lattice form its Gram U^T * G * conj(U)
+    assert calls == {"dual": 0, "mat_inverse": 4, "mat_mul": 4}
+    assert [M for M in eliminated if len(M) == 4] == [[list(row) for row in G.entries]]
+    # the rest are the [J_b | I] of the block inverses, 1 or 2 rows each
+    assert sorted(len(M) for M in eliminated if len(M) != 4) == sorted(len(J) for J in inverted)
+    assert {len(J) for J in inverted} <= {1, 2}
 
 
 def test_enumeration_builds_no_fraction_past_the_jordan_block_inverse(monkeypatch):

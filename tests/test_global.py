@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from support import (
     conic_has_primitive_zero,
+    mat_det,
     positive_definite_oracle,
     scaled_gram,
     self_dual_oracle,
@@ -30,7 +31,7 @@ from hermcycles.global_cycles import (
     is_positive_definite,
     local_context,
 )
-from hermcycles.lattice import mat_conj, mat_det, mat_mul, mat_transpose
+from hermcycles.lattice import mat_conj, mat_mul, mat_transpose
 from hermcycles.padic import (
     INERT,
     RAMIFIED,

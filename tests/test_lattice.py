@@ -9,6 +9,7 @@ from support import (
     is_square_unit,
     jordan_chunks_oracle,
     jordan_split_oracle,
+    mat_det,
     rand_oh,
     random_basis_change,
     random_hermitian_gram,
@@ -40,7 +41,6 @@ from hermcycles.lattice import (
     _jordan_chunks,
     is_split_sum,
     mat_conj,
-    mat_det,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -574,6 +574,7 @@ def test_matrix_kernels_agree_with_sympy_over_the_quadratic_field():
     from sympy.polys.matrices import DomainMatrix
 
     rng = random.Random(13)
+    swapped = 0  # block diagonals with a zero diagonal entry, whose rows swap
     for ctx in (RamifiedContext(3, 1), RamifiedContext(5, F(-2, 3)), RamifiedContext(7, -1)):
         root = sympy.sqrt(sympy.Rational(ctx.pi0))
         K = sympy.QQ.algebraic_field(root)
@@ -588,6 +589,10 @@ def test_matrix_kernels_agree_with_sympy_over_the_quadratic_field():
             det = oracle.det()
             assert to_field(mat_det(A, ctx)) == det, label
             assert det == K.zero or not label.startswith("singular"), label
+            if label.startswith("block diagonal"):  # Hermitian: the package's one determinant
+                G = HermGram(A, ctx)
+                assert to_field(G.det()) == det, label
+                swapped += G.elimination()[1] > 0
             if det == K.zero:
                 with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
                     mat_inverse(A, ctx)
@@ -595,3 +600,4 @@ def test_matrix_kernels_agree_with_sympy_over_the_quadratic_field():
             got = mat_inverse(A, ctx)
             assert [[to_field(x) for x in row] for row in got] == oracle.inv().to_list(), label
             assert all(type(x.a) is F and type(x.b) is F for row in got for x in row), label
+    assert swapped, "no block diagonal case swaps rows"

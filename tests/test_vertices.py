@@ -12,6 +12,7 @@ from support import (
     contains,
     elementary_divisor_exponents,
     jordan_chunks_oracle,
+    mat_det,
     _oracle_vertex_type,
     oracle_vertex_census,
     random_basis_change,
@@ -25,9 +26,11 @@ from support import (
 from hermcycles import (
     EnumerationBounds,
     EnumerationLimitError,
+    HermGram,
     HermLattice,
     NonIntegralLatticeError,
     RamifiedContext,
+    SingularMatrixError,
     diagonal_gram,
     enumerate_vertices,
     hyperbolic_gram,
@@ -38,7 +41,7 @@ from hermcycles import (
     verify_structure_theorems,
 )
 from hermcycles import lattice, vertices
-from hermcycles.lattice import _Quotient, mat_conj, mat_det, mat_inverse, mat_mul
+from hermcycles.lattice import _Quotient, mat_conj, mat_inverse, mat_mul
 from hermcycles.padic import _mod
 from hermcycles.ramified import OHElement
 
@@ -154,6 +157,24 @@ def test_bounds_and_preconditions():
     )
     with pytest.raises(NonIntegralLatticeError):
         enumerate_vertices(bad)
+
+
+def test_a_singular_ambient_off_the_identity_basis_raises_before_any_determinant(monkeypatch):
+    # The setup reads ord det(L.basis) off the ambient's determinant only
+    # after the certified Jordan elimination: on a singular ambient in a
+    # random basis that elimination raises first, and no Fraction
+    # elimination (of the ambient or of the basis) runs.
+    ctx = RamifiedContext(3, 1)
+    one = ctx.one()
+    G = HermGram([[one, one], [one, one]], ctx)
+    U = random_basis_change(random.Random(7), ctx, 2)
+    eliminated = []
+    real = lattice._forward_eliminate
+    monkeypatch.setattr(lattice, "_forward_eliminate", lambda *args: eliminated.append(args) or real(*args))
+    for run in (enumerate_vertices, verify_structure_theorems):
+        with pytest.raises(SingularMatrixError, match="^Gram matrix is singular$"):
+            run(HermLattice(G, U))
+    assert eliminated == []
 
 
 def _oracle_cases():
